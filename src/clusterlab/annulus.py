@@ -30,9 +30,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .engine import Seed, initial_seed, mutate_seed
+from .engine import Seed, exchange_sum, initial_seed, mutate_seed
 from .errors import (
     FlipSearchExceeded,
+    InvalidAnnulus,
     InvalidArc,
     LimitExceeded,
     MalformedTriangulation,
@@ -53,7 +54,9 @@ class MarkedAnnulus:
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
-            raise ValueError("need at least one marked point on each boundary")
+            raise InvalidAnnulus(
+                f"C({self.p},{self.q}): need at least one marked point on each boundary"
+            )
 
     def period(self, boundary: int) -> int:
         if boundary == 0:
@@ -620,7 +623,10 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     products = tuple(value(a) * value(b) for a, b in result.pairs)
     old_var = state.seed.cluster[idx]
     new_var = new_seed.cluster[idx]
-    if old_var * new_var != products[0] + products[1]:
+    # mutate_seed returns new_var only when exchange_sum / old_var leaves no
+    # remainder, so old_var * new_var == exchange_sum holds exactly and the
+    # sums can be compared without forming that product
+    if exchange_sum(state.seed, idx) != products[0] + products[1]:
         raise MalformedTriangulation(
             "exchange relation disagrees with the flip quadrilateral"
         )

@@ -22,7 +22,7 @@ from .errors import (
     NoPartnerFound,
     NotTwoMonomials,
 )
-from .laurent import LaurentPoly, coordinates, poly_to_json, poly_from_json
+from .laurent import LaurentPoly, coordinates, poly_from_json, poly_prod, poly_to_json
 from .quiver import Quiver, quiver_from_json, quiver_to_json
 
 DEFAULT_NODE_LIMIT = 100_000
@@ -56,16 +56,10 @@ def exchange_sum(seed: Seed, k: int) -> LaurentPoly:
     k plus product over arrows into k, empty products equal to 1."""
     if not 0 <= k < seed.rank:
         raise ValueError(f"direction {k} out of range")
-    b = seed.quiver.b
+    row = seed.quiver.b[k]
     arity = seed.cluster[0].arity
-    plus = LaurentPoly.one(arity)
-    minus = LaurentPoly.one(arity)
-    for j in range(seed.rank):
-        m = b[k][j]
-        if m > 0:
-            plus = plus * seed.cluster[j] ** m
-        elif m < 0:
-            minus = minus * seed.cluster[j] ** (-m)
+    plus = poly_prod((seed.cluster[j] ** m for j, m in enumerate(row) if m > 0), arity)
+    minus = poly_prod((seed.cluster[j] ** -m for j, m in enumerate(row) if m < 0), arity)
     return plus + minus
 
 

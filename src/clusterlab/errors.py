@@ -14,12 +14,24 @@ class ExactDivisionFailed(ClusterLabError):
     """
 
 
+class ExponentOverflow(ClusterLabError, OverflowError):
+    """An exponent left the range a packed Laurent monomial field holds.
+
+    Raised instead of letting a field wrap into its neighbour, which would
+    silently produce a wrong monomial.
+    """
+
+
 class LimitExceeded(ClusterLabError):
     """A bounded enumeration hit its node limit before closing."""
 
 
 class InvalidArc(ClusterLabError, ValueError):
     """An endpoint pair does not describe a valid arc of the annulus."""
+
+
+class InvalidAnnulus(ClusterLabError, ValueError):
+    """An annulus needs at least one marked point on each boundary."""
 
 
 class MalformedTriangulation(ClusterLabError):

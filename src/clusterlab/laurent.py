@@ -1,11 +1,34 @@
 """Exact arithmetic for integer-coefficient Laurent polynomials.
 
-A polynomial in n variables is stored sparsely as a map from exponent
-vectors (length-n tuples of ints, negative entries allowed) to nonzero
-integer coefficients.  Zero coefficients are pruned on construction, so
-two polynomials are equal exactly when their term maps are equal, and
-equality is plain data comparison.  Coefficients are Python ints and
-never overflow.
+A polynomial in n variables is stored sparsely as a map from packed
+monomials to nonzero integer coefficients.  A packed monomial is one int
+holding the exponent vector (negative entries allowed) in n fixed-width
+fields, variable 0 in the most significant field.  Each field stores its
+exponent plus a bias, so every field is a nonnegative number below
+``2**FIELD_BITS``.  Three things follow:
+
+- multiplying two monomials is one int addition (minus the packed zero
+  vector), and hashing a monomial is int hashing;
+- int order on packed monomials equals lexicographic order on exponent
+  vectors, so sorting packed keys orders terms exactly as sorting exponent
+  tuples does;
+- all polynomials of one arity share one layout, so two polynomials are
+  equal exactly when their term maps are equal.
+
+Exponents are limited to ``MIN_EXPONENT..MAX_EXPONENT``, the range of a
+signed ``FIELD_BITS``-bit integer.  The width is fixed rather than fitted
+to each polynomial, because a polynomial-specific width would give equal
+polynomials different keys and break the shared order.  An exponent
+outside the range, given to the constructor or produced by a product or
+quotient, raises ExponentOverflow; it never wraps into the neighbouring
+field.  Each polynomial carries an upper bound on its largest absolute
+exponent, so a product checks the guard with one comparison and computes
+exact per-variable exponent ranges only when the bound is exceeded.
+
+Zero coefficients are pruned on construction.  Coefficients are Python
+ints and never overflow.  Exponent tuples appear only at the API boundary:
+the constructor, ``coefficient``, the read-only ``terms`` view,
+formatting and JSON.
 
 Terms are ordered lexicographically by exponent vector.  That single
 order drives serialization, the deterministic ordering of whole
@@ -16,33 +39,81 @@ at formatting time only.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+import functools
+import struct
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ExactDivisionFailed
+from .errors import ExactDivisionFailed, ExponentOverflow
 
 Exponents = tuple[int, ...]
+
+FIELD_BITS = 32
+_BIAS = 1 << (FIELD_BITS - 1)
+_MASK = (1 << FIELD_BITS) - 1
+MIN_EXPONENT = -_BIAS
+MAX_EXPONENT = _BIAS - 1
+
+
+class _Layout:
+    """How exponent vectors of one arity are packed into ints.
+
+    A field holds its exponent plus the bias ``2**(FIELD_BITS - 1)``, which
+    is the exponent's two's complement with the top bit flipped.  So
+    flipping the top bit of every field turns a packed monomial into the
+    big-endian signed words ``struct`` reads and writes.
+    """
+
+    __slots__ = ("arity", "shifts", "zero", "_words", "_width")
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.shifts = tuple(FIELD_BITS * (arity - 1 - i) for i in range(arity))
+        self.zero = sum(_BIAS << shift for shift in self.shifts)  # the zero vector
+        self._words = struct.Struct(f">{arity}i")
+        self._width = self._words.size
+
+    def pack(self, exps: Sequence[int]) -> int:
+        try:
+            words = self._words.pack(*exps)
+        except struct.error:
+            raise ExponentOverflow(
+                f"{tuple(exps)} is not {self.arity} ints in {MIN_EXPONENT}..{MAX_EXPONENT}"
+            ) from None
+        return int.from_bytes(words, "big") ^ self.zero
+
+    def unpack(self, key: int) -> Exponents:
+        return self._words.unpack((key ^ self.zero).to_bytes(self._width, "big"))
+
+
+@functools.cache
+def _layout(arity: int) -> _Layout:
+    return _Layout(arity)
+
+
+_set = object.__setattr__
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("arity", "terms", "_key", "_hash")
+    __slots__ = ("arity", "_layout", "_terms", "_bound", "_key", "_hash")
 
     def __init__(self, arity: int, terms: Mapping[Exponents, int]):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
-        pruned = {}
+        layout = _layout(arity)
+        packed = {}
+        bound = 0
         for exps, coeff in terms.items():
             if coeff == 0:
                 continue
             exps = tuple(exps)
             if len(exps) != arity:
                 raise ValueError(f"exponent vector {exps} does not have arity {arity}")
-            pruned[exps] = coeff
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", pruned)
-        object.__setattr__(self, "_key", None)
-        object.__setattr__(self, "_hash", None)
+            packed[layout.pack(exps)] = coeff
+            bound = max(bound, max(map(abs, exps), default=0))
+        _init(self, layout, packed, bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -75,31 +146,42 @@ class LaurentPoly:
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, int]:
+        """Read-only view of the terms, keyed by exponent tuple."""
+        return _TermView(self._layout, self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.arity: 1}
+        return self._terms == {self._layout.zero: 1}
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._terms) == 1
 
     def coefficient(self, exponents: Sequence[int]) -> int:
         return self.terms.get(tuple(exponents), 0)
 
     def min_exponent(self, index: int) -> int:
         """Smallest exponent of variable ``index`` over all terms (poly must be nonzero)."""
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no exponents")
-        return min(e[index] for e in self.terms)
+        shift = self._layout.shifts[index]
+        return min(key >> shift & _MASK for key in self._terms) - _BIAS
 
     def sort_key(self):
-        """Deterministic total-order key: terms sorted lexicographically."""
-        key = self._key
-        if key is None:
-            key = tuple(sorted(self.terms.items()))
-            object.__setattr__(self, "_key", key)
-        return key
+        """Deterministic total-order key: terms sorted lexicographically.
+
+        The key holds packed monomials, whose int order is the
+        lexicographic order of their exponent vectors.
+        """
+        try:
+            return self._key
+        except AttributeError:
+            key = tuple(sorted(self._terms.items()))
+            _set(self, "_key", key)
+            return key
 
     # -- ring operations ---------------------------------------------------
 
@@ -116,19 +198,19 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = out.get(exps, 0) + coeff
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            total = out.get(key, 0) + coeff
             if total:
-                out[exps] = total
+                out[key] = total
             else:
-                out.pop(exps, None)
-        return LaurentPoly(self.arity, out)
+                out.pop(key, None)
+        return _build(self._layout, out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return _build(self._layout, {k: -c for k, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -146,18 +228,23 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return LaurentPoly.zero(self.arity)
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                total = out.get(exps, 0) + c1 * c2
-                if total:
-                    out[exps] = total
-                else:
-                    del out[exps]
-        return LaurentPoly(self.arity, out)
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            bound = _product_bound(self, other)
+        # the longer operand in the inner loop, so the outer loop runs least
+        outer, inner = self._terms, other._terms
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
+        inner = list(inner.items())
+        zero = self._layout.zero
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c1 in outer.items():
+            k1 -= zero
+            for k2, c2 in inner:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        return _build(self._layout, {k: c for k, c in out.items() if c}, bound)
 
     __rmul__ = __mul__
 
@@ -166,33 +253,37 @@ class LaurentPoly:
             # only monomials with unit coefficient are invertible over Z
             if not self.is_monomial():
                 raise ValueError("negative powers require a monomial")
-            ((exps, coeff),) = self.terms.items()
+            ((exps, coeff),) = _items(self)
             if coeff not in (1, -1):
                 raise ValueError("negative powers require a unit coefficient")
             inv = LaurentPoly(self.arity, {tuple(-e for e in exps): coeff})
             return inv ** (-power)
-        result = LaurentPoly.one(self.arity)
+        if power == 0:
+            return LaurentPoly.one(self.arity)
+        result = None
         base = self
-        while power:
+        while True:
             if power & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             power >>= 1
-        return result
+            if not power:
+                return result
+            base = base * base
 
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return self.arity == other.arity and self._terms == other._terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
+        try:
+            return self._hash
+        except AttributeError:
             h = hash((self.arity, self.sort_key()))
-            object.__setattr__(self, "_hash", h)
-        return h
+            _set(self, "_hash", h)
+            return h
 
     def __lt__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -205,7 +296,7 @@ class LaurentPoly:
         return self.sort_key() <= other.sort_key()
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     # -- calculus and normal forms ------------------------------------------
 
@@ -214,7 +305,7 @@ class LaurentPoly:
         if not 0 <= index < self.arity:
             raise ValueError(f"variable index {index} out of range")
         out: dict[Exponents, int] = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in _items(self):
             k = exps[index]
             if k == 0:
                 continue
@@ -230,12 +321,12 @@ class LaurentPoly:
         so the numerator has nonnegative exponents and self equals
         numerator / prod(x_i ** d_i).
         """
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no reduced form")
         denom = tuple(max(0, -self.min_exponent(i)) for i in range(self.arity))
         num = {
             tuple(e + d for e, d in zip(exps, denom)): coeff
-            for exps, coeff in self.terms.items()
+            for exps, coeff in _items(self)
         }
         return LaurentPoly(self.arity, num), denom
 
@@ -245,9 +336,9 @@ class LaurentPoly:
         Multiplying by a monomial never changes the coefficient multiset, so
         this is also positivity of the reduced numerator.
         """
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no coefficient sign")
-        return all(c > 0 for c in self.terms.values())
+        return all(c > 0 for c in self._terms.values())
 
     # -- formatting ----------------------------------------------------------
 
@@ -258,42 +349,97 @@ class LaurentPoly:
         return format_poly(self)
 
 
+def _init(poly: LaurentPoly, layout: _Layout, packed: dict[int, int], bound: int) -> None:
+    """Fill the slots; ``packed`` holds nonzero coefficients only and
+    ``bound`` is at least the largest absolute exponent in it."""
+    _set(poly, "arity", layout.arity)
+    _set(poly, "_layout", layout)
+    _set(poly, "_terms", packed)
+    _set(poly, "_bound", bound)
+
+
+def _build(layout: _Layout, packed: dict[int, int], bound: int) -> LaurentPoly:
+    poly = object.__new__(LaurentPoly)
+    _init(poly, layout, packed, bound)
+    return poly
+
+
+def _items(a: LaurentPoly) -> Iterator[tuple[Exponents, int]]:
+    """(exponent tuple, coefficient) pairs in storage order."""
+    unpack = a._layout.unpack
+    return ((unpack(key), coeff) for key, coeff in a._terms.items())
+
+
+def _ranges(a: LaurentPoly) -> list[tuple[int, int]]:
+    """Per variable, the smallest and largest exponent (empty for zero)."""
+    columns = zip(*map(a._layout.unpack, a._terms))
+    return [(min(column), max(column)) for column in columns]
+
+
+def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
+    """Largest absolute exponent of any term-pair product of ``a`` and ``b``.
+
+    Raises ExponentOverflow when such an exponent leaves the field range, so
+    a product never computes a key whose fields would wrap.
+    """
+    bound = 0
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(_ranges(a), _ranges(b)):
+        lo, hi = lo_a + lo_b, hi_a + hi_b
+        if lo < MIN_EXPONENT or hi > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"a product exponent in {lo}..{hi} leaves {MIN_EXPONENT}..{MAX_EXPONENT}"
+            )
+        bound = max(bound, -lo, hi)
+    return bound
+
+
+class _TermView(Mapping):
+    """Read-only mapping from exponent tuples to coefficients."""
+
+    __slots__ = ("_layout", "_packed")
+
+    def __init__(self, layout: _Layout, packed: dict[int, int]):
+        self._layout = layout
+        self._packed = packed
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self) -> Iterator[Exponents]:
+        return map(self._layout.unpack, self._packed)
+
+    def __getitem__(self, exps) -> int:
+        try:
+            key = self._layout.pack(exps)
+        except ExponentOverflow:  # no term has a key that does not pack
+            raise KeyError(exps) from None
+        return self._packed[key]
+
+
 def coordinates(arity: int) -> tuple[LaurentPoly, ...]:
     """The coordinate cluster x_1, ..., x_n."""
     return tuple(LaurentPoly.variable(i, arity) for i in range(arity))
 
 
-def poly_sum(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
-    total = LaurentPoly.zero(arity)
-    for item in items:
-        total = total + item
-    return total
-
-
 def poly_prod(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
-    total = LaurentPoly.one(arity)
+    """Product of ``items`` in order, 1 when there are none."""
+    total = None
     for item in items:
-        total = total * item
-    return total
-
-
-def add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a + b
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    return a * b
+        total = item if total is None else total * item
+    return LaurentPoly.one(arity) if total is None else total
 
 
 def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
     """Return q with q * b == a over integer coefficients, or None.
 
-    Both operands are first shifted into honest polynomials (minimum
-    exponent zero per variable); a Laurent quotient exists exactly when the
-    shifted polynomial quotient does, because minimum exponents per
-    variable are additive under multiplication.  The shifted division is
-    reduction against the lexicographic leading term, which terminates on
-    nonnegative exponents and fails fast at the first non-matching leading
+    Reduction against the lexicographic leading term.  Minimum and maximum
+    exponents per variable are additive under multiplication, so every
+    monomial of a quotient q lies in the box [min_a - min_b, max_a - max_b]
+    per variable, and the remainder stays inside a's own exponent box.  A
+    leading-term quotient outside the box proves that no quotient exists;
+    above the box's lower corner the remainder lives in a translate of the
+    nonnegative orthant, where lexicographic order is a well-order, so the
+    reduction terminates.  It fails fast at the first out-of-box leading
     monomial or non-dividing leading coefficient.
     """
     if a.arity != b.arity:
@@ -303,40 +449,38 @@ def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
     if a.is_zero():
         return LaurentPoly.zero(a.arity)
 
-    arity = a.arity
-    shift_a = tuple(a.min_exponent(i) for i in range(arity))
-    shift_b = tuple(b.min_exponent(i) for i in range(arity))
-    rem = {
-        tuple(e - s for e, s in zip(exps, shift_a)): c for exps, c in a.terms.items()
-    }
-    divisor = {
-        tuple(e - s for e, s in zip(exps, shift_b)): c for exps, c in b.terms.items()
-    }
-    lead_b = max(divisor)
-    lead_b_coeff = divisor[lead_b]
+    layout = a._layout
+    box = [(lo_a - lo_b, hi_a - hi_b)
+           for (lo_a, hi_a), (lo_b, hi_b) in zip(_ranges(a), _ranges(b))]
+    divisor = list(b._terms.items())
+    lead_b = max(b._terms)
+    lead_b_exps = layout.unpack(lead_b)
+    lead_b_coeff = b._terms[lead_b]
+    zero = layout.zero
 
-    quot: dict[Exponents, int] = {}
+    rem = dict(a._terms)
+    quot: dict[int, int] = {}
     while rem:
         lead_r = max(rem)
-        diff = tuple(e - f for e, f in zip(lead_r, lead_b))
-        if any(d < 0 for d in diff):
+        diff = [e - f for e, f in zip(layout.unpack(lead_r), lead_b_exps)]
+        if any(not lo <= d <= hi for d, (lo, hi) in zip(diff, box)):
             return None
         coeff_r = rem[lead_r]
         if coeff_r % lead_b_coeff != 0:
             return None
         factor = coeff_r // lead_b_coeff
-        quot[diff] = factor
-        for exps, coeff in divisor.items():
-            target = tuple(d + e for d, e in zip(diff, exps))
+        shift = layout.pack(diff)
+        quot[shift] = factor
+        shift -= zero
+        for key, coeff in divisor:
+            target = shift + key
             total = rem.get(target, 0) - factor * coeff
             if total:
                 rem[target] = total
             else:
                 rem.pop(target, None)
 
-    offset = tuple(sa - sb for sa, sb in zip(shift_a, shift_b))
-    return LaurentPoly(arity, {tuple(e + o for e, o in zip(exps, offset)): c
-                               for exps, c in quot.items()})
+    return _build(layout, quot, max((max(-lo, hi) for lo, hi in box), default=0))
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -377,7 +521,7 @@ def substitute(a: LaurentPoly, images: Sequence[LaurentPoly]) -> Optional[Lauren
             power_cache[(i, k)] = got
         return got
 
-    for exps, coeff in numerator.terms.items():
+    for exps, coeff in _items(numerator):
         term = LaurentPoly.constant(coeff, target)
         for i, e in enumerate(exps):
             if e:
@@ -400,13 +544,14 @@ def format_poly(a: LaurentPoly, names: Optional[Sequence[str]] = None) -> str:
     """Human-readable rendering with 1-based default variable names."""
     if names is None:
         names = default_names(a.arity)
-    if not a.terms:
+    if not a._terms:
         return "0"
+    unpack = a._layout.unpack
     pieces = []
-    for exps, coeff in sorted(a.terms.items(), reverse=True):
+    for key, coeff in sorted(a._terms.items(), reverse=True):
         factors = [
             names[i] if e == 1 else f"{names[i]}^{e}"
-            for i, e in enumerate(exps)
+            for i, e in enumerate(unpack(key))
             if e != 0
         ]
         if not factors:
@@ -425,11 +570,12 @@ def format_poly(a: LaurentPoly, names: Optional[Sequence[str]] = None) -> str:
 
 def poly_to_json(a: LaurentPoly) -> dict:
     """JSON form with lexicographically sorted terms and string coefficients."""
+    unpack = a._layout.unpack
     return {
         "arity": a.arity,
         "terms": [
-            {"e": list(exps), "c": str(coeff)}
-            for exps, coeff in sorted(a.terms.items())
+            {"e": list(unpack(key)), "c": str(coeff)}
+            for key, coeff in sorted(a._terms.items())
         ],
     }
 

@@ -721,13 +721,13 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     current = state
     for k in range(2, K + 1):
         current, record = flip_state(current, slot4)
-        if record.old_var * record.new_var != z1_vals[k] * z1_vals[k] + cross_term:
+        if record.products[0] + record.products[1] != z1_vals[k] * z1_vals[k] + cross_term:
             raise ShapeMismatch(f"widening relation at k={k} is not the recurrence")
         z4_vals[k] = record.new_var
         z4_arcs[k] = current.tri.arcs[slot4]
         if k < K:
             current, record = flip_state(current, slot1)
-            if record.old_var * record.new_var != z4_vals[k] * z4_vals[k] + cross_term:
+            if record.products[0] + record.products[1] != z4_vals[k] * z4_vals[k] + cross_term:
                 raise ShapeMismatch(f"return relation at k={k + 1} is not the recurrence")
             z1_vals[k + 1] = record.new_var
             z1_arcs[k + 1] = current.tri.arcs[slot1]
@@ -740,19 +740,16 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
         if got4 != 2 * k:
             raise CrossingMismatch(f"fourth-slot arc at k={k} crosses {got4}, want {2 * k}")
 
-    arity = cross_term.arity
     z1v, z2v = values["z1"], values["z2"]
-    z1p, z3p = values["z1'"], values["z3'"]
+    # z1' * z3' * prod(z1_k * z4_k for 2 <= k < m), extended once per m
+    prefix = values["z1'"] * values["z3'"]
     residual_terms = {}
     for m in range(3, K + 1):
-        pair = poly_prod([z1_vals[k] * z4_vals[k] for k in range(2, m)], arity)
-        lhs_one = z1v * z1p * z3p * pair * z1_vals[m]
-        main_one = z1p * z3p * z2v * pair * z4_vals[m - 1]
-        residual_one = lhs_one - main_one
-        full = poly_prod([z1_vals[k] * z4_vals[k] for k in range(2, m + 1)], arity)
-        lhs_two = z1v * z1p * z3p * full
-        main_two = z1p * z3p * z2v * pair * z1_vals[m] * z1_vals[m]
-        residual_two = lhs_two - main_two
+        prefix = prefix * (z1_vals[m - 1] * z4_vals[m - 1])
+        # each residual is lhs - main with the common factors pulled out, so
+        # the difference is formed on small factors before the large prefix
+        residual_one = prefix * (z1v * z1_vals[m] - z2v * z4_vals[m - 1])
+        residual_two = prefix * z1_vals[m] * (z1v * z4_vals[m] - z2v * z1_vals[m])
         for tag, residual in ((2 * m + 2, residual_one), (2 * m + 3, residual_two)):
             if residual.is_zero() or not residual.has_positive_coefficients():
                 raise IdentityFailed(f"residual at index {tag} is not positive")
@@ -1010,7 +1007,12 @@ def run_report(
     K: Optional[int] = None,
     rng_seed: int = 0,
 ) -> list[IdentityReport]:
-    """Run one named report (or all of them) with documented defaults."""
+    """Run one named report (or all of them) with documented defaults.
+
+    Only a parameter left as None takes its default.  An explicit value, 0
+    included, is used as given, so an invalid annulus size raises
+    InvalidAnnulus instead of silently running the default annulus.
+    """
     if name == "all":
         # parameter overrides apply to single reports only; the bundle runs
         # every report at its documented default
@@ -1018,22 +1020,30 @@ def run_report(
         for item in REPORT_NAMES:
             out.extend(run_report(item, rng_seed=rng_seed))
         return out
+
+    def annulus(default_p: int, default_q: int) -> tuple[int, int]:
+        ann = MarkedAnnulus(given(p, default_p), given(q, default_q))
+        return ann.p, ann.q
+
+    def given(value: Optional[int], default: int) -> int:
+        return default if value is None else value
+
     if name == "lemma31":
         return [report_dichotomy_instances()]
     if name == "case1":
-        return [report_crossing_quadrilateral(p or 2, q or 1)]
+        return [report_crossing_quadrilateral(*annulus(2, 1))]
     if name == "case2-formal":
         return [report_peripheral_chain_formal()]
     if name == "case2-geometric":
-        return [report_peripheral_chain_geometric(p or 4, q or 1, depth or 6)]
+        return [report_peripheral_chain_geometric(*annulus(4, 1), given(depth, 6))]
     if name in ("case3-n2", "case3-n3", "case3-n4"):
         return [report_bridging_chain_formal(int(name[-1]))]
     if name == "induction":
-        return [report_winding_induction(p or 2, q or 2, K or 5)]
+        return [report_winding_induction(*annulus(2, 2), given(K, 5))]
     if name == "quiver-recovery":
-        return [report_quiver_recovery(p or 2, q or 1, depth or 4)]
+        return [report_quiver_recovery(*annulus(2, 1), given(depth, 4))]
     if name == "unistructurality":
-        return [report_unistructurality(p or 2, q or 1, depth or 4)]
+        return [report_unistructurality(*annulus(2, 1), given(depth, 4))]
     if name == "cover-flip":
         return [report_cover_flip(rng_seed=rng_seed)]
     raise ValueError(f"unknown report {name!r}")

@@ -334,6 +334,16 @@ class TestLockstep:
         varmap = arc_variable_map(nodes)
         assert len(set(varmap.values())) == len(varmap)
 
+    def test_flip_state_exchange_in_product_form(self):
+        # flip_state checks the exchange sum against the quadrilateral; the
+        # identity it stands for is old * new == the two products' sum
+        rng = random.Random(41)
+        for p, q in ((2, 2), (3, 1), (3, 2)):
+            state = initial_state(MarkedAnnulus(p, q))
+            for _ in range(30):
+                state, record = flip_state(state, rng.randrange(p + q))
+                assert record.old_var * record.new_var == record.products[0] + record.products[1]
+
     def test_reach_state_agrees_with_bfs(self, ann21):
         nodes = flip_bfs(ann21, 3)
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::5]

@@ -104,3 +104,13 @@ def test_verify_reports_errors_as_failure(runner):
         main, ["verify", "--report", "case2-geometric", "--p", "2", "--q", "1"]
     )
     assert result.exit_code != 0
+
+
+@pytest.mark.parametrize("sizes", [["--p", "0", "--q", "0"], ["--p", "0"], ["--q", "0"]])
+def test_verify_rejects_zero_annulus_sizes(runner, sizes):
+    # an explicit 0 must not fall back to the report's default annulus
+    result = runner.invoke(main, ["verify", "--report", "case1", *sizes])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    assert payload["error"] == "InvalidAnnulus"

@@ -1,8 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from clusterlab.errors import ExactDivisionFailed
+from clusterlab.errors import ClusterLabError, ExactDivisionFailed, ExponentOverflow
 from clusterlab.laurent import (
+    MAX_EXPONENT,
+    MIN_EXPONENT,
     LaurentPoly,
     coordinates,
     div_exact,
@@ -252,3 +255,170 @@ class TestOrdering:
         assert x1 ** -2 == poly(2, {(-2, 0): 1})
         with pytest.raises(ValueError):
             (x1 + 1) ** -1
+
+
+# -- differential tests against sympy ----------------------------------------
+
+SYMBOLS = sympy.symbols("x1:5")
+
+arities = st.integers(1, 4)
+small_exponents = st.integers(-3, 3)
+# the ends of a field, their neighbours, and the middle
+edge_exponents = st.sampled_from(
+    [MIN_EXPONENT, MIN_EXPONENT + 1, -1, 0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]
+)
+
+
+def polys(arity, exponents=small_exponents, max_size=4, min_size=0):
+    return st.dictionaries(
+        st.tuples(*[exponents] * arity), st.integers(-5, 5), min_size=min_size, max_size=max_size
+    ).map(lambda terms: LaurentPoly(arity, terms))
+
+
+def to_sympy(a):
+    xs = SYMBOLS[: a.arity]
+    return sympy.Add(
+        *(c * sympy.Mul(*(x**e for x, e in zip(xs, exps))) for exps, c in a.terms.items())
+    )
+
+
+def expanded(expr, arity):
+    """A sum of Laurent monomials read back as a LaurentPoly (any exponents)."""
+    terms = {}
+    for monomial, coeff in sympy.expand(expr).as_coefficients_dict().items():
+        powers = monomial.as_powers_dict()
+        exps = tuple(int(powers.get(x, 0)) for x in SYMBOLS[:arity])
+        terms[exps] = terms.get(exps, 0) + int(coeff)
+    return LaurentPoly(arity, terms)
+
+
+def laurent_or_none(expr, arity):
+    """expr as a Laurent polynomial over Z, or None when it is not one.
+
+    Goes through dense sympy polynomials, so only for small exponents.
+    """
+    xs = SYMBOLS[:arity]
+    numerator, denominator = sympy.fraction(sympy.together(expr))
+    if numerator == 0:
+        return LaurentPoly.zero(arity)
+    unit, num, den = sympy.Poly(numerator, *xs).cancel(sympy.Poly(denominator, *xs), include=False)
+    if len(den.terms()) != 1:
+        return None
+    ((shift, den_coeff),) = den.terms()
+    terms = {}
+    for exps, c in num.terms():
+        coeff = unit * c / den_coeff
+        if not coeff.is_integer:
+            return None
+        terms[tuple(e - s for e, s in zip(exps, shift))] = int(coeff)
+    return LaurentPoly(arity, terms)
+
+
+def product_leaves_field(a, b):
+    return any(
+        not MIN_EXPONENT <= e + f <= MAX_EXPONENT
+        for ea in a.terms
+        for eb in b.terms
+        for e, f in zip(ea, eb)
+    )
+
+
+class TestAgainstSympy:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mul(self, data):
+        n = data.draw(arities)
+        a, b = data.draw(polys(n)), data.draw(polys(n))
+        assert a * b == expanded(to_sympy(a) * to_sympy(b), n)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mul_at_field_edges(self, data):
+        n = data.draw(arities)
+        a, b = data.draw(polys(n, edge_exponents, 3)), data.draw(polys(n, edge_exponents, 3))
+        if product_leaves_field(a, b):
+            with pytest.raises(ExponentOverflow):
+                a * b
+        else:
+            assert a * b == expanded(to_sympy(a) * to_sympy(b), n)
+
+    @given(st.data(), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_pow(self, data, power):
+        n = data.draw(arities)
+        a = data.draw(polys(n, max_size=3))
+        assert a**power == expanded(to_sympy(a) ** power, n)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_division_with_quotient(self, data):
+        n = data.draw(arities)
+        q, b = data.draw(polys(n, max_size=3)), data.draw(polys(n, max_size=3, min_size=1))
+        assume(not b.is_zero())
+        a = q * b
+        assert try_div_exact(a, b) == q
+        assert laurent_or_none(to_sympy(a) / to_sympy(b), n) == q
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_division_agrees_on_existence(self, data):
+        n = data.draw(arities)
+        a, b = data.draw(polys(n)), data.draw(polys(n, max_size=3, min_size=1))
+        assume(not b.is_zero())
+        assert try_div_exact(a, b) == laurent_or_none(to_sympy(a) / to_sympy(b), n)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_substitute(self, data):
+        n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        a = data.draw(polys(n, st.integers(-2, 2), 3))
+        images = [data.draw(polys(m, st.integers(-1, 2), 2, min_size=1)) for _ in range(n)]
+        assume(all(image for image in images))
+        value = to_sympy(a).xreplace(dict(zip(SYMBOLS, map(to_sympy, images))))
+        assert substitute(a, images) == laurent_or_none(value, m)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_term_order_is_lexicographic(self, data):
+        n = data.draw(arities)
+        exponents = st.one_of(small_exponents, edge_exponents)
+        values = data.draw(st.lists(polys(n, exponents, 5), max_size=6))
+        for a in values:
+            assert [tuple(t["e"]) for t in poly_to_json(a)["terms"]] == sorted(a.terms)
+        by_tuples = sorted(values, key=lambda a: sorted(a.terms.items()))
+        assert sorted(values) == by_tuples
+
+
+class TestExponentOverflow:
+    def test_is_a_package_error(self):
+        assert issubclass(ExponentOverflow, ClusterLabError)
+
+    def test_constructor_rejects_out_of_range(self):
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly(2, {(MAX_EXPONENT + 1, 0): 1})
+        with pytest.raises(ExponentOverflow):
+            LaurentPoly(2, {(0, MIN_EXPONENT - 1): 1})
+
+    def test_product_raises_instead_of_wrapping(self):
+        # x2^MAX * x2 would carry into x1's field and read as x1 * x2^MIN
+        x1, x2 = coordinates(2)
+        top = LaurentPoly(2, {(0, MAX_EXPONENT): 1})
+        with pytest.raises(ExponentOverflow):
+            top * x2
+        bottom = LaurentPoly(2, {(0, MIN_EXPONENT): 1})
+        with pytest.raises(ExponentOverflow):
+            bottom * x2**-1
+        with pytest.raises(ExponentOverflow):
+            (top + x1) ** 2
+
+    def test_loose_bound_falls_back_to_exact_ranges(self):
+        # the bound |e| sum exceeds the field, the exact exponents do not
+        top = LaurentPoly(1, {(MAX_EXPONENT,): 1})
+        assert top * top**-1 == LaurentPoly.one(1)
+        assert (top * top**-1) * top == top
+
+    def test_quotient_outside_field_raises(self):
+        top = LaurentPoly(1, {(MAX_EXPONENT,): 1})
+        bottom = LaurentPoly(1, {(-MAX_EXPONENT,): 1})
+        with pytest.raises(ExponentOverflow):
+            try_div_exact(top, bottom)
