@@ -26,11 +26,13 @@ combinatorially.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .engine import Seed, exchange_sum, initial_seed, mutate_seed
+from .engine import Seed, _mutate_with_sum, initial_seed
+from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
 from .errors import (
     FlipSearchExceeded,
     InvalidAnnulus,
@@ -352,13 +354,53 @@ class _Strip:
                 seen.add(d)
                 face.append(d)
                 u, v = d
-                nbrs = self.neighbors[v]
-                w = nbrs[self._position[(v, u)] - 1]
-                d = (v, w)
+                d = (v, self._turn(u, v))
                 if d == start:
                     break
             out.append(face)
         return out
+
+    def _turn(self, u: Endpoint, v: Endpoint) -> Endpoint:
+        # the vertex after u -> v on the face to its left
+        nbrs = self.neighbors[v]
+        return nbrs[self._position[(v, u)] - 1]
+
+    def _triangle_apex(self, u: Endpoint, v: Endpoint) -> Optional[Endpoint]:
+        """Apex of the face left of u -> v, or None when it is no triangle."""
+        apex = self._turn(u, v)
+        if self._turn(v, apex) != u or self._turn(apex, u) != v:
+            return None
+        return apex
+
+    def _reindex(self, v: Endpoint) -> None:
+        for i, u in enumerate(self.neighbors[v]):
+            self._position[(v, u)] = i
+
+    def flip(self, chord: Chord, trusted) -> bool:
+        """Flip one chord in place, updating only the four rotations it
+        touches.
+
+        Returns False without touching anything when the chord's
+        quadrilateral is not two triangles with every vertex trusted
+        (possible only near the ragged ends of the strip).
+        """
+        u, v = chord
+        apexes = (self._triangle_apex(u, v), self._triangle_apex(v, u))
+        if None in apexes or not all(trusted(w) for w in (u, v) + apexes):
+            return False
+        if apexes[0] == apexes[1]:
+            raise MalformedTriangulation("flip quadrilateral lost its apexes")
+        for a, b in ((u, v), (v, u)):
+            self.neighbors[a].remove(b)
+            del self._position[(a, b)]
+            self._reindex(a)
+        new = _norm_chord(apexes)
+        for a, b in (new, new[::-1]):
+            bisect.insort(self.neighbors[a], b, key=lambda w: _rotation_key(a, w))
+            self._reindex(a)
+        self.chords.remove(chord)
+        self.chords.add(new)
+        return True
 
     def safe_triangles(self) -> list[list[tuple[Endpoint, Endpoint]]]:
         """Faces whose vertices are all inside the safe region.
@@ -490,46 +532,69 @@ class FlipResult:
     pairs: tuple[tuple[Side, Side], tuple[Side, Side]]
 
 
+def _rotation(tri: Triangulation, v: Endpoint) -> list[tuple[Endpoint, Side]]:
+    """Neighbours of a vertex of the lifted triangulation, counterclockwise,
+    each with the side along the edge to it (None for a boundary segment).
+
+    Besides its two boundary neighbours, v meets one translate of an arc
+    for every endpoint of that arc in v's deck orbit.
+    """
+    ann = tri.annulus
+    b, x = v
+    period = ann.period(b)
+    out: list[tuple[Endpoint, Side]] = [((b, x - 1), None), ((b, x + 1), None)]
+    for arc in tri.arcs:
+        for here, there in (arc.chord, arc.chord[::-1]):
+            if here[0] == b and (x - here[1]) % period == 0:
+                out.append((deck_endpoint(there, (x - here[1]) // period, ann), arc))
+    out.sort(key=lambda item: _rotation_key(v, item[0]))
+    return out
+
+
 def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
-    """Replace one arc by the opposite diagonal of its quadrilateral."""
+    """Replace one arc by the opposite diagonal of its quadrilateral.
+
+    The two faces on the canonical lift u -> v of the arc are walked from
+    the rotations at their vertices alone, interior kept on the left, so a
+    flip costs the same however far its arc winds.  The first face holds
+    the dart u -> v and has apex a1, the second holds v -> u and has apex
+    a2; pairs is ((v-a1, u-a2), (a1-u, a2-v)).
+    """
     idx = target if isinstance(target, int) else tri.index_of(target)
     gamma = tri.arcs[idx]
-    chord = _norm_chord(gamma.chord)
-    strip = _strip_of(tri)
-    adjacent = [
-        face
-        for face in strip.safe_triangles()
-        if chord in (_norm_chord(d) for d in face)
-    ]
-    # the canonical lift sits deep inside the safe window, so both of its
-    # neighboring faces are present; more than two is impossible in a plane
-    if len(adjacent) != 2:
-        raise MalformedTriangulation(
-            f"arc {gamma} lies on {len(adjacent)} safe faces, expected 2"
-        )
+    rotations: dict[Endpoint, list[tuple[Endpoint, Side]]] = {}
 
-    def rotated(face):
-        for i, dart in enumerate(face):
-            if _norm_chord(dart) == chord:
-                return face[i:] + face[:i]
-        raise AssertionError("face lost its own side")
+    def turn(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side]:
+        # the edge after a -> b on the face to its left, with its side
+        if b not in rotations:
+            rotations[b] = _rotation(tri, b)
+        rot = rotations[b]
+        for i, (w, _) in enumerate(rot):
+            if w == a:
+                return rot[i - 1]
+        raise MalformedTriangulation(f"{a} is not a neighbour of {b}")
 
-    # each face holds one of the two darts along gamma, so the rotated faces
-    # glue into the quadrilateral cycle regardless of their order
-    first, second = (rotated(face) for face in adjacent)
-    cycle = [first[1], first[2], second[1], second[2]]
-    apex1 = first[1][1]
-    apex2 = second[1][1]
+    def face(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side, Side]:
+        apex, side_b = turn(a, b)
+        back, side_a = turn(b, apex)
+        if back != a or turn(apex, a)[0] != b:
+            raise MalformedTriangulation(
+                f"a face on arc {gamma} does not close after three sides"
+            )
+        return apex, side_b, side_a
+
+    u, v = gamma.chord
+    apex1, v_apex1, apex1_u = face(u, v)
+    apex2, u_apex2, apex2_v = face(v, u)
     ann = tri.annulus
     new_arc = make_arc(ann, apex1, apex2)
-    sides = [_project_chord(ann, _norm_chord(d)) for d in cycle]
     arcs = list(tri.arcs)
     arcs[idx] = new_arc
     return FlipResult(
         Triangulation(ann, tuple(arcs)),
         removed=gamma,
         new_arc=new_arc,
-        pairs=((sides[0], sides[2]), (sides[1], sides[3])),
+        pairs=((v_apex1, u_apex2), (apex1_u, apex2_v)),
     )
 
 
@@ -613,7 +678,7 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     """
     idx = target if isinstance(target, int) else state.tri.index_of(target)
     result = flip(state.tri, idx)
-    new_seed = mutate_seed(state.seed, idx)
+    new_seed, total = _mutate_with_sum(state.seed, idx)
     assignment = state.assignment
     arity = state.seed.cluster[0].arity
 
@@ -623,10 +688,10 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     products = tuple(value(a) * value(b) for a, b in result.pairs)
     old_var = state.seed.cluster[idx]
     new_var = new_seed.cluster[idx]
-    # mutate_seed returns new_var only when exchange_sum / old_var leaves no
-    # remainder, so old_var * new_var == exchange_sum holds exactly and the
-    # sums can be compared without forming that product
-    if exchange_sum(state.seed, idx) != products[0] + products[1]:
+    # the mutation returns new_var only when the exchange sum divided by
+    # old_var leaves no remainder, so old_var * new_var == total holds
+    # exactly and the sums can be compared without forming that product
+    if total != products[0] + products[1]:
         raise MalformedTriangulation(
             "exchange relation disagrees with the flip quadrilateral"
         )
@@ -807,34 +872,11 @@ def lift_triangulation(tri: Triangulation, window: int) -> list[Chord]:
     )
 
 
-def _chord_flip(annulus: MarkedAnnulus, chords: set[Chord], chord: Chord,
-                trusted) -> bool:
-    """Flip a single chord inside an explicit chord family.
-
-    Returns False without touching anything when the chord's quadrilateral
-    is not fully inside the trusted region (possible only near the padded
-    ends of the window)."""
-    strip = _Strip(annulus, chords, safe=None)
-    adjacent = []
-    for face in strip.faces():
-        if len(face) == 3 and chord in (_norm_chord(d) for d in face):
-            adjacent.append(face)
-    if len(adjacent) != 2:
-        return False
-    vertices = {v for face in adjacent for v, _ in face}
-    if not all(trusted(v) for v in vertices):
-        return False
-    apexes = [v for v in vertices if v not in chord]
-    if len(apexes) != 2:
-        raise MalformedTriangulation("flip quadrilateral lost its apexes")
-    chords.remove(chord)
-    chords.add(_norm_chord((apexes[0], apexes[1])))
-    return True
-
-
 def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
-    """Flip every lift of one arc in the windowed strip and compare the
-    interior of the result with the lift of the flipped triangulation.
+    """Flip every lift of one arc in one windowed strip, updated in place,
+    and compare the interior of the result with the lift of the flipped
+    triangulation.  The strip side is an oracle for flip(), independent of
+    its local rotations.
 
     The strip is padded on both sides so that every flip whose
     quadrilateral can influence the comparison region is performed on a
@@ -850,9 +892,7 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
             span = max(span, -(-abs(x) // ann.period(b)))
     pad = 2 * span + 4
     ks = range(-pad, window + pad)
-    current = {
-        _norm_chord(deck_chord(arc.chord, k, ann)) for arc in tri.arcs for k in ks
-    }
+    strip = _Strip(ann, (deck_chord(arc.chord, k, ann) for arc in tri.arcs for k in ks))
 
     lo = {b: -pad * ann.period(b) - span * ann.period(b) for b in (0, 1)}
     hi = {
@@ -867,7 +907,7 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     flipped_any = False
     for k in ks:
         chord = _norm_chord(deck_chord(gamma.chord, k, ann))
-        if _chord_flip(ann, current, chord, trusted):
+        if strip.flip(chord, trusted):
             flipped_any = True
     if not flipped_any:
         raise ValueError("window too small to flip any full fundamental domain")
@@ -881,7 +921,7 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     def interior(chord: Chord) -> bool:
         return all(0 <= x <= window * ann.period(b) for b, x in chord)
 
-    got_interior = {c for c in current if interior(c)}
+    got_interior = {c for c in strip.chords if interior(c)}
     want_interior = {c for c in expected if interior(c)}
     if len(want_interior) < len(tri.arcs):
         raise ValueError("window too small to compare a full fundamental domain")

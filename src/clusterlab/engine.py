@@ -69,6 +69,11 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     The quotient is an exact Laurent division; inexactness would contradict
     the Laurent property and raises ExactDivisionFailed.
     """
+    return _mutate_with_sum(seed, k)[0]
+
+
+def _mutate_with_sum(seed: Seed, k: int) -> tuple[Seed, LaurentPoly]:
+    """mutate_seed, also handing back the exchange sum it divided."""
     total = exchange_sum(seed, k)
     new_var = laurent.try_div_exact(total, seed.cluster[k])
     if new_var is None:
@@ -77,7 +82,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
         )
     cluster = list(seed.cluster)
     cluster[k] = new_var
-    return Seed(seed.quiver.mutate(k), tuple(cluster))
+    return Seed(seed.quiver.mutate(k), tuple(cluster)), total
 
 
 def canonical_seed(seed: Seed) -> Seed:

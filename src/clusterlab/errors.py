@@ -34,6 +34,10 @@ class InvalidAnnulus(ClusterLabError, ValueError):
     """An annulus needs at least one marked point on each boundary."""
 
 
+class InvalidParameter(ClusterLabError, ValueError):
+    """A report or construction parameter is outside its supported range."""
+
+
 class MalformedTriangulation(ClusterLabError):
     """A face walk found a non-triangular interior face.
 

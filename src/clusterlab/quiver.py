@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import LimitExceeded
+from .errors import InvalidParameter, LimitExceeded
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -217,7 +217,7 @@ def tilde_A_canonical(p: int, q: int) -> Quiver:
     the test suite rather than trusted on its own.
     """
     if q < 1 or p < q:
-        raise ValueError("need p >= q >= 1")
+        raise InvalidParameter("need p >= q >= 1")
     n = p + q
     arrows = [(i, i + 1) for i in range(p)]
     arrows.extend(((i + 1) % n, i) for i in range(p, n))

@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import engine, laurent
 from .annulus import (
     Arc,
+    FlipRecord,
     MarkedAnnulus,
     TriSeed,
     arc_variable_map,
@@ -50,6 +51,7 @@ from .errors import (
     CrossingMismatch,
     HypothesisNotSatisfied,
     IdentityFailed,
+    InvalidParameter,
     SearchExhausted,
     ShapeMismatch,
     SideConditionViolated,
@@ -266,7 +268,7 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
     """Exact verification of the chains for two bridging arcs crossing
     n = 2, 3 or 4 times, with the residuals exactly as displayed."""
     if n not in (2, 3, 4):
-        raise ValueError("n must be 2, 3 or 4")
+        raise InvalidParameter("n must be 2, 3 or 4")
     data = _bridging_chain(n)
     z, v = data["z"], data["values"]
     report = IdentityReport(name=f"case3-n{n}", passed=True, context={"n": n})
@@ -489,6 +491,15 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
     return None
 
 
+def _by_depth_then_arcs(nodes) -> list[tuple[TriSeed, int]]:
+    """(state, flip distance) of every flip_bfs node, nearest first, ties
+    broken by sorted arc set, so searches over them are deterministic."""
+    return sorted(
+        ((node.state, node.depth) for node in nodes.values()),
+        key=lambda item: (item[1], tuple(sorted(item[0].tri.arcs))),
+    )
+
+
 def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
     """Largest pairwise crossing number over all peripheral arcs."""
     peripherals = [a for a in candidate_arcs(ann) if classify_arc(a)[0] == "peripheral"]
@@ -561,7 +572,7 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
     chain as an agreement check between the layers.
     """
     if p < 4:
-        raise ValueError("need at least four marked points on one boundary")
+        raise InvalidParameter("need at least four marked points on one boundary")
     ann = MarkedAnnulus(p, q)
     ceiling = max_peripheral_crossing(ann)
     if ceiling > 2:
@@ -569,21 +580,8 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
             f"peripheral arcs crossing {ceiling} times exist on C({p},{q})"
         )
 
-    root = initial_state(ann)
-    nodes = {root.tri.arc_set: (root, 0)}
-    queue = [root]
-    for d in range(depth):
-        nxt = []
-        for st in queue:
-            for i in range(len(st.tri.arcs)):
-                st2, _ = flip_state(st, i)
-                if st2.tri.arc_set not in nodes:
-                    nodes[st2.tri.arc_set] = (st2, d + 1)
-                    nxt.append(st2)
-        queue = nxt
-
     rank = p + q
-    for st, d in sorted(nodes.values(), key=lambda v: (v[1], tuple(sorted(v[0].tri.arcs)))):
+    for st, d in _by_depth_then_arcs(flip_bfs(ann, depth)):
         peripheral_slots = [
             i for i, a in enumerate(st.tri.arcs) if classify_arc(a)[0] == "peripheral"
         ]
@@ -659,20 +657,8 @@ _BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)  # slot flipped at each setup step
 
 
 def _find_bridging_setup(ann: MarkedAnnulus, search_depth: int = 5):
-    root = initial_state(ann)
-    nodes = {root.tri.arc_set: (root, 0)}
-    queue = [root]
-    for d in range(search_depth):
-        nxt = []
-        for st in queue:
-            for i in range(len(st.tri.arcs)):
-                st2, _ = flip_state(st, i)
-                if st2.tri.arc_set not in nodes:
-                    nodes[st2.tri.arc_set] = (st2, d + 1)
-                    nxt.append(st2)
-        queue = nxt
     rank = ann.p + ann.q
-    for st, d in sorted(nodes.values(), key=lambda v: (v[1], tuple(sorted(v[0].tri.arcs)))):
+    for st, d in _by_depth_then_arcs(flip_bfs(ann, search_depth)):
         bridging_slots = [
             i for i, a in enumerate(st.tri.arcs) if classify_arc(a)[0] == "bridging"
         ]
@@ -690,6 +676,20 @@ def _find_bridging_setup(ann: MarkedAnnulus, search_depth: int = 5):
     raise SearchExhausted(f"no winding-induction setup found on C({ann.p},{ann.q})")
 
 
+def _opposite_square(record: FlipRecord, arc: Arc) -> LaurentPoly:
+    """The product opposite the quadrilateral pair that is one arc twice.
+
+    The recurrence's square is that pair's product, already formed by the
+    flip; the arc must be the given slot arc.
+    """
+    for j, (first, second) in enumerate(record.pairs):
+        if first is not None and first == second:
+            if first != arc:
+                raise ShapeMismatch(f"squared side is {first}, not the slot arc {arc}")
+            return record.products[1 - j]
+    raise ShapeMismatch("no quadrilateral pair is one arc twice")
+
+
 def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     """Run the alternating flip recurrence for a bridging arc against
     increasingly winding partners.
@@ -701,7 +701,7 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     whose expansions over the initial cluster are strictly positive.
     """
     if K < 3:
-        raise ValueError("K must be at least 3")
+        raise InvalidParameter("K must be at least 3")
     ann = MarkedAnnulus(p, q)
     setup, labeling, state, values, bindings, found_at = _find_bridging_setup(ann)
     gamma_i = setup.tri.arcs[labeling[0]]
@@ -721,13 +721,13 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     current = state
     for k in range(2, K + 1):
         current, record = flip_state(current, slot4)
-        if record.products[0] + record.products[1] != z1_vals[k] * z1_vals[k] + cross_term:
+        if _opposite_square(record, z1_arcs[k]) != cross_term:
             raise ShapeMismatch(f"widening relation at k={k} is not the recurrence")
         z4_vals[k] = record.new_var
         z4_arcs[k] = current.tri.arcs[slot4]
         if k < K:
             current, record = flip_state(current, slot1)
-            if record.products[0] + record.products[1] != z4_vals[k] * z4_vals[k] + cross_term:
+            if _opposite_square(record, z4_arcs[k]) != cross_term:
                 raise ShapeMismatch(f"return relation at k={k + 1} is not the recurrence")
             z1_vals[k + 1] = record.new_var
             z1_arcs[k + 1] = current.tri.arcs[slot1]
@@ -839,13 +839,13 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
 
     # (ii) compatible subsets
     arcs = sorted(varmap)
+    crossing = {
+        (a, b): crossing_number(a, b, ann) for a, b in itertools.combinations(arcs, 2)
+    }
     compatible_subsets = 0
     witnessed_by_path = 0
     for combo in itertools.combinations(arcs, rank):
-        if any(
-            crossing_number(a, b, ann)
-            for a, b in itertools.combinations(combo, 2)
-        ):
+        if any(crossing[pair] for pair in itertools.combinations(combo, 2)):
             continue
         compatible_subsets += 1
         expected = frozenset(varmap[a] for a in combo)

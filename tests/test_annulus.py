@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from clusterlab import annulus as annulus_mod
 from clusterlab.annulus import (
     MarkedAnnulus,
+    _Strip,
     arc_check,
     arc_from_json,
     arc_to_json,
@@ -13,6 +15,7 @@ from clusterlab.annulus import (
     classify_arc,
     crossing_number,
     deck_chord,
+    deck_endpoint,
     flip,
     flip_bfs,
     flip_state,
@@ -34,6 +37,7 @@ from clusterlab.engine import denominator_vector, initial_seed, mutate_seed
 from clusterlab.errors import InvalidArc, MalformedTriangulation
 from clusterlab.laurent import LaurentPoly, coordinates
 from clusterlab.quiver import are_isomorphic, classify_tilde_A, tilde_A_canonical
+from clusterlab.verify import _find_bridging_setup
 
 
 @pytest.fixture
@@ -264,6 +268,88 @@ class TestFlip:
                 states[(p, q)] = once.triangulation  # drift to new triangulations
 
 
+def _strip_flip(tri, idx):
+    """The flip read off the strip face walk: the two faces of triangles(tri)
+    that carry the arc, translated onto its canonical lift u -> v."""
+    ann = tri.annulus
+    gamma = tri.arcs[idx]
+    u, v = gamma.chord
+    faces = {}
+    for triangle in triangles(tri):
+        for s in range(3):
+            if triangle.sides[s] != gamma:
+                continue
+            a, b = triangle.vertices[s], triangle.vertices[(s + 1) % 3]
+            lead = min(a, b)
+            k, rest = divmod(u[1] - lead[1], ann.period(lead[0]))
+            assert lead[0] == u[0] and rest == 0
+            a, b, apex = (deck_endpoint(w, k, ann) for w in (a, b, triangle.vertices[(s + 2) % 3]))
+            assert (a, b) in ((u, v), (v, u))
+            # sides b-apex and apex-a, as the face runs
+            face = (apex, triangle.sides[(s + 1) % 3], triangle.sides[(s + 2) % 3])
+            assert (a, b) not in faces
+            faces[(a, b)] = face
+    apex1, v_apex1, apex1_u = faces[(u, v)]
+    apex2, u_apex2, apex2_v = faces[(v, u)]
+    new_arc = make_arc(ann, apex1, apex2)
+    arcs = list(tri.arcs)
+    arcs[idx] = new_arc
+    return tuple(arcs), new_arc, ((v_apex1, u_apex2), (apex1_u, apex2_v))
+
+
+def _assert_flips_match_strip(tri):
+    for idx in range(len(tri.arcs)):
+        result = flip(tri, idx)
+        arcs, new_arc, pairs = _strip_flip(tri, idx)
+        assert result.triangulation.arcs == arcs
+        assert result.new_arc == new_arc
+        assert result.removed == tri.arcs[idx]
+        # the same two pairs, and within each the order the rule fixes
+        assert result.pairs == pairs
+
+
+class TestLocalFlipAgainstStrip:
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2), (2, 5), (6, 1)])
+    def test_seeded_walks(self, p, q):
+        rng = random.Random(1000 * p + q)
+        tri = initial_triangulation(MarkedAnnulus(p, q))
+        for _ in range(25):
+            _assert_flips_match_strip(tri)
+            tri = flip(tri, rng.randrange(p + q)).triangulation
+
+    def test_wound_arcs_of_the_induction(self):
+        # the slots the winding induction alternates on C(2,2), up to K=6,
+        # where the fourth-slot arc crosses the bridging arc 12 times
+        ann = MarkedAnnulus(2, 2)
+        setup, labeling, state, _, _, _ = _find_bridging_setup(ann)
+        slot1, slot4 = labeling[0], labeling[3]
+        tri = state.tri
+        for k in range(2, 7):
+            _assert_flips_match_strip(tri)
+            tri = flip(tri, slot4).triangulation
+            if k < 6:
+                _assert_flips_match_strip(tri)
+                tri = flip(tri, slot1).triangulation
+        _assert_flips_match_strip(tri)
+        assert crossing_number(tri.arcs[slot4], setup.tri.arcs[labeling[0]], ann) == 12
+
+    def test_flip_builds_no_strip_and_cover_flip_builds_one(self, monkeypatch):
+        built = []
+        original = _Strip.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(annulus_mod._Strip, "__init__", counting)
+        tri = initial_triangulation(MarkedAnnulus(3, 2))
+        for i in range(5):
+            tri = flip(tri, i).triangulation
+        assert built == []
+        assert verify_cover_flip(tri, 2, 3)
+        assert len(built) == 1
+
+
 class TestPtolemy:
     def test_worked_example_values(self, ann32):
         tri = initial_triangulation(ann32)
@@ -375,6 +461,40 @@ class TestLiftedTriangulations:
             if rng.random() < 0.6:
                 state, _ = flip_state(state, rng.randrange(4))
             assert verify_cover_flip(state.tri, rng.randrange(4), 3)
+
+
+def _face_set(strip):
+    return {frozenset(face) for face in strip.faces()}
+
+
+class TestInPlaceStrip:
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_matches_fresh_strip_after_every_chord_flip(self, p, q):
+        ann = MarkedAnnulus(p, q)
+        rng = random.Random(7 * p + q)
+        tri = initial_triangulation(ann)
+        for _ in range(6):
+            tri = flip(tri, rng.randrange(p + q)).triangulation
+        ks = range(-8, 12)
+
+        def trusted(v):
+            period = ann.period(v[0])
+            return -4 * period <= v[1] <= 8 * period
+
+        flipped = 0
+        for idx in range(p + q):
+            strip = _Strip(ann, [deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+            for k in ks:
+                before = _face_set(strip)
+                chord = tuple(sorted(deck_chord(tri.arcs[idx].chord, k, ann)))
+                if strip.flip(chord, trusted):
+                    flipped += 1
+                    fresh = _Strip(ann, strip.chords)
+                    assert _face_set(strip) == _face_set(fresh)
+                    assert strip._position == fresh._position
+                else:
+                    assert _face_set(strip) == before
+        assert flipped > 0
 
 
 class TestSerialization:

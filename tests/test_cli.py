@@ -114,3 +114,17 @@ def test_verify_rejects_zero_annulus_sizes(runner, sizes):
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidAnnulus"
+
+
+@pytest.mark.parametrize("args", [
+    ["--report", "quiver-recovery", "--p", "1", "--q", "2"],
+    ["--report", "case2-geometric", "--p", "3"],
+    ["--report", "induction", "--K", "2"],
+])
+def test_verify_rejects_bad_parameters_with_envelope(runner, args):
+    # a report precondition is a typed error, caught into the JSON envelope
+    result = runner.invoke(main, ["verify", *args])
+    assert result.exit_code == 1
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    assert payload["error"] == "InvalidParameter"

@@ -1,15 +1,22 @@
+import hashlib
+import json
+
 import pytest
 
-from clusterlab.annulus import MarkedAnnulus
+from clusterlab.annulus import MarkedAnnulus, flip_state, initial_state
 from clusterlab.engine import initial_seed, mutate_seed
 from clusterlab.errors import (
     CounterexampleFound,
     HypothesisNotSatisfied,
+    InvalidParameter,
+    ShapeMismatch,
     SideConditionViolated,
 )
 from clusterlab.laurent import coordinates
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
+    REPORT_NAMES,
+    _opposite_square,
     check_dichotomy,
     max_peripheral_crossing,
     report_bridging_chain_formal,
@@ -105,6 +112,32 @@ class TestInduction:
         with pytest.raises(ValueError):
             run_report("induction", K=2)
 
+    def test_opposite_square_finds_the_pair_by_its_sides(self):
+        # on the fan of C(1,1), flipping arc 0 gives x1 * x1' = x2^2 + 1
+        state = initial_state(MarkedAnnulus(1, 1))
+        _, record = flip_state(state, 0)
+        assert _opposite_square(record, state.tri.arcs[1]).terms == {(0, 0): 1}
+        with pytest.raises(ShapeMismatch):
+            _opposite_square(record, state.tri.arcs[0])
+
+    def test_opposite_square_needs_a_square_pair(self):
+        # the inner fan arc of C(3,2) has no side twice on its quadrilateral
+        state = initial_state(MarkedAnnulus(3, 2))
+        _, record = flip_state(state, 3)
+        with pytest.raises(ShapeMismatch):
+            _opposite_square(record, state.tri.arcs[0])
+
+
+class TestPreconditions:
+    @pytest.mark.parametrize("name,params", [
+        ("quiver-recovery", {"p": 1, "q": 2}),
+        ("case2-geometric", {"p": 3}),
+        ("induction", {"K": 2}),
+    ])
+    def test_bad_parameters_raise_invalid_parameter(self, name, params):
+        with pytest.raises(InvalidParameter):
+            run_report(name, **params)
+
 
 class TestRecoveryAndUniqueness:
     @pytest.mark.parametrize("p,q,depth", [(1, 1, 3), (2, 1, 4), (3, 2, 3)])
@@ -133,3 +166,26 @@ class TestCoverFlipReport:
     def test_unknown_report_name(self):
         with pytest.raises(ValueError):
             run_report("no-such-report")
+
+
+# sha256 of each report's JSON at its defaults, encoded as `clusterlab verify`
+# prints it; a refactor must leave every report byte-identical
+GOLDEN_SHA256 = {
+    "lemma31": "56beea965bc4771c640fff627b6f1b498623f96343ec4531b6fd04193110ba73",
+    "case1": "e109857f80f241b0ec037b6f73ffdd99e9b0236955b6dae68ee496bed9f4b6c6",
+    "case2-formal": "e8fb41f4f567d0cd8f497b5a548ea71f406df7c90c96cd9d95ebe4df5b4ce069",
+    "case2-geometric": "a0baa2d6b760cbd79dd1d8d45ef95da029a98a3526321066f291bbff02e10001",
+    "case3-n2": "789397474dcf06cc4334e17371c0011bf9d0654fa6afd5927578f65957ab4d6c",
+    "case3-n3": "ae906891e14fa0fc0a3f76815a2863794ff1bc5ec1b5d286bcff87da76725920",
+    "case3-n4": "49ea42624b9b34cd6aba1590e4584e45a9b30cee6e205f3b11605647f51f019b",
+    "induction": "85059126c8f9045162e7148b2d250f739d18dcce31922829d95c22fae573f815",
+    "quiver-recovery": "2436ccd34510e5aa9a48ce206dbb2b193496b86122854fc13958bc0692ec2bb6",
+    "unistructurality": "ebbc8b06703e8ad7738a7585f5b6586b5d9e3dfd4796ea54101ec88aa752d68b",
+    "cover-flip": "03df2d6e1d9555d9b6623d991fe75a294000f68700fb864fe39cf6aaf54079dd",
+}
+
+
+@pytest.mark.parametrize("name", REPORT_NAMES)
+def test_report_json_is_golden(name):
+    payload = json.dumps([r.to_json() for r in run_report(name)], indent=2, sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN_SHA256[name]
