@@ -20,7 +20,7 @@ from .annulus import (
 from .engine import exchange_graph, mutate_seed, seed_from_json, seed_to_json
 from .errors import ClusterLabError
 from .laurent import format_poly, poly_to_json
-from .quiver import classify_tilde_A, mutate as mutate_quiver_op, quiver_from_json, quiver_to_json
+from .quiver import classify_tilde_A, quiver_from_json, quiver_to_json
 
 
 def _load(path: str) -> dict:
@@ -32,7 +32,18 @@ def _emit(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
-@click.group()
+class _EnvelopeGroup(click.Group):
+    """Every command's package errors become one JSON envelope and exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ClusterLabError as error:
+            _emit({"passed": False, "error": type(error).__name__, "detail": str(error)})
+            sys.exit(1)
+
+
+@click.group(cls=_EnvelopeGroup)
 def main():
     """Exact cluster-algebra computations on annulus triangulations."""
 
@@ -43,7 +54,7 @@ def main():
 def mutate_quiver_cmd(quiver_path: str, direction: int):
     """Mutate a quiver at one point."""
     quiver = quiver_from_json(_load(quiver_path))
-    _emit(quiver_to_json(mutate_quiver_op(quiver, direction)))
+    _emit(quiver_to_json(quiver.mutate(direction)))
 
 
 @main.command("mutate-seed")
@@ -141,13 +152,9 @@ def variable_cmd(p: int, q: int, arc_path: str):
 @click.option("--seed-rng", type=int, default=0, show_default=True)
 def verify_cmd(report_name: str, p, q, depth, big_k, seed_rng):
     """Run a verification report; exit 0 only if every check passes."""
-    try:
-        reports = verify_mod.run_report(
-            report_name, p=p, q=q, depth=depth, K=big_k, rng_seed=seed_rng
-        )
-    except ClusterLabError as error:
-        _emit({"passed": False, "error": type(error).__name__, "detail": str(error)})
-        sys.exit(1)
+    reports = verify_mod.run_report(
+        report_name, p=p, q=q, depth=depth, K=big_k, rng_seed=seed_rng
+    )
     _emit([report.to_json() for report in reports])
     if not all(report.passed for report in reports):
         sys.exit(1)

@@ -18,6 +18,7 @@ from .errors import (
     AmbiguousPartner,
     ExactDivisionFailed,
     InconsistentExchangePattern,
+    InvalidParameter,
     LimitExceeded,
     NoPartnerFound,
     NotTwoMonomials,
@@ -55,7 +56,7 @@ def exchange_sum(seed: Seed, k: int) -> LaurentPoly:
     """The two-term exchange sum at direction k: product over arrows out of
     k plus product over arrows into k, empty products equal to 1."""
     if not 0 <= k < seed.rank:
-        raise ValueError(f"direction {k} out of range")
+        raise InvalidParameter(f"direction {k} out of range")
     row = seed.quiver.b[k]
     arity = seed.cluster[0].arity
     plus = poly_prod((seed.cluster[j] ** m for j, m in enumerate(row) if m > 0), arity)
@@ -176,6 +177,9 @@ def exchange_graph(
     Nodes are identified by their sorted cluster.  Two seeds with equal
     clusters must carry the same quiver after sorting; a conflict would
     make cluster-level deduplication unsound and is asserted away.
+    Directions whose edge is already known (the edge back to the parent,
+    at least) are not mutated again: mutation is an involution, so the
+    edge is already recorded from the other end.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -189,7 +193,10 @@ def exchange_graph(
         node = graph.nodes[key]
         if node.depth >= depth:
             continue
+        known = graph.adjacency[key]
         for k in range(node.seed.rank):
+            if k in known:
+                continue
             neighbor = canonical_seed(mutate_seed(node.seed, k))
             nkey = neighbor.cluster
             existing = graph.nodes.get(nkey)
@@ -205,7 +212,7 @@ def exchange_graph(
                     "cluster-keyed deduplication would be unsound"
                 )
             new_var = neighbor.cluster[_replaced_index(key, nkey)]
-            graph.adjacency[key][k] = nkey
+            known[k] = nkey
             graph.adjacency[nkey][nkey.index(new_var)] = key
     return graph
 

@@ -34,6 +34,14 @@ class InvalidAnnulus(ClusterLabError, ValueError):
     """An annulus needs at least one marked point on each boundary."""
 
 
+class InvalidQuiver(ClusterLabError, ValueError):
+    """A matrix or arrow list does not describe a quiver without loops or 2-cycles.
+
+    Rejected rather than reinterpreted: a 2-cycle is not silently cancelled
+    and a negative point index does not wrap around.
+    """
+
+
 class InvalidParameter(ClusterLabError, ValueError):
     """A report or construction parameter is outside its supported range."""
 

@@ -8,11 +8,12 @@ Arrow lists are derived views.
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
+from operator import neg
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import InvalidParameter, LimitExceeded
+from .errors import InvalidParameter, InvalidQuiver, LimitExceeded
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -25,16 +26,15 @@ class Quiver:
     __slots__ = ("n", "b", "_hash")
 
     def __init__(self, b: Sequence[Sequence[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in b)
+        rows = tuple(tuple(map(int, row)) for row in b)
         n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise InvalidQuiver("matrix must be square")
         for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix must be square")
             if row[i] != 0:
-                raise ValueError(f"loop at point {i}")
-            for j in range(n):
-                if rows[i][j] != -rows[j][i]:
-                    raise ValueError("matrix must be skew-symmetric")
+                raise InvalidQuiver(f"loop at point {i}")
+        if rows != tuple(tuple(map(neg, column)) for column in zip(*rows)):
+            raise InvalidQuiver("matrix must be skew-symmetric")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", rows)
         object.__setattr__(self, "_hash", None)
@@ -44,10 +44,21 @@ class Quiver:
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[tuple[int, int]]) -> "Quiver":
+        """Quiver with one arrow per listed pair, repeated pairs adding up.
+
+        Points outside 0..n-1, loops and 2-cycles raise InvalidQuiver; they
+        are never wrapped around or cancelled.
+        """
+        if n < 0:
+            raise InvalidQuiver(f"negative number of points {n}")
         b = [[0] * n for _ in range(n)]
         for s, t in arrows:
+            if not (0 <= s < n and 0 <= t < n):
+                raise InvalidQuiver(f"arrow {s}->{t} has a point outside 0..{n - 1}")
             if s == t:
-                raise ValueError(f"loop at point {s}")
+                raise InvalidQuiver(f"loop at point {s}")
+            if b[s][t] < 0:
+                raise InvalidQuiver(f"arrows {s}->{t} and {t}->{s} form a 2-cycle")
             b[s][t] += 1
             b[t][s] -= 1
         return cls(b)
@@ -69,7 +80,7 @@ class Quiver:
         creates.
         """
         if not 0 <= k < self.n:
-            raise ValueError(f"point {k} out of range")
+            raise InvalidParameter(f"point {k} out of range")
         b = self.b
         new = [
             [
@@ -121,65 +132,98 @@ class Quiver:
         return f"Quiver(n={self.n}, arrows={self.arrows()})"
 
 
-def mutate(quiver: Quiver, k: int) -> Quiver:
-    return quiver.mutate(k)
+def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
+    """Coarsest stable refinement of an ordered colouring.
+
+    A point's new colour is its old colour together with the sorted
+    multiset of (b[v][w], colour of w) over its neighbours w; colours are
+    the ranks of these signatures in sorted order, so they never depend on
+    the labels, and a refined cell stays where its parent cell was.
+    """
+    cells = len(set(colour))
+    while True:
+        sigs = [
+            (colour[v], tuple(sorted((m, colour[w]) for m, w in row)))
+            for v, row in enumerate(nbrs)
+        ]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        if len(rank) == cells:
+            return colour
+        colour = [rank[sig] for sig in sigs]
+        cells = len(rank)
 
 
-def opposite(quiver: Quiver) -> Quiver:
-    return quiver.opposite()
+def _orbits(n: int, generators: list[list[int]]) -> list[int]:
+    """A representative of each point's orbit under the generated group."""
+    root = list(range(n))
 
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
 
-def _vertex_signature(quiver: Quiver, v: int) -> tuple:
-    row = quiver.b[v]
-    outs = sorted(x for x in row if x > 0)
-    ins = sorted(-x for x in row if x < 0)
-    return (tuple(outs), tuple(ins))
+    for gen in generators:
+        for x, y in enumerate(gen):
+            root[find(x)] = find(y)
+    return [find(x) for x in range(n)]
 
 
 def canonical_permutation(quiver: Quiver) -> tuple[int, ...]:
-    """Permutation whose relabeling minimizes the matrix, compared in L-blocks.
+    """Permutation whose relabeling gives the quiver's canonical matrix.
 
-    Branch and bound: points are placed one at a time and the partial
-    signature (the L-shaped block of matrix entries each new point adds) is
-    compared against the best complete signature found so far.  Points are
-    small here (n around 12 at most), and degree signatures prune hard.
+    Individualisation-refinement (McKay and Piperno, Practical graph
+    isomorphism II, 2014): colours start equal and are refined to a stable
+    partition (after one round they are the degree signatures).  While the
+    partition is not discrete, each point of its first smallest
+    non-singleton cell is in turn given a colour of its own and the
+    partition is refined again.  Every step is label-invariant, so the
+    discrete leaves of this search tree are an isomorphism invariant, and
+    of their relabelings the one with the smallest matrix is canonical.
+
+    Two leaves with equal matrices give an automorphism.  A child whose
+    point an automorphism fixing the current individualised points maps
+    to an explored sibling has the same leaf matrices as that sibling's
+    subtree, so it is skipped; without this a quiver with no arrows would
+    visit all n! leaves.
     """
     n = quiver.n
-    if n == 0:
-        return ()
-    sigs = [_vertex_signature(quiver, v) for v in range(n)]
-    order = sorted(range(n), key=lambda v: sigs[v])
+    b = quiver.b
+    nbrs = [[(m, w) for w, m in enumerate(row) if m] for row in b]
+    best: Optional[tuple[Matrix, list[int]]] = None
+    automorphisms: list[list[int]] = []
 
-    best_sig: Optional[list[tuple[int, ...]]] = None
-    best_perm: Optional[list[int]] = None
-
-    def extend(perm: list[int], partial: list[tuple[int, ...]]):
-        nonlocal best_sig, best_perm
-        depth = len(perm)
-        if depth == n:
-            if best_sig is None or partial < best_sig:
-                best_sig = list(partial)
-                best_perm = list(perm)
+    def search(colour: list[int], path: list[int]) -> None:
+        nonlocal best
+        colour = _refine(nbrs, colour)
+        sizes = Counter(colour)
+        if len(sizes) == n:
+            perm = sorted(range(n), key=colour.__getitem__)
+            matrix = tuple(tuple(b[i][j] for j in perm) for i in perm)
+            if best is None or matrix < best[0]:
+                best = (matrix, perm)
+            elif matrix == best[0]:
+                gamma = [0] * n
+                for x, y in zip(best[1], perm):
+                    gamma[x] = y
+                automorphisms.append(gamma)
             return
-        for v in order:
-            if v in perm:
+        target = min((size, c) for c, size in sizes.items() if size > 1)[1]
+        explored: list[int] = []
+        for v in range(n):
+            if colour[v] != target:
                 continue
-            block = tuple(
-                itertools.chain(
-                    (quiver.b[perm[i]][v] for i in range(depth)),
-                    (quiver.b[v][perm[i]] for i in range(depth)),
-                )
-            )
-            partial.append(block)
-            if best_sig is None or partial <= best_sig[: len(partial)]:
-                perm.append(v)
-                extend(perm, partial)
-                perm.pop()
-            partial.pop()
+            stabiliser = [g for g in automorphisms if all(g[u] == u for u in path)]
+            if stabiliser:
+                orbit = _orbits(n, stabiliser)
+                if any(orbit[u] == orbit[v] for u in explored):
+                    continue
+            explored.append(v)
+            individualised = [2 * c + (c == target and u != v) for u, c in enumerate(colour)]
+            search(individualised, path + [v])
 
-    extend([], [])
-    assert best_perm is not None
-    return tuple(best_perm)
+    search([0] * n, [])
+    assert best is not None
+    return tuple(best[1])
 
 
 def canonical_form(quiver: Quiver) -> Quiver:

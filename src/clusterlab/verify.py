@@ -871,9 +871,10 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     for pick in picks:
         images = list(pick.state.seed.cluster)
         fresh = exchange_graph(initial_seed(pick.state.seed.quiver), depth)
+        image_of = {v: substitute(v, images) for v in fresh.variables()}
         translated: dict[frozenset[LaurentPoly], int] = {}
         for key, gnode in fresh.nodes.items():
-            mapped = [substitute(v, images) for v in key]
+            mapped = [image_of[v] for v in key]
             if any(v is None for v in mapped):
                 raise CounterexampleFound(
                     "a re-rooted variable is not Laurent in the root frame"

@@ -128,3 +128,23 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize("command,payload,error", [
+    (["mutate-seed", "--at", "5", "--seed"],
+     seed_to_json(initial_seed(tilde_A_canonical(1, 1))), "InvalidParameter"),
+    (["mutate-quiver", "--at", "5", "--quiver"],
+     quiver_to_json(tilde_A_canonical(1, 1)), "InvalidParameter"),
+    (["exchange-graph", "--depth", "2", "--limit", "1", "--seed"],
+     seed_to_json(initial_seed(tilde_A_canonical(1, 1))), "LimitExceeded"),
+    (["classify", "--quiver"], {"n": 2, "arrows": [[0, 1], [1, 0]]}, "InvalidQuiver"),
+])
+def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
+    path = write(tmp_path, "input.json", payload)
+    result = runner.invoke(main, [*command, path])
+    # a typed error becomes the JSON envelope, not a traceback
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == error
+    assert envelope["detail"]

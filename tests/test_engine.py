@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from clusterlab import engine
 from clusterlab.engine import (
     Seed,
+    canonical_seed,
     check_automorphism_candidate,
     denominator_vector,
     exchange_graph,
+    exchange_sum,
     infer_exchange_quiver,
     initial_seed,
     is_algebraically_independent,
@@ -19,6 +22,7 @@ from clusterlab.engine import (
 )
 from clusterlab.errors import (
     AmbiguousPartner,
+    InvalidParameter,
     LimitExceeded,
     NoPartnerFound,
     NotTwoMonomials,
@@ -79,7 +83,35 @@ class TestMutateSeed:
         assert len(shared) == kronecker.rank - 1
 
 
+class TestExchangeSum:
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_out_of_range_direction(self, kronecker, k):
+        with pytest.raises(InvalidParameter):
+            exchange_sum(kronecker, k)
+        with pytest.raises(InvalidParameter):
+            mutate_seed(kronecker, k)
+
+
 class TestExchangeGraph:
+    @pytest.mark.parametrize("p,q,depth", [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2)])
+    def test_each_edge_is_mutated_once(self, monkeypatch, p, q, depth):
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return mutate_seed(seed, k)
+
+        monkeypatch.setattr(engine, "mutate_seed", counting)
+        graph = exchange_graph(initial_seed(tilde_A_canonical(p, q)), depth)
+        assert len(calls) == graph.edge_count()
+        # every edge, including those recorded only from their other end,
+        # is the one mutation gives
+        for key, node in graph.nodes.items():
+            if node.depth < depth:
+                for k in range(node.seed.rank):
+                    assert graph.adjacency[key][k] == canonical_seed(mutate_seed(node.seed, k)).cluster
+
+
     def test_depth_zero(self, kronecker):
         graph = exchange_graph(kronecker, 0)
         assert graph.node_count() == 1 and graph.edge_count() == 0

@@ -1,12 +1,14 @@
+import itertools
 import random
 
 import pytest
 
-from clusterlab.errors import LimitExceeded
+from clusterlab.errors import InvalidParameter, InvalidQuiver, LimitExceeded
 from clusterlab.quiver import (
     Quiver,
     are_isomorphic,
     canonical_form,
+    canonical_permutation,
     classify_tilde_A,
     isomorphism,
     mutation_class,
@@ -93,6 +95,11 @@ class TestMutation:
         with pytest.raises(ValueError):
             tilde_A_canonical(1, 1).mutate(2)
 
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_out_of_range_point_is_invalid_parameter(self, k):
+        with pytest.raises(InvalidParameter):
+            tilde_A_canonical(1, 1).mutate(k)
+
 
 class TestOpposite:
     def test_single_arrow(self):
@@ -140,6 +147,151 @@ class TestIsomorphism:
             perm = list(range(5))
             rng.shuffle(perm)
             assert canonical_form(quiver) == canonical_form(quiver.permuted(perm))
+
+
+def oracle_minimum(quiver):
+    """Smallest relabeled matrix over all n! point orders: the slow
+    canonical form, independent of the refinement search."""
+    b = quiver.b
+    return min(
+        tuple(tuple(b[i][j] for j in perm) for i in perm)
+        for perm in itertools.permutations(range(quiver.n))
+    )
+
+
+def random_multiplicity_quiver(rng, n):
+    """Each pair of points joined with probability ``density`` by 1 or 2
+    arrows; sparse draws are often disconnected."""
+    density = rng.choice((0.2, 0.5, 0.9))
+    b = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            m = rng.choice((-2, -1, 1, 2))
+            b[i][j], b[j][i] = m, -m
+    return Quiver(b)
+
+
+def symmetric_quivers():
+    """Quivers with many automorphisms, where refinement alone leaves large cells."""
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    return [
+        Quiver.from_arrows(6, []),
+        Quiver.from_arrows(6, [(0, 1), (2, 3), (4, 5)]),
+        Quiver.from_arrows(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        Quiver.from_arrows(6, hexagon),
+        Quiver.from_arrows(6, hexagon + hexagon[::2]),
+        Quiver.from_arrows(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)]),
+        Quiver.from_arrows(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+        Quiver.from_arrows(4, [(0, 1), (0, 1), (2, 3), (2, 3)]),
+        tilde_A_canonical(3, 3),
+        # two arrows in and two out at every point, yet not every point
+        # alike: refinement leaves one cell, and different points of it
+        # lead to different leaf matrices, so the smallest must be kept
+        Quiver.from_arrows(6, [(0, 3), (0, 5), (1, 0), (1, 5), (2, 1), (2, 4),
+                               (3, 1), (3, 2), (4, 0), (4, 3), (5, 2), (5, 4)]),
+    ]
+
+
+def relabeled(rng, quiver):
+    perm = list(range(quiver.n))
+    rng.shuffle(perm)
+    return quiver.permuted(perm)
+
+
+def assert_canonical_matches_oracle(pool):
+    """Canonical forms are equal exactly when the oracle's minima are."""
+    forms = {}
+    for quiver in pool:
+        forms.setdefault(oracle_minimum(quiver), set()).add(canonical_form(quiver))
+    assert all(len(found) == 1 for found in forms.values())
+    assert len(set().union(*forms.values())) == len(forms)
+
+
+class TestCanonicalFormAgainstOracle:
+    def test_every_quiver_of_the_rank_six_classes(self):
+        rng = random.Random(21)
+        pool = []
+        for p, q in ((3, 3), (4, 2), (5, 1)):
+            for quiver in mutation_class(tilde_A_canonical(p, q), 1000):
+                pool.extend((quiver, relabeled(rng, quiver)))
+        assert len(pool) == 2 * (22 + 36 + 42)
+        assert_canonical_matches_oracle(pool)
+
+    def test_seeded_random_quivers(self):
+        rng = random.Random(22)
+        pool = []
+        for _ in range(150):
+            quiver = random_multiplicity_quiver(rng, rng.randrange(1, 7))
+            pool.extend((quiver, relabeled(rng, quiver), relabeled(rng, quiver)))
+        assert any(not any(quiver.b[0]) for quiver in pool)  # an isolated point
+        assert_canonical_matches_oracle(pool)
+
+    def test_quivers_with_many_automorphisms(self):
+        rng = random.Random(23)
+        pool = []
+        for quiver in symmetric_quivers():
+            pool.extend([quiver] + [relabeled(rng, quiver) for _ in range(4)])
+            # one arrow reversed breaks the symmetry, and must change the form
+            if quiver.arrows():
+                s, t = quiver.arrows()[0]
+                b = [list(row) for row in quiver.b]
+                b[s][t], b[t][s] = b[t][s], b[s][t]
+                pool.append(Quiver(b))
+        assert_canonical_matches_oracle(pool)
+
+    def test_isomorphism_witness_on_symmetric_quivers(self):
+        rng = random.Random(24)
+        for quiver in symmetric_quivers():
+            for _ in range(4):
+                other = relabeled(rng, quiver)
+                witness = isomorphism(quiver, other)
+                assert witness is not None
+                assert sorted(witness) == list(range(quiver.n))
+                assert quiver.permuted(witness) == other
+
+    def test_empty_quiver(self):
+        assert canonical_permutation(Quiver(())) == ()
+        assert canonical_form(Quiver.from_arrows(1, [])) == Quiver(((0,),))
+
+
+# class sizes of Ã(p, q), ranks 3 to 7, as the L-block branch-and-bound counted them
+CLASS_SIZES = {
+    (2, 1): 2, (2, 2): 4, (3, 1): 5, (3, 2): 12, (4, 1): 14,
+    (3, 3): 22, (4, 2): 36, (5, 1): 42, (4, 3): 100, (5, 2): 108, (6, 1): 132,
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(CLASS_SIZES))
+def test_mutation_class_sizes(p, q):
+    assert len(mutation_class(tilde_A_canonical(p, q), 1000)) == CLASS_SIZES[(p, q)]
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "arrows": [[0, 1], [1, 0]]},
+        {"n": 3, "arrows": [[0, 1], [1, 2], [0, 1], [1, 0]]},
+        {"n": 2, "arrows": [[0, -1]]},
+        {"n": 2, "arrows": [[-2, 1]]},
+        {"n": 2, "arrows": [[0, 2]]},
+        {"n": 2, "arrows": [[1, 1]]},
+        {"n": -1, "arrows": []},
+    ])
+    def test_json_is_rejected_not_reinterpreted(self, data):
+        with pytest.raises(InvalidQuiver):
+            quiver_from_json(data)
+
+    def test_parallel_arrows_add_up(self):
+        assert Quiver.from_arrows(2, [(0, 1), (0, 1)]) == tilde_A_canonical(1, 1)
+
+    @pytest.mark.parametrize("b", [
+        [[0, 1]],
+        [[1, 0], [0, 0]],
+        [[0, 1], [1, 0]],
+        [[0, 1, 0], [-1, 0, 2], [0, -1, 0]],
+    ])
+    def test_matrix_must_be_square_loop_free_and_skew(self, b):
+        with pytest.raises(InvalidQuiver):
+            Quiver(b)
 
 
 class TestCanonicalQuivers:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from clusterlab import verify
 from clusterlab.annulus import MarkedAnnulus, flip_state, initial_state
 from clusterlab.engine import initial_seed, mutate_seed
 from clusterlab.errors import (
@@ -12,7 +13,7 @@ from clusterlab.errors import (
     ShapeMismatch,
     SideConditionViolated,
 )
-from clusterlab.laurent import coordinates
+from clusterlab.laurent import coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
     REPORT_NAMES,
@@ -151,6 +152,17 @@ class TestRecoveryAndUniqueness:
         assert report.passed
         assert report.witness["compatible_subsets"] == "11"
         assert report.witness["clusters"] == "11"
+
+    def test_unistructurality_substitutes_each_variable_once(self, monkeypatch):
+        seen = []
+
+        def recording(variable, images):
+            seen.append((variable, tuple(images)))
+            return substitute(variable, images)
+
+        monkeypatch.setattr(verify, "substitute", recording)
+        assert report_unistructurality(3, 1, 4).passed
+        assert seen and len(seen) == len(set(seen))
 
     def test_unistructurality_two_one(self):
         report = report_unistructurality(2, 1, 4)
