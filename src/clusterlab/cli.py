@@ -151,13 +151,11 @@ def variable_cmd(p: int, q: int, arc_path: str):
 @click.option("--K", "big_k", type=int, default=None)
 @click.option("--seed-rng", type=int, default=0, show_default=True)
 def verify_cmd(report_name: str, p, q, depth, big_k, seed_rng):
-    """Run a verification report; exit 0 only if every check passes."""
+    """Run a verification report; a failed check exits 1 with the error envelope."""
     reports = verify_mod.run_report(
         report_name, p=p, q=q, depth=depth, K=big_k, rng_seed=seed_rng
     )
     _emit([report.to_json() for report in reports])
-    if not all(report.passed for report in reports):
-        sys.exit(1)
 
 
 if __name__ == "__main__":

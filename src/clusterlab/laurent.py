@@ -42,6 +42,9 @@ from __future__ import annotations
 import functools
 import struct
 from collections.abc import Mapping
+from itertools import repeat
+from math import gcd, prod
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ExactDivisionFailed, ExponentOverflow
@@ -231,6 +234,10 @@ class LaurentPoly:
         bound = self._bound + other._bound
         if bound > MAX_EXPONENT:
             bound = _product_bound(self, other)
+        if len(self._terms) * len(other._terms) >= _LATTICE_PAIRS:
+            out = _lattice_product(self, other)
+            if out is not None:
+                return _build(self._layout, out, bound)
         # the longer operand in the inner loop, so the outer loop runs least
         outer, inner = self._terms, other._terms
         if len(outer) > len(inner):
@@ -391,6 +398,172 @@ def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
             )
         bound = max(bound, -lo, hi)
     return bound
+
+
+# A product with at least this many term pairs tries the lattice path first,
+# and falls back to the term-pair loop when the lattice box holds more than
+# _LATTICE_FILL slots per term pair (a sparse support in many directions).
+_LATTICE_PAIRS = 4096
+_LATTICE_FILL = 4
+
+
+def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]:
+    """The packed terms of ``a * b`` from one big-int product, or None.
+
+    Kronecker substitution over the exponent lattice of the operands
+    (Harvey, J. Symb. Comp. 2009).  With a0 a term of a and b0 one of b,
+    every term-pair product lies on ``a0 + b0 + L``, where L is spanned by
+    the differences between terms of each operand.  The pivot coordinates
+    of an echelon basis of L are injective on that affine lattice, so a
+    mixed-radix number over the product's box of pivot coordinates names
+    each product term, and adding the numbers of two factors never
+    carries.  Each operand becomes one int with coefficient ``c`` in slot
+    ``s`` at bit ``8 * width * s``; every product coefficient is at most
+    ``min(sum|a| * max|b|, sum|b| * max|a|)`` in absolute value, which
+    ``width`` bytes hold with a sign bit, so the slots of the product int
+    are the product's coefficients.  A slot's key is
+    ``(denom * key(corner) + sum(digit_j * K_j)) / denom``, and a nonzero
+    remainder raises.  Returns None, meaning "use the term-pair loop",
+    when the box is too sparse or the lattice test cannot be trusted (see
+    ``_pivot_lattice``).  The caller has run the exponent overflow guard.
+    """
+    ta, tb = a._terms, b._terms
+    if not ta or not tb:
+        return {}
+    found = _pivot_lattice(a._layout, (list(ta), list(tb)), 2 * max(a._bound, b._bound))
+    if found is None:
+        return None
+    weights, denom, (cols_a, cols_b) = found
+    radices, corner = [], []
+    for col_a, col_b in zip(cols_a, cols_b):
+        low_a, low_b = min(col_a), min(col_b)
+        corner.append((low_a, low_b))
+        radices.append(max(col_a) - low_a + max(col_b) - low_b + 1)
+    slots = prod(radices)
+    if slots > _LATTICE_FILL * len(ta) * len(tb):
+        return None
+    strides = [prod(radices[j + 1:]) for j in range(len(radices))]
+    values_a, values_b = ta.values(), tb.values()
+    bound = min(sum(map(abs, values_a)) * max(map(abs, values_b)),
+                sum(map(abs, values_b)) * max(map(abs, values_a)))
+    width = (bound.bit_length() + 8) // 8  # bound < 2**(8 * width - 1)
+    factors = []
+    for side, (terms, cols) in enumerate(((ta, cols_a), (tb, cols_b))):
+        index = [-sum(low[side] * stride for low, stride in zip(corner, strides))] * len(terms)
+        for col, stride in zip(cols, strides):
+            index = list(map(add, index, map(mul, col, repeat(stride))))
+        factors.append(_kronecker_int(terms.values(), index, width))
+
+    # adding half to every slot keeps each one in 0..2**(8 * width) - 1, so
+    # no slot borrows from the next and the bytes are the biased slots
+    half = 1 << (8 * width - 1)
+    biased = factors[0] * factors[1] + int.from_bytes(half.to_bytes(width, "little") * slots, "little")
+    raw = biased.to_bytes(slots * width, "little")
+    coeffs = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
+
+    # denom * key of each slot: the first terms' keys moved to the box corner,
+    # then one weight per pivot digit
+    key_a, key_b = next(iter(ta)), next(iter(tb))
+    start = denom * (key_a + key_b - a._layout.zero)
+    for weight, col_a, col_b, (low_a, low_b) in zip(weights, cols_a, cols_b, corner):
+        start += (low_a - col_a[0] + low_b - col_b[0]) * weight
+    keys = [start]
+    for weight, radix in zip(weights, radices):
+        steps = [digit * weight for digit in range(radix)]
+        keys = [key + step for key in keys for step in steps]
+    if denom == 1:
+        return {key: c for key, c in zip(keys, coeffs) if c}
+    out = {}
+    for key, c in zip(keys, coeffs):
+        if c:
+            key, rem = divmod(key, denom)
+            if rem:
+                raise ArithmeticError("a lattice product slot is not an integer point")
+            out[key] = c
+    return out
+
+
+def _pivot_lattice(layout: _Layout, groups, spread: int):
+    """An echelon basis of the differences within each group of packed keys.
+
+    Returns ``(weights, denom, columns)``: the basis rows r_j, scaled to a
+    common pivot entry ``denom`` and zero at every other pivot, as packed
+    weights ``K_j = sum(r_j[i] << shifts[i])``; and per group, per pivot
+    column p_j, the list of biased fields at p_j.  A point x lies on
+    ``x0 + span`` exactly when ``denom * (x - x0) = sum((x - x0)[p_j] * r_j)``,
+    which the test checks on packed keys.  The packed form of an integer
+    vector whose entries are below ``2**FIELD_BITS`` in absolute value is 0
+    only for the zero vector; each entry of that difference is at most
+    ``(denom + sum(max|r_j|)) * spread``, with ``spread`` bounding the
+    exponent differences.  Returns None when that bound fails, since the
+    test could then pass for a point off the lattice; a basis of full rank
+    needs no test.
+
+    Elimination is fraction-free, so no rational arithmetic is needed.
+    """
+    shifts = layout.shifts
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    denom = 1
+    while True:
+        weights = [sum(r << shift for r, shift in zip(row, shifts)) for row in rows]
+        columns, outside = [], None
+        for keys in groups:
+            cols = [[key >> shifts[p] & _MASK for key in keys] for p in pivots]
+            columns.append(cols)
+            if len(rows) == layout.arity:
+                continue  # the span is everything
+            residue = [denom * key for key in keys] if denom != 1 else keys
+            for col, weight in zip(cols, weights):
+                residue = list(map(sub, residue, map(mul, col, repeat(weight))))
+            if residue.count(residue[0]) != len(residue):
+                far = next(i for i, r in enumerate(residue) if r != residue[0])
+                outside = list(map(sub, layout.unpack(keys[far]), layout.unpack(keys[0])))
+                break
+        if outside is None:
+            break
+        rows, pivots, denom = _extend_basis(rows, pivots, denom, outside)
+    if len(rows) < layout.arity and (
+        (denom + sum(max(map(abs, row)) for row in rows)) * spread >= 1 << FIELD_BITS
+    ):
+        return None
+    return weights, denom, columns
+
+
+def _extend_basis(rows, pivots, denom, vector):
+    """Add ``vector``, which is outside the span, to a reduced basis.
+
+    Every row of the basis has ``denom`` at its own pivot and 0 at the
+    others; the result keeps that form, with the rows and denominator
+    divided by their common factor.
+    """
+    v = [denom * x for x in vector]
+    for row, p in zip(rows, pivots):
+        if vector[p]:
+            v = [x - vector[p] * y for x, y in zip(v, row)]
+    pivot = next(i for i, x in enumerate(v) if x)  # v is 0 at the old pivots
+    lead = v[pivot]
+    rows = [[lead * x - row[pivot] * y for x, y in zip(row, v)] for row in rows]
+    rows.append([denom * y for y in v])
+    pivots = pivots + [pivot]
+    denom *= lead
+    common = gcd(denom, *(x for row in rows for x in row))
+    if denom < 0:
+        common = -common
+    return [[x // common for x in row] for row in rows], pivots, denom // common
+
+
+def _kronecker_int(coeffs: Iterable[int], index: list[int], width: int) -> int:
+    """Sum of ``c * 2**(8 * width * s)`` over coefficients c in slots s."""
+    size = (max(index) + 1) * width
+    positive, negative = bytearray(size), bytearray(size)
+    for s, c in zip(index, coeffs):
+        s *= width
+        if c > 0:
+            positive[s:s + width] = c.to_bytes(width, "little")
+        else:
+            negative[s:s + width] = (-c).to_bytes(width, "little")
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 class _TermView(Mapping):

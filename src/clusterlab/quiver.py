@@ -35,9 +35,18 @@ class Quiver:
                 raise InvalidQuiver(f"loop at point {i}")
         if rows != tuple(tuple(map(neg, column)) for column in zip(*rows)):
             raise InvalidQuiver("matrix must be skew-symmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "b", rows)
-        object.__setattr__(self, "_hash", None)
+        _fill(self, rows)
+
+    @classmethod
+    def _trusted(cls, rows: Matrix) -> "Quiver":
+        """A quiver on ``rows`` without the checks of ``__init__``.
+
+        Only for tuples of int tuples derived from a valid quiver by a map
+        that keeps a matrix skew-symmetric (mutation, relabeling, negation).
+        """
+        quiver = object.__new__(cls)
+        _fill(quiver, rows)
+        return quiver
 
     def __setattr__(self, name, value):
         raise AttributeError("Quiver is immutable")
@@ -47,12 +56,18 @@ class Quiver:
         """Quiver with one arrow per listed pair, repeated pairs adding up.
 
         Points outside 0..n-1, loops and 2-cycles raise InvalidQuiver; they
-        are never wrapped around or cancelled.
+        are never wrapped around or cancelled.  So does anything but an int
+        for n or a pair of ints for an arrow (bool is not an int here).
         """
+        if not _is_int(n):
+            raise InvalidQuiver(f"number of points {n!r} is not an int")
         if n < 0:
             raise InvalidQuiver(f"negative number of points {n}")
         b = [[0] * n for _ in range(n)]
-        for s, t in arrows:
+        for arrow in arrows:
+            if not (isinstance(arrow, (tuple, list)) and len(arrow) == 2 and all(map(_is_int, arrow))):
+                raise InvalidQuiver(f"arrow {arrow!r} is not a pair of ints")
+            s, t = arrow
             if not (0 <= s < n and 0 <= t < n):
                 raise InvalidQuiver(f"arrow {s}->{t} has a point outside 0..{n - 1}")
             if s == t:
@@ -82,25 +97,25 @@ class Quiver:
         if not 0 <= k < self.n:
             raise InvalidParameter(f"point {k} out of range")
         b = self.b
-        new = [
-            [
+        return Quiver._trusted(tuple(
+            tuple(
                 -b[i][j]
                 if i == k or j == k
                 else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
                 for j in range(self.n)
-            ]
+            )
             for i in range(self.n)
-        ]
-        return Quiver(new)
+        ))
 
     def opposite(self) -> "Quiver":
-        return Quiver(tuple(tuple(-x for x in row) for row in self.b))
+        return Quiver._trusted(tuple(tuple(map(neg, row)) for row in self.b))
 
     def permuted(self, perm: Sequence[int]) -> "Quiver":
         """Relabel points: new point i is old point perm[i]."""
-        return Quiver(
-            tuple(tuple(self.b[perm[i]][perm[j]] for j in range(self.n)) for i in range(self.n))
-        )
+        if sorted(perm) != list(range(self.n)):
+            raise InvalidParameter(f"{tuple(perm)} is not a permutation of 0..{self.n - 1}")
+        b = self.b
+        return Quiver._trusted(tuple(tuple(b[i][j] for j in perm) for i in perm))
 
     def is_acyclic(self) -> bool:
         state = [0] * self.n  # 0 unseen, 1 active, 2 done
@@ -130,6 +145,16 @@ class Quiver:
 
     def __repr__(self):
         return f"Quiver(n={self.n}, arrows={self.arrows()})"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fill(quiver: Quiver, rows: Matrix) -> None:
+    object.__setattr__(quiver, "n", len(rows))
+    object.__setattr__(quiver, "b", rows)
+    object.__setattr__(quiver, "_hash", None)
 
 
 def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
@@ -356,7 +381,9 @@ def quiver_to_json(quiver: Quiver) -> dict:
 
 
 def quiver_from_json(data: Mapping) -> Quiver:
-    return Quiver.from_arrows(int(data["n"]), [tuple(a) for a in data["arrows"]])
+    if not (isinstance(data, Mapping) and "n" in data and isinstance(data.get("arrows"), list)):
+        raise InvalidQuiver('a quiver is an object with "n" and a list "arrows"')
+    return Quiver.from_arrows(data["n"], data["arrows"])
 
 
 def quiver_to_dot(quiver: Quiver, name: str = "quiver") -> str:

@@ -138,6 +138,10 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     (["exchange-graph", "--depth", "2", "--limit", "1", "--seed"],
      seed_to_json(initial_seed(tilde_A_canonical(1, 1))), "LimitExceeded"),
     (["classify", "--quiver"], {"n": 2, "arrows": [[0, 1], [1, 0]]}, "InvalidQuiver"),
+    (["classify", "--quiver"], {"n": 2, "arrows": [[0.5, 1]]}, "InvalidQuiver"),
+    (["classify", "--quiver"], {"n": 2, "arrows": [[0]]}, "InvalidQuiver"),
+    (["classify", "--quiver"], {"n": 2, "arrows": [[True, 1]]}, "InvalidQuiver"),
+    (["classify", "--quiver"], {"n": 2.5, "arrows": []}, "InvalidQuiver"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

@@ -275,10 +275,41 @@ class TestInvalidInput:
         {"n": 2, "arrows": [[0, 2]]},
         {"n": 2, "arrows": [[1, 1]]},
         {"n": -1, "arrows": []},
+        # arrow entries that are not pairs of ints
+        {"n": 2, "arrows": [[0.5, 1]]},
+        {"n": 2, "arrows": [[0]]},
+        {"n": 2, "arrows": [[0, 1, 1]]},
+        {"n": 2, "arrows": [[True, 0]]},
+        {"n": 2, "arrows": [[0, "1"]]},
+        {"n": 2, "arrows": [1]},
+        {"n": 2, "arrows": 1},
+        # a number of points that is not an int
+        {"n": 2.5, "arrows": []},
+        {"n": "2", "arrows": []},
+        {"n": True, "arrows": []},
+        # not a quiver object at all
+        [[0, 1]],
+        {"n": 2},
+        {"arrows": []},
     ])
     def test_json_is_rejected_not_reinterpreted(self, data):
         with pytest.raises(InvalidQuiver):
             quiver_from_json(data)
+
+    @pytest.mark.parametrize("n,arrows", [
+        (2, [(0.5, 1)]),
+        (2, [(0,)]),
+        (2, [(True, 1)]),
+        (2.0, [(0, 1)]),
+    ])
+    def test_from_arrows_rejects_non_int_input(self, n, arrows):
+        with pytest.raises(InvalidQuiver):
+            Quiver.from_arrows(n, arrows)
+
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 3]])
+    def test_permuted_needs_a_permutation(self, perm):
+        with pytest.raises(InvalidParameter):
+            tilde_A_canonical(2, 1).permuted(perm)
 
     def test_parallel_arrows_add_up(self):
         assert Quiver.from_arrows(2, [(0, 1), (0, 1)]) == tilde_A_canonical(1, 1)
@@ -384,3 +415,40 @@ class TestSerialization:
     def test_dot_mentions_all_arrows(self):
         dot = quiver_to_dot(tilde_A_canonical(2, 1))
         assert dot.count("->") == 3
+
+
+class TestDerivedQuivers:
+    """Mutation, relabeling and negation skip the constructor's checks, so
+    every result must equal the quiver the checked constructor builds."""
+
+    @staticmethod
+    def assert_checked(quiver):
+        assert type(quiver.b) is tuple and all(type(row) is tuple for row in quiver.b)
+        assert all(type(x) is int for row in quiver.b for x in row)
+        rebuilt = Quiver(quiver.b)
+        assert quiver == rebuilt and quiver.n == rebuilt.n and hash(quiver) == hash(rebuilt)
+
+    @pytest.mark.parametrize("p,q", [(3, 3), (4, 2), (5, 1)])
+    def test_every_quiver_of_a_class(self, p, q):
+        rng = random.Random(p * 10 + q)
+        for quiver in mutation_class(tilde_A_canonical(p, q), 1000):
+            perm = list(range(quiver.n))
+            rng.shuffle(perm)
+            derived = [quiver.opposite(), quiver.permuted(perm), canonical_form(quiver)]
+            derived.extend(quiver.mutate(k) for k in range(quiver.n))
+            for result in derived:
+                self.assert_checked(result)
+
+    def test_seeded_walks(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randrange(2, 7)
+            quiver = random_quiver(rng, n)
+            for _ in range(12):
+                quiver = quiver.mutate(rng.randrange(n))
+                self.assert_checked(quiver)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                quiver = quiver.permuted(perm)
+                self.assert_checked(quiver)
+                self.assert_checked(quiver.opposite())

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from clusterlab.laurent import coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
     REPORT_NAMES,
+    IdentityReport,
     _opposite_square,
     check_dichotomy,
     max_peripheral_crossing,
@@ -26,6 +28,16 @@ from clusterlab.verify import (
     report_unistructurality,
     run_report,
 )
+
+
+class TestIdentityReport:
+    def test_passed_is_constant(self):
+        # every failed check raises, so a report only exists once it passed
+        report = IdentityReport(name="x")
+        assert report.passed is True
+        assert report.to_json()["passed"] is True
+        with pytest.raises(TypeError):
+            IdentityReport(name="x", passed=False)
 
 
 class TestDichotomy:
@@ -174,6 +186,34 @@ class TestCoverFlipReport:
     def test_small_sample(self):
         report = run_report("cover-flip", rng_seed=3)[0]
         assert report.passed
+
+    def test_walks_flip_triangulations_without_seeds(self, monkeypatch):
+        # the report flips triangulations only; the seed mutations flip_state
+        # would do alongside are never read, so they must not run
+        checked = []
+
+        def recording(tri, index, window):
+            checked.append((tri, index, window))
+            return True
+
+        def no_flip_state(*args):
+            raise AssertionError("report_cover_flip called flip_state")
+
+        monkeypatch.setattr(verify, "verify_cover_flip", recording)
+        monkeypatch.setattr(verify, "flip_state", no_flip_state)
+        cases, samples = ((2, 1), (2, 2), (3, 2)), 6
+        verify.report_cover_flip(cases, samples, 3, rng_seed=5)
+
+        # the same draws through flip_state visit the same triangulations
+        rng = random.Random(5)
+        expected = []
+        for p, q in cases:
+            for _ in range(samples):
+                state = initial_state(MarkedAnnulus(p, q))
+                for _ in range(rng.randrange(4)):
+                    state, _ = flip_state(state, rng.randrange(p + q))
+                expected.append((state.tri, rng.randrange(p + q), 3))
+        assert checked == expected
 
     def test_unknown_report_name(self):
         with pytest.raises(ValueError):
