@@ -1,4 +1,8 @@
-"""Command-line surface: JSON in, JSON out, exit code 0 only on full success."""
+"""Command-line surface: JSON in, JSON out.
+
+Exit code 0 on success, 2 for invalid input, 1 for any other package
+error, such as a node limit hit or a failed check.
+"""
 
 from __future__ import annotations
 
@@ -18,14 +22,26 @@ from .annulus import (
     variable_of_arc,
 )
 from .engine import exchange_graph, mutate_seed, seed_from_json, seed_to_json
-from .errors import ClusterLabError
+from .errors import (
+    ClusterLabError,
+    InvalidAnnulus,
+    InvalidArc,
+    InvalidParameter,
+    InvalidQuiver,
+)
 from .laurent import format_poly, poly_to_json
 from .quiver import classify_tilde_A, quiver_from_json, quiver_to_json
 
 
+_INVALID_INPUT = (InvalidQuiver, InvalidAnnulus, InvalidArc, InvalidParameter)
+
+
 def _load(path: str) -> dict:
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            raise InvalidParameter(f"{path} is not JSON: {error}") from error
 
 
 def _emit(payload) -> None:
@@ -33,14 +49,15 @@ def _emit(payload) -> None:
 
 
 class _EnvelopeGroup(click.Group):
-    """Every command's package errors become one JSON envelope and exit 1."""
+    """Every command's package errors become one JSON envelope, exiting 2
+    for invalid input and 1 for any other error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except ClusterLabError as error:
             _emit({"passed": False, "error": type(error).__name__, "detail": str(error)})
-            sys.exit(1)
+            sys.exit(2 if isinstance(error, _INVALID_INPUT) else 1)
 
 
 @click.group(cls=_EnvelopeGroup)

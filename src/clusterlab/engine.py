@@ -38,9 +38,11 @@ class Seed:
 
     def __post_init__(self):
         if len(self.cluster) != self.quiver.n:
-            raise ValueError("cluster size must match quiver size")
+            raise InvalidParameter(
+                f"cluster has {len(self.cluster)} variables for a quiver on {self.quiver.n} points"
+            )
         if len(set(self.cluster)) != len(self.cluster):
-            raise ValueError("cluster members must be pairwise distinct")
+            raise InvalidParameter("cluster members must be pairwise distinct")
 
     @property
     def rank(self) -> int:
@@ -127,14 +129,20 @@ class ExchangeGraph:
         return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
 
     def to_json(self) -> dict:
+        """JSON form of the graph, nodes in sorted cluster order.
+
+        Each distinct variable is serialised once and its dict is shared by
+        every node holding it, so treat the result as read-only.
+        """
         keys = sorted(self.nodes)
         index = {key: i for i, key in enumerate(keys)}
+        as_json = {v: poly_to_json(v) for v in self.variables()}
         return {
             "root": index[self.root],
             "depth": self.depth,
             "nodes": [
                 {
-                    "cluster": [poly_to_json(v) for v in key],
+                    "cluster": [as_json[v] for v in key],
                     "quiver": quiver_to_json(self.nodes[key].seed.quiver),
                     "depth": self.nodes[key].depth,
                 }
@@ -180,13 +188,22 @@ def exchange_graph(
     Directions whose edge is already known (the edge back to the parent,
     at least) are not mutated again: mutation is an involution, so the
     edge is already recorded from the other end.
+
+    The exchange quotient at k is a function of x_k and of the variables
+    at k's neighbours with their multiplicities b_kj alone, so each such
+    exchange is divided (by ``mutate_seed``, with its exactness check)
+    once per call; an edge with an exchange seen before reuses the
+    quotient and still builds and checks its own seed and quiver.
     """
     if depth < 0:
-        raise ValueError("depth must be nonnegative")
+        raise InvalidParameter(f"depth {depth} must be nonnegative")
+    if node_limit < 1:
+        raise InvalidParameter(f"node limit {node_limit} must be positive")
     root = canonical_seed(seed)
     graph = ExchangeGraph(root=root.cluster, depth=depth)
     graph.nodes[root.cluster] = GraphNode(root, 0)
     graph.adjacency[root.cluster] = {}
+    quotients: dict[tuple[LaurentPoly, frozenset], LaurentPoly] = {}
     queue = deque([root.cluster])
     while queue:
         key = queue.popleft()
@@ -194,10 +211,18 @@ def exchange_graph(
         if node.depth >= depth:
             continue
         known = graph.adjacency[key]
-        for k in range(node.seed.rank):
+        cluster = node.seed.cluster
+        for k, row in enumerate(node.seed.quiver.b):
             if k in known:
                 continue
-            neighbor = canonical_seed(mutate_seed(node.seed, k))
+            exchange = (cluster[k], frozenset((cluster[j], m) for j, m in enumerate(row) if m))
+            new_var = quotients.get(exchange)
+            if new_var is None:
+                mutated = mutate_seed(node.seed, k)
+                new_var = quotients[exchange] = mutated.cluster[k]
+            else:
+                mutated = Seed(node.seed.quiver.mutate(k), cluster[:k] + (new_var,) + cluster[k + 1:])
+            neighbor = canonical_seed(mutated)
             nkey = neighbor.cluster
             existing = graph.nodes.get(nkey)
             if existing is None:
@@ -211,17 +236,9 @@ def exchange_graph(
                     "two seeds share a cluster but disagree on the quiver; "
                     "cluster-keyed deduplication would be unsound"
                 )
-            new_var = neighbor.cluster[_replaced_index(key, nkey)]
             known[k] = nkey
             graph.adjacency[nkey][nkey.index(new_var)] = key
     return graph
-
-
-def _replaced_index(old_key: ClusterKey, new_key: ClusterKey) -> int:
-    for i, variable in enumerate(new_key):
-        if variable not in old_key:
-            return i
-    raise AssertionError("adjacent clusters must differ in exactly one variable")
 
 
 def variables_up_to_depth(

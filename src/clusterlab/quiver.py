@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import neg
+from operator import itemgetter, neg
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidParameter, InvalidQuiver, LimitExceeded
@@ -26,10 +26,13 @@ class Quiver:
     __slots__ = ("n", "b", "_hash")
 
     def __init__(self, b: Sequence[Sequence[int]]):
-        rows = tuple(tuple(map(int, row)) for row in b)
+        rows = tuple(map(tuple, b))
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise InvalidQuiver("matrix must be square")
+        bad = [entry for row in rows for entry in row if not _is_int(entry)]
+        if bad:
+            raise InvalidQuiver(f"matrix entry {bad[0]!r} is not an int")
         for i, row in enumerate(rows):
             if row[i] != 0:
                 raise InvalidQuiver(f"loop at point {i}")
@@ -92,20 +95,28 @@ class Quiver:
 
         Matrix form of the three arrow steps: reverse all arrows at k, add a
         composite arrow for every path through k, cancel the 2-cycles this
-        creates.
+        creates.  That is b'_ij = -b_ij when i or j is k, and otherwise
+        b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2, which is b_ij plus
+        b_ik |b_kj| when b_ik and b_kj have the same sign and b_ij else.
+        So only the rows of k and of its neighbours change, and in a
+        neighbour's row only entry k and the entries at k's neighbours.
         """
         if not 0 <= k < self.n:
             raise InvalidParameter(f"point {k} out of range")
         b = self.b
-        return Quiver._trusted(tuple(
-            tuple(
-                -b[i][j]
-                if i == k or j == k
-                else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
-                for j in range(self.n)
-            )
-            for i in range(self.n)
-        ))
+        row_k = b[k]
+        around = [(j, m) for j, m in enumerate(row_k) if m]
+        rows = list(b)
+        rows[k] = tuple(map(neg, row_k))
+        for i, m_ki in around:
+            b_ik = -m_ki
+            row = list(b[i])
+            row[k] = m_ki
+            for j, b_kj in around:
+                if (b_ik > 0) == (b_kj > 0):
+                    row[j] += b_ik * abs(b_kj)
+            rows[i] = tuple(row)
+        return Quiver._trusted(tuple(rows))
 
     def opposite(self) -> "Quiver":
         return Quiver._trusted(tuple(tuple(map(neg, row)) for row in self.b))
@@ -114,8 +125,7 @@ class Quiver:
         """Relabel points: new point i is old point perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise InvalidParameter(f"{tuple(perm)} is not a permutation of 0..{self.n - 1}")
-        b = self.b
-        return Quiver._trusted(tuple(tuple(b[i][j] for j in perm) for i in perm))
+        return Quiver._trusted(_relabeled(self.b, perm))
 
     def is_acyclic(self) -> bool:
         state = [0] * self.n  # 0 unseen, 1 active, 2 done
@@ -149,6 +159,14 @@ class Quiver:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _relabeled(b: Matrix, perm: Sequence[int]) -> Matrix:
+    """The matrix (b[perm[i]][perm[j]])_ij, perm a permutation of 0..n-1."""
+    if len(perm) < 2:
+        return b  # the only permutation of at most one point is the identity
+    pick = itemgetter(*perm)  # returns a tuple only for two or more indices
+    return tuple(map(pick, pick(b)))
 
 
 def _fill(quiver: Quiver, rows: Matrix) -> None:
@@ -223,7 +241,7 @@ def canonical_permutation(quiver: Quiver) -> tuple[int, ...]:
         sizes = Counter(colour)
         if len(sizes) == n:
             perm = sorted(range(n), key=colour.__getitem__)
-            matrix = tuple(tuple(b[i][j] for j in perm) for i in perm)
+            matrix = _relabeled(b, perm)
             if best is None or matrix < best[0]:
                 best = (matrix, perm)
             elif matrix == best[0]:

@@ -12,7 +12,11 @@ from clusterlab.annulus import (
 )
 from clusterlab.cli import main
 from clusterlab.engine import initial_seed, seed_to_json
+from clusterlab.laurent import coordinates, poly_to_json
 from clusterlab.quiver import quiver_to_json, tilde_A_canonical
+
+# the envelope's error classes that mean invalid input, and exit 2
+INVALID_INPUT = {"InvalidQuiver", "InvalidAnnulus", "InvalidArc", "InvalidParameter"}
 
 
 @pytest.fixture
@@ -21,8 +25,12 @@ def runner():
 
 
 def write(tmp_path, name, payload):
+    """Write ``payload`` as JSON; bytes and str are written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -110,7 +118,7 @@ def test_verify_reports_errors_as_failure(runner):
 def test_verify_rejects_zero_annulus_sizes(runner, sizes):
     # an explicit 0 must not fall back to the report's default annulus
     result = runner.invoke(main, ["verify", "--report", "case1", *sizes])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidAnnulus"
@@ -124,7 +132,7 @@ def test_verify_rejects_zero_annulus_sizes(runner, sizes):
 def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     # a report precondition is a typed error, caught into the JSON envelope
     result = runner.invoke(main, ["verify", *args])
-    assert result.exit_code == 1
+    assert result.exit_code == 2
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidParameter"
@@ -142,12 +150,20 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     (["classify", "--quiver"], {"n": 2, "arrows": [[0]]}, "InvalidQuiver"),
     (["classify", "--quiver"], {"n": 2, "arrows": [[True, 1]]}, "InvalidQuiver"),
     (["classify", "--quiver"], {"n": 2.5, "arrows": []}, "InvalidQuiver"),
+    (["exchange-graph", "--depth", "-1", "--seed"],
+     seed_to_json(initial_seed(tilde_A_canonical(1, 1))), "InvalidParameter"),
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [poly_to_json(coordinates(2)[0])] * 2}, "InvalidParameter"),
+    (["classify", "--quiver"], "{not json", "InvalidParameter"),
+    (["classify", "--quiver"], b"\xff\xfe{}", "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)
     result = runner.invoke(main, [*command, path])
-    # a typed error becomes the JSON envelope, not a traceback
-    assert result.exit_code == 1
+    # a typed error becomes the JSON envelope, not a traceback; invalid
+    # input exits 2, any other package error 1
+    assert result.exit_code == (2 if error in INVALID_INPUT else 1)
     envelope = json.loads(result.output)
     assert envelope["passed"] is False
     assert envelope["error"] == error

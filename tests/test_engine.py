@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -31,6 +33,13 @@ from clusterlab.laurent import LaurentPoly, coordinates
 from clusterlab.quiver import tilde_A_canonical
 
 
+def exchange_key(seed, k):
+    """What the exchange quotient at k depends on: x_k, and the variables at
+    k's neighbours with their multiplicities."""
+    row = seed.quiver.b[k]
+    return seed.cluster[k], frozenset((seed.cluster[j], m) for j, m in enumerate(row) if m)
+
+
 @pytest.fixture
 def kronecker():
     return initial_seed(tilde_A_canonical(1, 1))
@@ -57,6 +66,11 @@ class TestSeedBasics:
         x1, _ = coordinates(2)
         with pytest.raises(ValueError):
             Seed(tilde_A_canonical(1, 1), (x1, x1))
+
+    @pytest.mark.parametrize("cluster", [coordinates(3), coordinates(1), coordinates(2)[:1] * 2])
+    def test_bad_cluster_is_invalid_parameter(self, cluster):
+        with pytest.raises(InvalidParameter):
+            Seed(tilde_A_canonical(1, 1), cluster)
 
 
 class TestMutateSeed:
@@ -95,22 +109,46 @@ class TestExchangeSum:
 class TestExchangeGraph:
     @pytest.mark.parametrize("p,q,depth", [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2)])
     def test_each_edge_is_mutated_once(self, monkeypatch, p, q, depth):
+        # each distinct exchange (x_k with its neighbours and their
+        # multiplicities) is divided once per graph; an edge whose exchange
+        # was seen before reuses that quotient
         calls = []
 
         def counting(seed, k):
-            calls.append(k)
+            calls.append(exchange_key(seed, k))
             return mutate_seed(seed, k)
 
         monkeypatch.setattr(engine, "mutate_seed", counting)
         graph = exchange_graph(initial_seed(tilde_A_canonical(p, q)), depth)
-        assert len(calls) == graph.edge_count()
-        # every edge, including those recorded only from their other end,
-        # is the one mutation gives
+        assert len(calls) == len(set(calls)) <= graph.edge_count()
+        if (p, q, depth) == (2, 2, 3):
+            assert len(calls) < graph.edge_count()
+        interior = set()
+        # every edge, including those recorded only from their other end or
+        # built from a reused quotient, is the one mutation gives
         for key, node in graph.nodes.items():
             if node.depth < depth:
                 for k in range(node.seed.rank):
+                    interior.add(exchange_key(node.seed, k))
                     assert graph.adjacency[key][k] == canonical_seed(mutate_seed(node.seed, k)).cluster
+        assert interior.issuperset(calls)
 
+    @pytest.mark.parametrize("depth,node_limit", [(-1, 10), (2, 0), (2, -5)])
+    def test_bad_bounds_are_invalid_parameters(self, kronecker, depth, node_limit):
+        with pytest.raises(InvalidParameter):
+            exchange_graph(kronecker, depth, node_limit)
+
+    # sha256 of `exchange_graph(...).to_json()` encoded as the CLI prints it,
+    # recorded before exchanges were memoised and variables serialised once
+    @pytest.mark.parametrize("quiver,depth,digest", [
+        (tilde_A_canonical(3, 2), 4,
+         "1b582541075b48d78e529856b8e788bd0708618afe199cfdb448f5c0314c8767"),
+        (tilde_A_canonical(2, 2).mutate(1).mutate(3), 5,
+         "71bc75f3c9584703933cf39a2cd6fbdbd75418ab7081ae91a8ca2701d74b896f"),
+    ])
+    def test_graph_json_is_golden(self, quiver, depth, digest):
+        payload = json.dumps(exchange_graph(initial_seed(quiver), depth).to_json(), indent=2, sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_depth_zero(self, kronecker):
         graph = exchange_graph(kronecker, 0)

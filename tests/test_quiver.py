@@ -52,7 +52,43 @@ def random_quiver(rng, n, max_arrows=6):
             continue  # drew a 2-cycle; redraw
 
 
+def dense_mutation(b, k):
+    """The matrix mutation rule entry by entry: the oracle for the sparse
+    update of ``Quiver.mutate``."""
+    n = len(b)
+    return tuple(
+        tuple(
+            -b[i][j]
+            if i == k or j == k
+            else b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def random_skew_matrix(rng, n):
+    """A skew-symmetric matrix with entries -3..3, zeros about half the time."""
+    b = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            m = rng.choice((-3, -2, -1, 1, 2, 3))
+            b[i][j], b[j][i] = m, -m
+    return b
+
+
 class TestMutation:
+    def test_sparse_update_matches_dense_rule(self):
+        rng = random.Random(20)
+        quivers = [tilde_A_canonical(1, 1), Quiver([[0, 3], [-3, 0]])]
+        quivers += [Quiver(random_skew_matrix(rng, rng.randrange(1, 10))) for _ in range(300)]
+        for quiver in quivers:
+            for k in range(quiver.n):
+                mutated = quiver.mutate(k)
+                assert mutated.b == dense_mutation(quiver.b, k)
+                assert mutated.mutate(k) == quiver
+                assert Quiver(mutated.b) == mutated  # still a valid int matrix
+
     def test_path_mutated_at_middle(self):
         path = Quiver.from_arrows(3, [(0, 1), (1, 2)])
         mutated = path.mutate(1)
@@ -306,6 +342,19 @@ class TestInvalidInput:
         with pytest.raises(InvalidQuiver):
             Quiver.from_arrows(n, arrows)
 
+    @pytest.mark.parametrize("quiver,perm,expected", [
+        (Quiver(()), [], ()),
+        (Quiver([[0]]), [0], ((0,),)),
+        (tilde_A_canonical(1, 1), [0, 1], ((0, 2), (-2, 0))),
+        (tilde_A_canonical(1, 1), [1, 0], ((0, -2), (2, 0))),
+        (tilde_A_canonical(2, 1), [2, 0, 1], ((0, -1, -1), (1, 0, 1), (1, -1, 0))),
+    ])
+    def test_permuted_small(self, quiver, perm, expected):
+        relabeled = quiver.permuted(perm)
+        assert relabeled.b == expected
+        assert relabeled.n == len(perm)
+        assert all(type(row) is tuple for row in relabeled.b)
+
     @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 3]])
     def test_permuted_needs_a_permutation(self, perm):
         with pytest.raises(InvalidParameter):
@@ -321,6 +370,19 @@ class TestInvalidInput:
         [[0, 1, 0], [-1, 0, 2], [0, -1, 0]],
     ])
     def test_matrix_must_be_square_loop_free_and_skew(self, b):
+        with pytest.raises(InvalidQuiver):
+            Quiver(b)
+
+    @pytest.mark.parametrize("b", [
+        [[0, 0.5], [-0.5, 0]],
+        [[0, 1.0], [-1.0, 0]],
+        [[0, True], [-1, 0]],
+        [[False, 0], [0, 0]],
+        [[0, "1"], ["-1", 0]],
+        [[0.0]],
+    ])
+    def test_matrix_entries_must_be_ints(self, b):
+        # rejected, never truncated or coerced
         with pytest.raises(InvalidQuiver):
             Quiver(b)
 
