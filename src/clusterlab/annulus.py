@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import Seed, _mutate_with_sum, initial_seed
 from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
@@ -106,6 +106,13 @@ def _norm_chord(chord: Chord) -> Chord:
     return (a, b) if a <= b else (b, a)
 
 
+def _lifts(arcs: Iterable[Arc], ks: range, annulus: MarkedAnnulus) -> Iterator[Chord]:
+    """The deck translates k in ks of every arc, as normalized strip chords."""
+    for arc in arcs:
+        for k in ks:
+            yield _norm_chord(deck_chord(arc.chord, k, annulus))
+
+
 def _cut_key(point: Endpoint):
     # linear order along the strip boundary circle, cut at far left of line 0:
     # line 0 left to right, then line 1 right to left
@@ -139,30 +146,31 @@ def _alignment_shifts(c1: Chord, c2: Chord, annulus: MarkedAnnulus) -> list[int]
     return shifts
 
 
-def _chord_crossings(c1: Chord, c2: Chord, annulus: MarkedAnnulus,
-                     skip_zero: bool = False) -> int:
-    """Crossings of c1 with all deck translates of c2.
+def _crossing_translates(c1: Chord, c2: Chord, annulus: MarkedAnnulus,
+                         skip_zero: bool = False) -> list[Chord]:
+    """The deck translates of c2 that cross c1.
 
     Only translates aligning some same-boundary endpoint pair can
-    interleave, so the sum is scanned over that finite shift range with a
+    interleave, so the scan runs over that finite shift range with a
     safety margin.  Without any same-boundary endpoints (peripheral arcs of
     opposite boundaries) no translate ever interleaves.
     """
     shifts = _alignment_shifts(c1, c2, annulus)
     if not shifts:
-        return 0
-    total = 0
+        return []
+    out = []
     for k in range(min(shifts) - 2, max(shifts) + 3):
         if skip_zero and k == 0:
             continue
-        if _chords_cross(c1, deck_chord(c2, k, annulus)):
-            total += 1
-    return total
+        translate = deck_chord(c2, k, annulus)
+        if _chords_cross(c1, translate):
+            out.append(translate)
+    return out
 
 
 def self_crossing(chord: Chord, annulus: MarkedAnnulus) -> int:
     """Crossings of a chord with its own nonzero deck translates."""
-    return _chord_crossings(chord, chord, annulus, skip_zero=True)
+    return len(_crossing_translates(chord, chord, annulus, skip_zero=True))
 
 
 def arc_check(annulus: MarkedAnnulus, e1: Endpoint, e2: Endpoint) -> tuple[bool, str]:
@@ -197,7 +205,7 @@ def make_arc(annulus: MarkedAnnulus, e1: Endpoint, e2: Endpoint) -> Arc:
 
 def crossing_number(a: Arc, b: Arc, annulus: MarkedAnnulus) -> int:
     """Minimal intersection count of two arcs, summed over deck translates."""
-    return _chord_crossings(a.chord, b.chord, annulus)
+    return len(_crossing_translates(a.chord, b.chord, annulus))
 
 
 def arc_to_json(arc: Arc) -> dict:
@@ -239,18 +247,17 @@ class Triangulation:
         return self.arcs.index(arc)
 
 
-def triangulation(annulus: MarkedAnnulus, arcs: Sequence[Arc], validate: bool = True) -> Triangulation:
+def triangulation(annulus: MarkedAnnulus, arcs: Sequence[Arc]) -> Triangulation:
     tri = Triangulation(annulus, tuple(arcs))
-    if validate:
-        n = annulus.p + annulus.q
-        if len(set(tri.arcs)) != len(tri.arcs):
-            raise MalformedTriangulation("repeated arc")
-        if len(tri.arcs) != n:
-            raise MalformedTriangulation(f"expected {n} interior arcs, got {len(tri.arcs)}")
-        for i, a in enumerate(tri.arcs):
-            for b in tri.arcs[i + 1:]:
-                if crossing_number(a, b, annulus):
-                    raise MalformedTriangulation(f"arcs {a} and {b} cross")
+    n = annulus.p + annulus.q
+    if len(set(tri.arcs)) != len(tri.arcs):
+        raise MalformedTriangulation("repeated arc")
+    if len(tri.arcs) != n:
+        raise MalformedTriangulation(f"expected {n} interior arcs, got {len(tri.arcs)}")
+    for i, a in enumerate(tri.arcs):
+        for b in tri.arcs[i + 1:]:
+            if crossing_number(a, b, annulus):
+                raise MalformedTriangulation(f"arcs {a} and {b} cross")
     return tri
 
 
@@ -430,11 +437,7 @@ def _strip_of(tri: Triangulation, pad_periods: int = 3) -> _Strip:
         period = ann.period(b)
         k_span = max(k_span, -(-(2 * ext[b] + 2 * period) // period))
     K = k_span + pad_periods
-    chords = {
-        _norm_chord(deck_chord(arc.chord, k, ann))
-        for arc in tri.arcs
-        for k in range(-K, K + 1)
-    }
+    chords = set(_lifts(tri.arcs, range(-K, K + 1), ann))
     safe = {}
     for b in (0, 1):
         period = ann.period(b)
@@ -610,13 +613,10 @@ class PtolemyRelation:
         return self.products[0] + self.products[1]
 
 
-def ptolemy_relation(
-    tri: Triangulation, target: "Arc | int", assignment: Mapping[Arc, LaurentPoly]
-) -> PtolemyRelation:
-    """The exchange identity of a flip: the diagonal product equals the sum
-    of the two opposite side products, boundary sides contributing 1."""
-    result = flip(tri, target)
-    arity = next(iter(assignment.values())).arity
+def _pair_products(
+    pairs, assignment: Mapping[Arc, LaurentPoly], arity: int
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two opposite side products of a flip, boundary sides contributing 1."""
 
     def value(side: Side) -> LaurentPoly:
         if side is None:
@@ -626,7 +626,17 @@ def ptolemy_relation(
             raise KeyError(f"assignment missing arc {side}")
         return got
 
-    products = tuple(value(a) * value(b) for a, b in result.pairs)
+    return tuple(value(a) * value(b) for a, b in pairs)
+
+
+def ptolemy_relation(
+    tri: Triangulation, target: "Arc | int", assignment: Mapping[Arc, LaurentPoly]
+) -> PtolemyRelation:
+    """The exchange identity of a flip: the diagonal product equals the sum
+    of the two opposite side products."""
+    result = flip(tri, target)
+    arity = next(iter(assignment.values())).arity
+    products = _pair_products(result.pairs, assignment, arity)
     return PtolemyRelation(result.removed, result.new_arc, result.pairs, products)
 
 
@@ -679,13 +689,7 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     idx = target if isinstance(target, int) else state.tri.index_of(target)
     result = flip(state.tri, idx)
     new_seed, total = _mutate_with_sum(state.seed, idx)
-    assignment = state.assignment
-    arity = state.seed.cluster[0].arity
-
-    def value(side: Side) -> LaurentPoly:
-        return LaurentPoly.one(arity) if side is None else assignment[side]
-
-    products = tuple(value(a) * value(b) for a, b in result.pairs)
+    products = _pair_products(result.pairs, state.assignment, state.seed.cluster[0].arity)
     old_var = state.seed.cluster[idx]
     new_var = new_seed.cluster[idx]
     # the mutation returns new_var only when the exchange sum divided by
@@ -701,79 +705,57 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     return TriSeed(result.triangulation, new_seed), record
 
 
-def variable_of_arc(
-    annulus: MarkedAnnulus, arc: Arc, rng=None
-) -> LaurentPoly:
-    """Cluster variable of an arc, rooted at the fan triangulation.
+def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None) -> TriSeed:
+    """Lockstep state reached from the fan by greedy flips until every arc
+    of want is in the triangulation.
 
-    Repeatedly flips an arc of the current triangulation with maximal
-    crossing against the target (ties broken by smallest canonical form, or
-    by the supplied rng, which must not change the answer).  The crossing
-    total strictly decreases, so the cap is pure paranoia.
+    Each step flips the arc outside want with the largest total crossing
+    against want; ties go to the smallest arc, or to the supplied rng,
+    which must not change the answer.  While an arc of want is missing,
+    some arc outside want crosses it (p + q + 1 pairwise compatible arcs
+    cannot exist), and the flip strictly shrinks the total crossing, so
+    the cap is pure paranoia.
     """
     state = initial_state(annulus)
-    if arc in state.tri.arcs:
-        return state.variable(arc)
-    crossings = [crossing_number(a, arc, annulus) for a in state.tri.arcs]
-    cap = 4 * sum(crossings) + 4 * (annulus.p + annulus.q) + 16
+    crossings = sum(crossing_number(a, w, annulus) for a in state.tri.arcs for w in want)
+    cap = 4 * crossings + 8 * (annulus.p + annulus.q) + 16
     steps = 0
-    while arc not in state.tri.arcs:
+    while not want <= state.tri.arc_set:
         steps += 1
         if steps > cap:
-            raise FlipSearchExceeded(f"no flip path to {arc} within {cap} steps")
-        crossings = [crossing_number(a, arc, annulus) for a in state.tri.arcs]
-        top = max(crossings)
+            raise FlipSearchExceeded(f"no flip path to {sorted(want)} within {cap} steps")
+        totals = {
+            i: sum(crossing_number(a, w, annulus) for w in want)
+            for i, a in enumerate(state.tri.arcs)
+            if a not in want
+        }
+        top = max(totals.values(), default=0)
         if top == 0:
             raise MalformedTriangulation(
-                f"{arc} is compatible with a maximal collection it does not belong to"
+                "no arc outside the wanted set crosses it, yet it is incomplete"
             )
-        ties = sorted(i for i, c in enumerate(crossings) if c == top)
+        ties = [i for i, total in totals.items() if total == top]
         if rng is not None and len(ties) > 1:
             pick = ties[rng.randrange(len(ties))]
         else:
             pick = min(ties, key=lambda i: state.tri.arcs[i])
         state, _ = flip_state(state, pick)
-    return state.variable(arc)
+    return state
+
+
+def variable_of_arc(
+    annulus: MarkedAnnulus, arc: Arc, rng=None
+) -> LaurentPoly:
+    """Cluster variable of an arc, rooted at the fan triangulation and
+    reached by greedy flips (ties broken by smallest canonical form, or by
+    the supplied rng, which must not change the answer)."""
+    return _descend(annulus, frozenset((arc,)), rng).variable(arc)
 
 
 def reach_state(annulus: MarkedAnnulus, target: Triangulation) -> TriSeed:
-    """Lockstep state of an arbitrary triangulation, found by flipping from
-    the fan.
-
-    At every step some current arc outside the target crosses a target arc
-    (p + q + 1 pairwise compatible arcs cannot exist), and flipping a
-    maximal-crossing one strictly shrinks the total crossing with the
-    target.  The returned state is reordered to the target's positional
-    order.
-    """
-    ann = annulus
-    want = target.arc_set
-    state = initial_state(ann)
-    totals = [
-        sum(crossing_number(a, w, ann) for w in want) for a in state.tri.arcs
-    ]
-    cap = 4 * sum(totals) + 8 * (ann.p + ann.q) + 16
-    steps = 0
-    while state.tri.arc_set != want:
-        steps += 1
-        if steps > cap:
-            raise FlipSearchExceeded(f"no flip path to {target} within {cap} steps")
-        best_idx, best_total = None, 0
-        for i, arc in enumerate(state.tri.arcs):
-            if arc in want:
-                continue
-            total = sum(crossing_number(arc, w, ann) for w in want)
-            if total > best_total or (
-                total == best_total
-                and best_idx is not None
-                and arc < state.tri.arcs[best_idx]
-            ):
-                best_idx, best_total = i, total
-        if best_idx is None or best_total == 0:
-            raise MalformedTriangulation(
-                "target set admits an extra compatible arc; it cannot be maximal"
-            )
-        state, _ = flip_state(state, best_idx)
+    """Lockstep state of an arbitrary triangulation, found by greedy flips
+    from the fan and reordered to the target's positional order."""
+    state = _descend(annulus, target.arc_set)
     perm = [state.tri.index_of(arc) for arc in target.arcs]
     seed = Seed(
         state.seed.quiver.permuted(perm),
@@ -865,11 +847,7 @@ def lift_triangulation(tri: Triangulation, window: int) -> list[Chord]:
     windows, as raw strip chords."""
     if window < 2:
         raise ValueError("window must cover at least two deck periods")
-    return sorted(
-        _norm_chord(deck_chord(arc.chord, k, tri.annulus))
-        for arc in tri.arcs
-        for k in range(window)
-    )
+    return sorted(_lifts(tri.arcs, range(window), tri.annulus))
 
 
 def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
@@ -892,7 +870,7 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
             span = max(span, -(-abs(x) // ann.period(b)))
     pad = 2 * span + 4
     ks = range(-pad, window + pad)
-    strip = _Strip(ann, (deck_chord(arc.chord, k, ann) for arc in tri.arcs for k in ks))
+    strip = _Strip(ann, _lifts(tri.arcs, ks, ann))
 
     lo = {b: -pad * ann.period(b) - span * ann.period(b) for b in (0, 1)}
     hi = {
@@ -903,20 +881,14 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     def trusted(v: Endpoint) -> bool:
         return lo[v[0]] + guard[v[0]] <= v[1] <= hi[v[0]] - guard[v[0]]
 
-    gamma = tri.arcs[index]
     flipped_any = False
-    for k in ks:
-        chord = _norm_chord(deck_chord(gamma.chord, k, ann))
+    for chord in _lifts((tri.arcs[index],), ks, ann):
         if strip.flip(chord, trusted):
             flipped_any = True
     if not flipped_any:
         raise ValueError("window too small to flip any full fundamental domain")
 
-    expected = {
-        _norm_chord(deck_chord(arc.chord, k, ann))
-        for arc in flip(tri, index).triangulation.arcs
-        for k in ks
-    }
+    expected = set(_lifts(flip(tri, index).triangulation.arcs, ks, ann))
 
     def interior(chord: Chord) -> bool:
         return all(0 <= x <= window * ann.period(b) for b, x in chord)

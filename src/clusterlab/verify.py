@@ -27,11 +27,14 @@ from .annulus import (
     FlipRecord,
     MarkedAnnulus,
     TriSeed,
+    _crossing_translates,
+    _cut_key,
+    _norm_chord,
+    _project_chord,
     arc_variable_map,
     candidate_arcs,
     classify_arc,
     crossing_number,
-    deck_chord,
     flip,
     flip_bfs,
     flip_state,
@@ -320,21 +323,11 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
 def _quad_sides(ann: MarkedAnnulus, gamma_i: Arc, gamma_j: Arc):
     """Corner cycle and projected sides of the quadrilateral whose diagonals
     are the two given arcs crossing exactly once."""
-    from .annulus import _chords_cross, _alignment_shifts, _norm_chord, _project_chord
-
     ci = gamma_i.chord
-    shifts = _alignment_shifts(ci, gamma_j.chord, ann)
-    crossing = [
-        deck_chord(gamma_j.chord, k, ann)
-        for k in range(min(shifts) - 2, max(shifts) + 3)
-        if _chords_cross(ci, deck_chord(gamma_j.chord, k, ann))
-    ]
+    crossing = _crossing_translates(ci, gamma_j.chord, ann)
     if len(crossing) != 1:
         raise ConstructionFailed("arcs do not cross exactly once")
-    cj = crossing[0]
-    from .annulus import _cut_key
-
-    corners = sorted(set(ci) | set(cj), key=_cut_key)
+    corners = sorted(set(ci) | set(crossing[0]), key=_cut_key)
     if len(corners) != 4:
         raise ConstructionFailed("quadrilateral corners are not distinct")
     sides = []
@@ -442,40 +435,49 @@ def report_crossing_quadrilateral(
 def _match_product(
     actual: LaurentPoly,
     known: Sequence[LaurentPoly],
-    side_token: Optional[str],
+    tokens: tuple[str, ...],
     bindings: dict[str, LaurentPoly],
 ) -> Optional[dict[str, LaurentPoly]]:
-    """Match actual == prod(known) * value(side_token), binding the side
-    token on first use.  Returns the extended bindings or None."""
-    arity = actual.arity
-    base = poly_prod(known, arity)
-    if side_token is None:
-        return dict(bindings) if actual == base else None
+    """Match actual == prod(known) * prod(value of each side token).
+
+    Every token but the last must already be bound; the last is compared
+    with the exact quotient of actual by everything else, or bound to it
+    on first use.  Returns the extended bindings or None.
+    """
+    if not tokens:
+        return dict(bindings) if actual == poly_prod(known, actual.arity) else None
+    *inner, last = tokens
+    if any(token not in bindings for token in inner):
+        return None
+    base = poly_prod([*known, *(bindings[token] for token in inner)], actual.arity)
     quotient = try_div_exact(actual, base)
     if quotient is None:
         return None
-    bound = bindings.get(side_token)
+    bound = bindings.get(last)
     if bound is not None:
         return dict(bindings) if bound == quotient else None
     extended = dict(bindings)
-    extended[side_token] = quotient
+    extended[last] = quotient
     return extended
 
 
 def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values, bindings):
     """Flip the given slots in order, unifying each exchange relation with
-    its pattern.  Patterns are pairs of products, each a list of value keys
-    plus an optional free side token.  Returns the final state, the value
-    table, the bindings and the flip records, or None."""
+    its pattern.
+
+    A pattern is (token, side one, side two): the new variable is stored
+    under token, and the two products of the relation must match the two
+    sides in either order.  A side is (value keys, side tokens), both
+    tuples, standing for the product of the named values and side tokens;
+    ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.
+    Returns the final state, the value table and the bindings, or None.
+    """
     if not patterns:
-        return state, values, bindings, []
-    (token, pattern_one, pattern_two), rest = patterns[0], patterns[1:]
-    slot, remaining_slots = slots[0], slots[1:]
-    next_state, record = flip_state(state, slot)
+        return state, values, bindings
+    (token, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
+    next_state, record = flip_state(state, slots[0])
     p1, p2 = record.products
     for first, second in ((p1, p2), (p2, p1)):
-        keys1, side1 = pattern_one
-        keys2, side2 = pattern_two
         step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
         if step1 is None:
             continue
@@ -484,20 +486,40 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
             continue
         extended = dict(values)
         extended[token] = record.new_var
-        outcome = _run_pattern_sequence(next_state, remaining_slots, rest, extended, step2)
+        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2)
         if outcome is not None:
-            final_state, final_values, final_bindings, trail = outcome
-            return final_state, final_values, final_bindings, [record] + trail
+            return outcome
     return None
 
 
-def _by_depth_then_arcs(nodes) -> list[tuple[TriSeed, int]]:
-    """(state, flip distance) of every flip_bfs node, nearest first, ties
-    broken by sorted arc set, so searches over them are deterministic."""
-    return sorted(
-        ((node.state, node.depth) for node in nodes.values()),
-        key=lambda item: (item[1], tuple(sorted(item[0].tri.arcs))),
+def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps: Sequence[int]):
+    """Every labeled triangulation within the given flip distance of the
+    fan whose flip sequence realizes the patterns.
+
+    Triangulations come nearest first, ties broken by sorted arc set.  A
+    labeling is a tuple of 1 + max(steps) distinct slots whose first slot
+    holds an arc of the given kind ("peripheral" or "bridging"); zi is the
+    variable at labeling[i - 1], and step j flips labeling[steps[j]].
+    Yields (start state, labeling, end state, values, bindings, flip
+    distance).
+    """
+    nodes = sorted(
+        flip_bfs(ann, depth).values(),
+        key=lambda node: (node.depth, tuple(sorted(node.state.tri.arcs))),
     )
+    for node in nodes:
+        start = node.state
+        for first, arc in enumerate(start.tri.arcs):
+            if classify_arc(arc)[0] != kind:
+                continue
+            others = [j for j in range(len(start.tri.arcs)) if j != first]
+            for rest in itertools.permutations(others, max(steps)):
+                labeling = (first,) + rest
+                values = {f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)}
+                slots = [labeling[s] for s in steps]
+                outcome = _run_pattern_sequence(start, slots, patterns, values, {})
+                if outcome is not None:
+                    yield (start, labeling, *outcome, node.depth)
 
 
 def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
@@ -510,56 +532,14 @@ def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
 
 
 _PERIPHERAL_PATTERNS = [
-    ("z1'", (("z2", "z5"), None), (("z4",), "S8")),
-    ("z2'", (("z1'", "z3"), None), ((), "S8*S10")),
-    ("z3'", (("z2'",), "S9"), (("z4",), "S8")),
-    ("z4'", (("z1'", "z3'"), None), (("z2'", "z5"), None)),
-    ("z5'", (("z3'",), "S7"), (("z4'",), "S6")),
+    ("z1'", (("z2", "z5"), ()), (("z4",), ("S8",))),
+    ("z2'", (("z1'", "z3"), ()), ((), ("S8", "S10"))),
+    ("z3'", (("z2'",), ("S9",)), (("z4",), ("S8",))),
+    ("z4'", (("z1'", "z3'"), ()), (("z2'", "z5"), ())),
+    ("z5'", (("z3'",), ("S7",)), (("z4'",), ("S6",))),
 ]
 
-
-def _match_peripheral_pattern(state: TriSeed, labeling: Sequence[int]):
-    """Unify the five-relation pattern against a labeled triangulation.
-
-    The second relation couples two side tokens as a product; the first
-    relation has already bound one of them, so the other is the exact
-    quotient.
-    """
-    values = {f"z{i + 1}": state.seed.cluster[labeling[i]] for i in range(5)}
-
-    def rec(st, step, vals, bindings, trail):
-        if step == 5:
-            return st, vals, bindings, trail
-        token, pat1, pat2 = _PERIPHERAL_PATTERNS[step]
-        st2, record = flip_state(st, labeling[step])
-        p1, p2 = record.products
-        for first, second in ((p1, p2), (p2, p1)):
-            keys1, side1 = pat1
-            step1 = _match_product(first, [vals[k] for k in keys1], side1, bindings)
-            if step1 is None:
-                continue
-            if step == 1:
-                s8 = step1.get("S8")
-                if s8 is None:
-                    continue
-                quotient = try_div_exact(second, s8)
-                if quotient is None:
-                    continue
-                step2 = dict(step1)
-                step2["S10"] = quotient
-            else:
-                keys2, side2 = pat2
-                step2 = _match_product(second, [vals[k] for k in keys2], side2, step1)
-                if step2 is None:
-                    continue
-            extended = dict(vals)
-            extended[token] = record.new_var
-            outcome = rec(st2, step + 1, extended, step2, trail + [record])
-            if outcome is not None:
-                return outcome
-        return None
-
-    return rec(state, 0, values, {}, [])
+_PERIPHERAL_STEPS = (0, 1, 2, 3, 4)  # slot flipped at each step
 
 
 def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityReport:
@@ -580,60 +560,49 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
             f"peripheral arcs crossing {ceiling} times exist on C({p},{q})"
         )
 
-    rank = p + q
-    for st, d in _by_depth_then_arcs(flip_bfs(ann, depth)):
-        peripheral_slots = [
-            i for i, a in enumerate(st.tri.arcs) if classify_arc(a)[0] == "peripheral"
+    matches = _labeled_matches(ann, depth, "peripheral", _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+    for st, labeling, end_state, values, bindings, d in matches:
+        gamma_i = st.tri.arcs[labeling[0]]
+        gamma_j = end_state.tri.arcs[labeling[4]]
+        if classify_arc(gamma_j)[0] != "peripheral":
+            continue
+        if crossing_number(gamma_i, gamma_j, ann) != 2:
+            continue
+        images = [values[f"z{i}"] for i in range(1, 6)]
+        images += [
+            bindings.get(f"S{i}", LaurentPoly.one(images[0].arity))
+            for i in (6, 7, 8, 9, 10)
         ]
-        for first in peripheral_slots:
-            others = [j for j in range(rank) if j != first]
-            for rest in itertools.permutations(others, 4):
-                labeling = (first,) + rest
-                outcome = _match_peripheral_pattern(st, labeling)
-                if outcome is None:
-                    continue
-                end_state, values, bindings, trail = outcome
-                gamma_i = st.tri.arcs[first]
-                gamma_j = end_state.tri.arcs[labeling[4]]
-                if classify_arc(gamma_j)[0] != "peripheral":
-                    continue
-                if crossing_number(gamma_i, gamma_j, ann) != 2:
-                    continue
-                images = [values[f"z{i}"] for i in range(1, 6)]
-                images += [
-                    bindings.get(f"S{i}", LaurentPoly.one(images[0].arity))
-                    for i in (6, 7, 8, 9, 10)
-                ]
-                formal = _peripheral_chain()
-                for formal_value, name in zip(formal["primed"], ("z1'", "z2'", "z3'", "z4'", "z5'")):
-                    translated = substitute(formal_value, images)
-                    if translated != values[name]:
-                        raise IdentityFailed(
-                            f"formal and geometric values of {name} disagree"
-                        )
-                for visited in (st.tri, end_state.tri):
-                    if not verify_cover_flip(visited, labeling[0], 3):
-                        raise CounterexampleFound(
-                            "cover flip fails on a triangulation visited by the search"
-                        )
-                return IdentityReport(
-                    name="case2-geometric",
-                    witness={
-                        "peripheral_start": str(gamma_i),
-                        "peripheral_end": str(gamma_j),
-                        "crossing": str(crossing_number(gamma_i, gamma_j, ann)),
-                        "side_bindings": ", ".join(
-                            f"{k}={format_poly(v)}" for k, v in sorted(bindings.items())
-                        ),
-                    },
-                    context={
-                        "p": p,
-                        "q": q,
-                        "depth": depth,
-                        "found_at_flip_distance": d,
-                        "max_peripheral_crossing": ceiling,
-                    },
+        formal = _peripheral_chain()
+        for formal_value, name in zip(formal["primed"], ("z1'", "z2'", "z3'", "z4'", "z5'")):
+            translated = substitute(formal_value, images)
+            if translated != values[name]:
+                raise IdentityFailed(
+                    f"formal and geometric values of {name} disagree"
                 )
+        for visited in (st.tri, end_state.tri):
+            if not verify_cover_flip(visited, labeling[0], 3):
+                raise CounterexampleFound(
+                    "cover flip fails on a triangulation visited by the search"
+                )
+        return IdentityReport(
+            name="case2-geometric",
+            witness={
+                "peripheral_start": str(gamma_i),
+                "peripheral_end": str(gamma_j),
+                "crossing": str(crossing_number(gamma_i, gamma_j, ann)),
+                "side_bindings": ", ".join(
+                    f"{k}={format_poly(v)}" for k, v in sorted(bindings.items())
+                ),
+            },
+            context={
+                "p": p,
+                "q": q,
+                "depth": depth,
+                "found_at_flip_distance": d,
+                "max_peripheral_crossing": ceiling,
+            },
+        )
     raise SearchExhausted(
         f"no five-flip chain found on C({p},{q}) within flip distance {depth}"
     )
@@ -644,34 +613,22 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
 # ---------------------------------------------------------------------------
 
 _BRIDGING_PATTERNS = [
-    ("z1'", (("z2", "z3"), None), (("z4",), "S6")),
-    ("z2'", (("z1'",), "S5"), (("z3",), "S6")),
-    ("z3'", (("z1'", "z1'"), None), (("z2'", "z4"), None)),
-    ("z4'", (("z1'",), "S8"), (("z3'",), "S7")),
-    ("z1''", (("z2'",), "S7"), (("z3'", "z4'"), None)),
-    ("z3''", (("z1''",), "S8"), (("z4'",), "S7")),
+    ("z1'", (("z2", "z3"), ()), (("z4",), ("S6",))),
+    ("z2'", (("z1'",), ("S5",)), (("z3",), ("S6",))),
+    ("z3'", (("z1'", "z1'"), ()), (("z2'", "z4"), ())),
+    ("z4'", (("z1'",), ("S8",)), (("z3'",), ("S7",))),
+    ("z1''", (("z2'",), ("S7",)), (("z3'", "z4'"), ())),
+    ("z3''", (("z1''",), ("S8",)), (("z4'",), ("S7",))),
 ]
 
 _BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)  # slot flipped at each setup step
 
 
-def _find_bridging_setup(ann: MarkedAnnulus, search_depth: int = 5):
-    rank = ann.p + ann.q
-    for st, d in _by_depth_then_arcs(flip_bfs(ann, search_depth)):
-        bridging_slots = [
-            i for i, a in enumerate(st.tri.arcs) if classify_arc(a)[0] == "bridging"
-        ]
-        for first in bridging_slots:
-            others = [j for j in range(rank) if j != first]
-            for rest in itertools.permutations(others, 3):
-                labeling = (first,) + rest
-                slots = [labeling[s] for s in _BRIDGING_STEPS]
-                values = {f"z{i + 1}": st.seed.cluster[labeling[i]] for i in range(4)}
-                outcome = _run_pattern_sequence(st, slots, _BRIDGING_PATTERNS, values, {})
-                if outcome is None:
-                    continue
-                end_state, final_values, bindings, trail = outcome
-                return st, labeling, end_state, final_values, bindings, d
+def _find_bridging_setup(ann: MarkedAnnulus):
+    """The first labeled triangulation within flip distance 5 of the fan
+    whose setup flips realize the bridging patterns."""
+    for match in _labeled_matches(ann, 5, "bridging", _BRIDGING_PATTERNS, _BRIDGING_STEPS):
+        return match
     raise SearchExhausted(f"no winding-induction setup found on C({ann.p},{ann.q})")
 
 
@@ -806,6 +763,22 @@ def report_quiver_recovery(p: int, q: int, depth: int) -> IdentityReport:
     )
 
 
+def _nearest(items: Iterable[tuple]) -> dict:
+    """Smallest depth per key over (key, depth) pairs."""
+    out: dict = {}
+    for key, d in items:
+        if key not in out or d < out[key]:
+            out[key] = d
+    return out
+
+
+def _require_within(source: dict, target, reach: int, message: str) -> None:
+    """Every key of source at depth at most reach must be in target."""
+    for key, d in source.items():
+        if d <= reach and key not in target:
+            raise CounterexampleFound(message)
+
+
 def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     """Desk-scale shadow of structure uniqueness.
 
@@ -823,16 +796,10 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     rank = p + q
     nodes = flip_bfs(ann, depth)
     varmap = arc_variable_map(nodes)
-    cluster_depth: dict[frozenset[LaurentPoly], int] = {}
-    for node in nodes.values():
-        key = frozenset(node.state.seed.cluster)
-        if key not in cluster_depth or node.depth < cluster_depth[key]:
-            cluster_depth[key] = node.depth
-    var_depth: dict[LaurentPoly, int] = {}
-    for key, d in cluster_depth.items():
-        for v in key:
-            if v not in var_depth or d < var_depth[v]:
-                var_depth[v] = d
+    cluster_depth = _nearest(
+        (frozenset(node.state.seed.cluster), node.depth) for node in nodes.values()
+    )
+    var_depth = _nearest((v, d) for key, d in cluster_depth.items() for v in key)
 
     # (ii) compatible subsets
     arcs = sorted(varmap)
@@ -869,38 +836,21 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         images = list(pick.state.seed.cluster)
         fresh = exchange_graph(initial_seed(pick.state.seed.quiver), depth)
         image_of = {v: substitute(v, images) for v in fresh.variables()}
-        translated: dict[frozenset[LaurentPoly], int] = {}
-        for key, gnode in fresh.nodes.items():
-            mapped = [image_of[v] for v in key]
-            if any(v is None for v in mapped):
-                raise CounterexampleFound(
-                    "a re-rooted variable is not Laurent in the root frame"
-                )
-            cluster = frozenset(mapped)
-            if cluster not in translated or gnode.depth < translated[cluster]:
-                translated[cluster] = gnode.depth
-        shift = pick.depth
-        for cluster, d2 in translated.items():
-            if d2 + shift <= depth and cluster not in cluster_depth:
-                raise CounterexampleFound(
-                    "re-rooted enumeration found a cluster the root missed"
-                )
-        for cluster, d1 in cluster_depth.items():
-            if d1 + shift <= depth and cluster not in translated:
-                raise CounterexampleFound(
-                    "root enumeration found a cluster the re-rooted one missed"
-                )
-        mapped_vars: dict[LaurentPoly, int] = {}
-        for cluster, d2 in translated.items():
-            for v in cluster:
-                if v not in mapped_vars or d2 < mapped_vars[v]:
-                    mapped_vars[v] = d2
-        for v, d2 in mapped_vars.items():
-            if d2 + shift <= depth and v not in var_depth:
-                raise CounterexampleFound("re-rooted pool variable missing from root pool")
-        for v, d1 in var_depth.items():
-            if d1 + shift <= depth and v not in mapped_vars:
-                raise CounterexampleFound("root pool variable missing from re-rooted pool")
+        if any(image is None for image in image_of.values()):
+            raise CounterexampleFound("a re-rooted variable is not Laurent in the root frame")
+        translated = _nearest(
+            (frozenset(image_of[v] for v in key), gnode.depth) for key, gnode in fresh.nodes.items()
+        )
+        mapped_vars = _nearest((v, d) for key, d in translated.items() for v in key)
+        reach = depth - pick.depth
+        _require_within(translated, cluster_depth, reach,
+                        "re-rooted enumeration found a cluster the root missed")
+        _require_within(cluster_depth, translated, reach,
+                        "root enumeration found a cluster the re-rooted one missed")
+        _require_within(mapped_vars, var_depth, reach,
+                        "re-rooted pool variable missing from root pool")
+        _require_within(var_depth, mapped_vars, reach,
+                        "root pool variable missing from re-rooted pool")
         rerooted += 1
 
     return IdentityReport(

@@ -403,6 +403,19 @@ class TestVariableOfArc:
             for _ in range(3):
                 assert variable_of_arc(ann21, arc, rng=rng) == baseline
 
+    @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 2)])
+    def test_agrees_with_reach_state(self, p, q):
+        # one greedy descent serves both: a single wanted arc, or a whole
+        # triangulation, must give the same variable for every arc
+        ann = MarkedAnnulus(p, q)
+        nodes = flip_bfs(ann, 3)
+        sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::3]
+        for key in sample:
+            tri = nodes[key].state.tri
+            reached = reach_state(ann, tri)
+            for arc in tri.arcs:
+                assert variable_of_arc(ann, arc) == reached.variable(arc)
+
     def test_denominator_matches_crossings(self, ann21):
         # denominator entries are positive exactly at the crossed initial arcs
         tri = initial_triangulation(ann21)

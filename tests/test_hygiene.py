@@ -1,0 +1,72 @@
+"""Source hygiene of the package, checked on its syntax trees."""
+
+import ast
+from pathlib import Path
+
+import clusterlab
+
+PACKAGE = Path(clusterlab.__file__).parent
+
+# module-level imports kept although the module itself never reads them:
+# perfbench/test_harness.py requires the binding clusterlab.annulus.mutate_seed
+ALLOWED_UNUSED = {("annulus", "mutate_seed")}
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their lines."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                names[bound] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """Names listed in a literal __all__, or every public name when
+    __all__ is computed (a re-exporting package __init__)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:
+                return {"*"}
+    return set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    out = []
+    for name, line in sorted(_imported_names(tree).items(), key=lambda item: item[1]):
+        if name in used or name in exported or ("*" in exported and not name.startswith("_")):
+            continue
+        if (path.stem, name) in ALLOWED_UNUSED:
+            continue
+        out.append(f"{path.name}:{line}: {name}")
+    return out
+
+
+def test_no_unused_module_level_imports():
+    unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(path)]
+    assert unused == []
+
+
+def test_the_allowed_exceptions_are_still_needed():
+    # an exception whose import is gone, or is now used, should be dropped
+    for module, name in ALLOWED_UNUSED:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        assert name in _imported_names(tree)
+        assert name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text("import os\nimport sys\nfrom typing import Optional\n\nprint(sys.argv)\n")
+    assert _unused_imports(module) == ["sample.py:1: os", "sample.py:3: Optional"]

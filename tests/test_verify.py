@@ -17,8 +17,12 @@ from clusterlab.errors import (
 from clusterlab.laurent import coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
+    _PERIPHERAL_PATTERNS,
+    _PERIPHERAL_STEPS,
     REPORT_NAMES,
     IdentityReport,
+    _labeled_matches,
+    _match_product,
     _opposite_square,
     check_dichotomy,
     max_peripheral_crossing,
@@ -114,6 +118,54 @@ class TestGeometricChain:
     def test_small_boundary_rejected(self):
         with pytest.raises(ValueError):
             run_report("case2-geometric", p=2, q=1)
+
+
+class TestMatchProduct:
+    def test_free_last_token_is_bound_to_the_exact_quotient(self):
+        x1, x2 = coordinates(2)
+        bindings = {"S1": x1}
+        got = _match_product(x1 * x2 * (x1 + x2), [x2], ("S1", "S2"), bindings)
+        assert got == {"S1": x1, "S2": x1 + x2}
+        assert bindings == {"S1": x1}
+        assert _match_product(x1 * x2 + 1, [x1 + x2], ("S2",), {}) is None
+
+    def test_unbound_inner_token_gives_none(self):
+        x1, x2 = coordinates(2)
+        assert _match_product(x1 * x2, [], ("S1", "S2"), {}) is None
+        assert _match_product(x1 * x2, [], ("S1", "S2"), {"S2": x2}) is None
+
+    def test_bound_last_token_is_compared(self):
+        x1, x2 = coordinates(2)
+        assert _match_product(x1 * x2, [x1], ("S1",), {"S1": x2}) == {"S1": x2}
+        assert _match_product(x1 * x2, [x1], ("S1",), {"S1": x1}) is None
+
+    def test_no_tokens_compares_the_product(self):
+        x1, x2 = coordinates(2)
+        assert _match_product(x1 * x2, [x2, x1], (), {"S1": x1}) == {"S1": x1}
+        assert _match_product(x1 * x2, [x1], (), {}) is None
+
+    def test_coupled_tokens_on_the_peripheral_search(self):
+        # the second relation of the five-flip chain is z1'*z3 + S8*S10;
+        # on C(5,1) the search meets an S8 that is an arc variable
+        matches = _labeled_matches(
+            MarkedAnnulus(5, 1), 3, "peripheral", _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS
+        )
+        for start, labeling, _, values, bindings, _ in matches:
+            if bindings["S8"] != bindings["S10"]:
+                break
+        else:
+            pytest.fail("no match with distinct S8 and S10")
+        middle, _ = flip_state(start, labeling[0])
+        _, record = flip_state(middle, labeling[1])
+        first, second = record.products
+        if first != values["z1'"] * values["z3"]:
+            first, second = second, first
+        assert first == values["z1'"] * values["z3"]
+        s8, s10 = bindings["S8"], bindings["S10"]
+        assert second == s8 * s10 and s8 != s10
+        assert _match_product(second, [], ("S8", "S10"), {"S8": s8}) == {"S8": s8, "S10": s10}
+        assert _match_product(second, [], ("S8", "S10"), {}) is None
+        assert _match_product(second, [], ("S8", "S10"), {"S8": s8, "S10": s10 + s10}) is None
 
 
 class TestInduction:
