@@ -37,6 +37,7 @@ from .errors import (
     FlipSearchExceeded,
     InvalidAnnulus,
     InvalidArc,
+    InvalidParameter,
     LimitExceeded,
     MalformedTriangulation,
 )
@@ -770,39 +771,59 @@ class FlipNode:
     depth: int
 
 
+def flip_levels(
+    annulus: MarkedAnnulus, depth: int, node_limit: int = 100_000
+) -> Iterator[list[FlipNode]]:
+    """The flip ball around the fan, one level at a time.
+
+    Yields, for each flip distance 0..depth in turn, the triangulations
+    first reached at that distance with their clusters, in the order the
+    breadth-first search reaches them.  A level is built only when the
+    consumer asks for it, so a search that stops early never flips the
+    nodes of the last level it read.  Every flip made checks that the
+    arc-to-variable correspondence stays single valued, and the ball may
+    hold at most node_limit triangulations (LimitExceeded).
+    """
+    if depth < 0:
+        raise InvalidParameter(f"depth {depth} must be nonnegative")
+    if node_limit < 1:
+        raise InvalidParameter(f"node limit {node_limit} must be positive")
+    root = initial_state(annulus)
+    seen = {root.tri.arc_set}
+    variables: dict[Arc, LaurentPoly] = root.assignment
+    level = [FlipNode(root, 0)]
+    for distance in range(1, depth + 1):
+        yield level
+        next_level = []
+        for node in level:
+            for idx in range(len(node.state.tri.arcs)):
+                new_state, record = flip_state(node.state, idx)
+                known = variables.setdefault(record.new_arc, record.new_var)
+                if known != record.new_var:
+                    raise MalformedTriangulation(
+                        f"arc {record.new_arc} received two distinct variables"
+                    )
+                new_key = new_state.tri.arc_set
+                if new_key not in seen:
+                    if len(seen) >= node_limit:
+                        raise LimitExceeded(f"flip graph exceeded {node_limit} nodes")
+                    seen.add(new_key)
+                    next_level.append(FlipNode(new_state, distance))
+        level = next_level
+    yield level
+
+
 def flip_bfs(
     annulus: MarkedAnnulus, depth: int, node_limit: int = 100_000
 ) -> dict[frozenset[Arc], FlipNode]:
     """All triangulations within the given flip distance of the fan, with
-    their clusters, keyed by arc set.  The arc-to-variable correspondence
-    is accumulated across nodes and must be single valued."""
-    root = initial_state(annulus)
-    nodes = {root.tri.arc_set: FlipNode(root, 0)}
-    queue = [root.tri.arc_set]
-    variables: dict[Arc, LaurentPoly] = root.assignment
-    while queue:
-        next_queue = []
-        for key in queue:
-            node = nodes[key]
-            if node.depth >= depth:
-                continue
-            for idx in range(len(node.state.tri.arcs)):
-                new_state, record = flip_state(node.state, idx)
-                new_key = new_state.tri.arc_set
-                known = variables.get(record.new_arc)
-                if known is None:
-                    variables[record.new_arc] = record.new_var
-                elif known != record.new_var:
-                    raise MalformedTriangulation(
-                        f"arc {record.new_arc} received two distinct variables"
-                    )
-                if new_key not in nodes:
-                    if len(nodes) >= node_limit:
-                        raise LimitExceeded(f"flip graph exceeded {node_limit} nodes")
-                    nodes[new_key] = FlipNode(new_state, node.depth + 1)
-                    next_queue.append(new_key)
-        queue = next_queue
-    return nodes
+    their clusters, keyed by arc set in the order flip_levels reaches
+    them: the whole ball, for callers that need every node."""
+    return {
+        node.state.tri.arc_set: node
+        for level in flip_levels(annulus, depth, node_limit)
+        for node in level
+    }
 
 
 def arc_variable_map(nodes: Mapping[frozenset[Arc], FlipNode]) -> dict[Arc, LaurentPoly]:

@@ -37,6 +37,7 @@ from .annulus import (
     crossing_number,
     flip,
     flip_bfs,
+    flip_levels,
     flip_state,
     initial_triangulation,
     reach_state,
@@ -461,7 +462,9 @@ def _match_product(
     return extended
 
 
-def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values, bindings):
+def _run_pattern_sequence(
+    state: TriSeed, slots: Sequence[int], patterns, values, bindings, flips: dict
+):
     """Flip the given slots in order, unifying each exchange relation with
     its pattern.
 
@@ -470,12 +473,18 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
     sides in either order.  A side is (value keys, side tokens), both
     tuples, standing for the product of the named values and side tokens;
     ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.
+    Every flip goes through flips, keyed on (state, slot), so a flip the
+    caller's search already made is looked up, not made again.
     Returns the final state, the value table and the bindings, or None.
     """
     if not patterns:
         return state, values, bindings
     (token, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
-    next_state, record = flip_state(state, slots[0])
+    key = (state, slots[0])
+    flipped = flips.get(key)
+    if flipped is None:
+        flipped = flips[key] = flip_state(state, slots[0])
+    next_state, record = flipped
     p1, p2 = record.products
     for first, second in ((p1, p2), (p2, p1)):
         step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
@@ -486,7 +495,7 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
             continue
         extended = dict(values)
         extended[token] = record.new_var
-        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2)
+        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2, flips)
         if outcome is not None:
             return outcome
     return None
@@ -496,30 +505,34 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
     """Every labeled triangulation within the given flip distance of the
     fan whose flip sequence realizes the patterns.
 
-    Triangulations come nearest first, ties broken by sorted arc set.  A
-    labeling is a tuple of 1 + max(steps) distinct slots whose first slot
-    holds an arc of the given kind ("peripheral" or "bridging"); zi is the
-    variable at labeling[i - 1], and step j flips labeling[steps[j]].
-    Yields (start state, labeling, end state, values, bindings, flip
-    distance).
+    Triangulations come nearest first, ties broken by sorted arc set.  The
+    flip ball grows one level at a time (flip_levels), as the caller
+    consumes matches, so depth is an upper bound: a caller that stops at
+    its first match never builds the levels beyond it.  A labeling is a
+    tuple of 1 + max(steps) distinct slots whose first slot holds an arc
+    of the given kind ("peripheral" or "bridging"); zi is the variable at
+    labeling[i - 1], and step j flips labeling[steps[j]].  Each distinct
+    (state, slot) flip is made once per call, however many labelings
+    share it.  Yields (start state, labeling, end state, values, bindings,
+    flip distance).
     """
-    nodes = sorted(
-        flip_bfs(ann, depth).values(),
-        key=lambda node: (node.depth, tuple(sorted(node.state.tri.arcs))),
-    )
-    for node in nodes:
-        start = node.state
-        for first, arc in enumerate(start.tri.arcs):
-            if classify_arc(arc)[0] != kind:
-                continue
-            others = [j for j in range(len(start.tri.arcs)) if j != first]
-            for rest in itertools.permutations(others, max(steps)):
-                labeling = (first,) + rest
-                values = {f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)}
-                slots = [labeling[s] for s in steps]
-                outcome = _run_pattern_sequence(start, slots, patterns, values, {})
-                if outcome is not None:
-                    yield (start, labeling, *outcome, node.depth)
+    flips: dict = {}
+    for level in flip_levels(ann, depth):
+        for node in sorted(level, key=lambda node: tuple(sorted(node.state.tri.arcs))):
+            start = node.state
+            for first, arc in enumerate(start.tri.arcs):
+                if classify_arc(arc)[0] != kind:
+                    continue
+                others = [j for j in range(len(start.tri.arcs)) if j != first]
+                for rest in itertools.permutations(others, max(steps)):
+                    labeling = (first,) + rest
+                    values = {
+                        f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)
+                    }
+                    slots = [labeling[s] for s in steps]
+                    outcome = _run_pattern_sequence(start, slots, patterns, values, {}, flips)
+                    if outcome is not None:
+                        yield (start, labeling, *outcome, node.depth)
 
 
 def max_peripheral_crossing(ann: MarkedAnnulus) -> int:

@@ -18,6 +18,7 @@ from clusterlab.annulus import (
     deck_endpoint,
     flip,
     flip_bfs,
+    flip_levels,
     flip_state,
     initial_state,
     initial_triangulation,
@@ -34,7 +35,7 @@ from clusterlab.annulus import (
     verify_cover_flip,
 )
 from clusterlab.engine import denominator_vector, initial_seed, mutate_seed
-from clusterlab.errors import InvalidArc, MalformedTriangulation
+from clusterlab.errors import InvalidArc, InvalidParameter, LimitExceeded, MalformedTriangulation
 from clusterlab.laurent import LaurentPoly, coordinates
 from clusterlab.quiver import are_isomorphic, classify_tilde_A, tilde_A_canonical
 from clusterlab.verify import _find_bridging_setup
@@ -451,6 +452,50 @@ class TestLockstep:
             reached = reach_state(ann21, node.state.tri)
             assert reached.tri == node.state.tri
             assert set(reached.seed.cluster) == set(node.state.seed.cluster)
+
+
+class TestFlipLevels:
+    def test_full_ball_is_unchanged(self):
+        # the one full-ball caller (unistructurality) reads flip_bfs: the
+        # ball of C(4,1) to depth 6 keeps its size and depth histogram
+        nodes = flip_bfs(MarkedAnnulus(4, 1), 6)
+        histogram = [0] * 7
+        for node in nodes.values():
+            histogram[node.depth] += 1
+        assert len(nodes) == 252
+        assert histogram == [1, 5, 15, 33, 58, 70, 70]
+        levels = list(flip_levels(MarkedAnnulus(4, 1), 6))
+        assert [len(level) for level in levels] == histogram
+        assert all(node.depth == d for d, level in enumerate(levels) for node in level)
+        assert [node.state.tri.arc_set for level in levels for node in level] == list(nodes)
+
+    def test_levels_are_built_on_demand(self, monkeypatch):
+        # reading levels 0 and 1 flips the fan's arcs and nothing else
+        calls = []
+
+        def recording(state, target):
+            calls.append(target)
+            return flip_state(state, target)
+
+        monkeypatch.setattr(annulus_mod, "flip_state", recording)
+        levels = flip_levels(MarkedAnnulus(4, 1), 6)
+        assert len(next(levels)) == 1 and not calls
+        assert len(next(levels)) == 5
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_node_limit(self):
+        with pytest.raises(LimitExceeded):
+            flip_bfs(MarkedAnnulus(4, 1), 6, node_limit=100)
+        assert len(flip_bfs(MarkedAnnulus(4, 1), 6, node_limit=252)) == 252
+
+    @pytest.mark.parametrize("depth,node_limit", [(-1, 10), (-2, 10), (3, 0), (3, -5)])
+    def test_invalid_bounds_raise(self, depth, node_limit):
+        # rejected as the engine's exchange_graph rejects them, instead of
+        # a negative depth giving the one-node ball
+        with pytest.raises(InvalidParameter):
+            next(flip_levels(MarkedAnnulus(2, 1), depth, node_limit))
+        with pytest.raises(InvalidParameter):
+            flip_bfs(MarkedAnnulus(2, 1), depth, node_limit)
 
 
 class TestLiftedTriangulations:

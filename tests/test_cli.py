@@ -128,9 +128,13 @@ def test_verify_rejects_zero_annulus_sizes(runner, sizes):
     ["--report", "quiver-recovery", "--p", "1", "--q", "2"],
     ["--report", "case2-geometric", "--p", "3"],
     ["--report", "induction", "--K", "2"],
+    ["--report", "unistructurality", "--p", "2", "--q", "1", "--depth", "-2"],
+    ["--report", "case2-geometric", "--p", "4", "--q", "1", "--depth", "-1"],
 ])
 def test_verify_rejects_bad_parameters_with_envelope(runner, args):
-    # a report precondition is a typed error, caught into the JSON envelope
+    # a report precondition is a typed error, caught into the JSON envelope;
+    # a negative depth is one too, not a one-node flip ball that passes or
+    # a search that comes back empty
     result = runner.invoke(main, ["verify", *args])
     assert result.exit_code == 2
     payload = json.loads(result.output)

@@ -1,29 +1,35 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from clusterlab import verify
-from clusterlab.annulus import MarkedAnnulus, flip_state, initial_state
+from clusterlab.annulus import MarkedAnnulus, classify_arc, flip_bfs, flip_state, initial_state
 from clusterlab.engine import initial_seed, mutate_seed
 from clusterlab.errors import (
     CounterexampleFound,
     HypothesisNotSatisfied,
     InvalidParameter,
+    SearchExhausted,
     ShapeMismatch,
     SideConditionViolated,
 )
 from clusterlab.laurent import coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
+    _BRIDGING_PATTERNS,
+    _BRIDGING_STEPS,
     _PERIPHERAL_PATTERNS,
     _PERIPHERAL_STEPS,
     REPORT_NAMES,
     IdentityReport,
+    _find_bridging_setup,
     _labeled_matches,
     _match_product,
     _opposite_square,
+    _run_pattern_sequence,
     check_dichotomy,
     max_peripheral_crossing,
     report_bridging_chain_formal,
@@ -166,6 +172,78 @@ class TestMatchProduct:
         assert _match_product(second, [], ("S8", "S10"), {"S8": s8}) == {"S8": s8, "S10": s10}
         assert _match_product(second, [], ("S8", "S10"), {}) is None
         assert _match_product(second, [], ("S8", "S10"), {"S8": s8, "S10": s10 + s10}) is None
+
+
+def _exhaustive_matches(ann, depth, kind, patterns, steps):
+    """The slow oracle for _labeled_matches: the whole flip ball first,
+    sorted by (depth, sorted arcs), and every labeling flipped afresh (a
+    new flip table per labeling, so nothing is shared between them)."""
+    nodes = sorted(
+        flip_bfs(ann, depth).values(),
+        key=lambda node: (node.depth, tuple(sorted(node.state.tri.arcs))),
+    )
+    for node in nodes:
+        start = node.state
+        for first, arc in enumerate(start.tri.arcs):
+            if classify_arc(arc)[0] != kind:
+                continue
+            others = [j for j in range(len(start.tri.arcs)) if j != first]
+            for rest in itertools.permutations(others, max(steps)):
+                labeling = (first,) + rest
+                values = {f"z{i + 1}": start.seed.cluster[s] for i, s in enumerate(labeling)}
+                slots = [labeling[s] for s in steps]
+                outcome = _run_pattern_sequence(start, slots, patterns, values, {}, {})
+                if outcome is not None:
+                    yield (start, labeling, *outcome, node.depth)
+
+
+def _comparable(match):
+    start, labeling, end, values, bindings, distance = match
+    return start.tri.arcs, labeling, end.tri.arcs, values, bindings, distance
+
+
+class TestLazyLabeledSearch:
+    @pytest.mark.parametrize("p,q,depth,kind,count", [
+        (4, 1, 4, "peripheral", 4),
+        (5, 1, 3, "peripheral", 2),
+        (2, 1, 5, "bridging", 0),
+        (2, 2, 5, "bridging", 3),
+        (3, 2, 4, "bridging", 3),
+    ])
+    def test_same_matches_as_the_exhaustive_walk(self, p, q, depth, kind, count):
+        patterns, steps = {
+            "peripheral": (_PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS),
+            "bridging": (_BRIDGING_PATTERNS, _BRIDGING_STEPS),
+        }[kind]
+        # count 0: no match lies within depth, so both searches run dry
+        ann = MarkedAnnulus(p, q)
+        lazy = itertools.islice(_labeled_matches(ann, depth, kind, patterns, steps), count or None)
+        slow = itertools.islice(_exhaustive_matches(ann, depth, kind, patterns, steps), count or None)
+        lazy = [_comparable(m) for m in lazy]
+        assert len(lazy) == count
+        assert lazy == [_comparable(m) for m in slow]
+
+    def test_bound_below_the_first_match_exhausts_both(self, monkeypatch):
+        with pytest.raises(SearchExhausted):
+            verify.report_peripheral_chain_geometric(4, 1, 1)
+        monkeypatch.setattr(verify, "_labeled_matches", _exhaustive_matches)
+        with pytest.raises(SearchExhausted):
+            verify.report_peripheral_chain_geometric(4, 1, 1)
+
+    @pytest.mark.parametrize("search", [
+        lambda: run_report("case2-geometric"),
+        lambda: _find_bridging_setup(MarkedAnnulus(2, 2)),
+    ], ids=["case2-geometric", "bridging-setup-C22"])
+    def test_each_flip_is_made_once(self, monkeypatch, search):
+        flips = []
+
+        def recording(state, target):
+            flips.append((state.tri.arc_set, target))
+            return flip_state(state, target)
+
+        monkeypatch.setattr(verify, "flip_state", recording)
+        search()
+        assert flips and len(flips) == len(set(flips))
 
 
 class TestInduction:
