@@ -34,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 from .engine import Seed, _mutate_with_sum, initial_seed
 from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
 from .errors import (
+    ConstructionFailed,
     FlipSearchExceeded,
     InvalidAnnulus,
     InvalidArc,
@@ -42,7 +43,7 @@ from .errors import (
     MalformedTriangulation,
 )
 from .laurent import LaurentPoly
-from .quiver import Quiver
+from .quiver import Quiver, _is_int
 
 Endpoint = tuple[int, int]  # (boundary, position)
 Chord = tuple[Endpoint, Endpoint]
@@ -209,6 +210,33 @@ def crossing_number(a: Arc, b: Arc, annulus: MarkedAnnulus) -> int:
     return len(_crossing_translates(a.chord, b.chord, annulus))
 
 
+def _project_chord(annulus: MarkedAnnulus, chord: Chord) -> Optional[Arc]:
+    """Arc class of a strip chord; None when it is a boundary segment."""
+    (b1, x1), (b2, x2) = chord
+    if b1 == b2 and abs(x1 - x2) == 1:
+        return None
+    return make_arc(annulus, chord[0], chord[1])
+
+
+def quadrilateral_sides(
+    annulus: MarkedAnnulus, gamma_i: Arc, gamma_j: Arc
+) -> list[Optional[Arc]]:
+    """Projected sides, in boundary order, of the quadrilateral whose
+    diagonals are the two given arcs crossing exactly once (None for a
+    boundary segment)."""
+    ci = gamma_i.chord
+    crossing = _crossing_translates(ci, gamma_j.chord, annulus)
+    if len(crossing) != 1:
+        raise ConstructionFailed("arcs do not cross exactly once")
+    corners = sorted(set(ci) | set(crossing[0]), key=_cut_key)
+    if len(corners) != 4:
+        raise ConstructionFailed("quadrilateral corners are not distinct")
+    return [
+        _project_chord(annulus, _norm_chord((corners[i], corners[(i + 1) % 4])))
+        for i in range(4)
+    ]
+
+
 def arc_to_json(arc: Arc) -> dict:
     return {
         "e1": {"b": arc.e1[0], "pos": arc.e1[1]},
@@ -217,11 +245,17 @@ def arc_to_json(arc: Arc) -> dict:
 
 
 def arc_from_json(annulus: MarkedAnnulus, data: Mapping) -> Arc:
-    return make_arc(
-        annulus,
-        (int(data["e1"]["b"]), int(data["e1"]["pos"])),
-        (int(data["e2"]["b"]), int(data["e2"]["pos"])),
-    )
+    """The arc of {"e1": {"b", "pos"}, "e2": {"b", "pos"}}; anything else,
+    a non-int position included, is an InvalidArc, never rounded."""
+    try:
+        ends = [(data[e]["b"], data[e]["pos"]) for e in ("e1", "e2")]
+    except (KeyError, TypeError) as error:
+        raise InvalidArc(
+            f'{data!r}: an arc is {{"e1": {{"b", "pos"}}, "e2": {{"b", "pos"}}}}'
+        ) from error
+    if not all(_is_int(x) for end in ends for x in end):
+        raise InvalidArc(f"{data!r}: endpoint boundary and position must be ints")
+    return make_arc(annulus, *ends)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +316,16 @@ def triangulation_to_json(tri: Triangulation) -> dict:
 
 
 def triangulation_from_json(data: Mapping) -> Triangulation:
-    ann = MarkedAnnulus(int(data["p"]), int(data["q"]))
+    if not (isinstance(data, Mapping) and isinstance(data.get("arcs"), list)):
+        raise InvalidParameter('a triangulation is an object with "p", "q" and a list "arcs"')
+    if not (_is_int(data.get("p")) and _is_int(data.get("q"))):
+        raise InvalidAnnulus(f"C({data.get('p')!r},{data.get('q')!r}): p and q must be ints")
+    ann = MarkedAnnulus(data["p"], data["q"])
     return triangulation(ann, [arc_from_json(ann, a) for a in data["arcs"]])
 
 
 # ---------------------------------------------------------------------------
-# strip drawings and face walks
+# face walks, triangles and flips
 # ---------------------------------------------------------------------------
 
 
@@ -305,194 +343,97 @@ def _rotation_key(v: Endpoint, u: Endpoint):
     return (1, ux)
 
 
-class _Strip:
-    """A finite window of the universal cover with an explicit chord family.
+Side = Optional[Arc]  # None stands for a boundary segment
 
-    Vertices are every integer boundary position spanned by the chords;
-    edges are the chords plus unit boundary segments.  Faces are traced
-    from the vertex rotations, interior kept on the left.
+
+def _rotation(tri: Triangulation, v: Endpoint) -> list[tuple[Endpoint, Side]]:
+    """Neighbours of a vertex of the lifted triangulation, counterclockwise,
+    each with the side along the edge to it (None for a boundary segment).
+
+    Besides its two boundary neighbours, v meets one translate of an arc
+    for every endpoint of that arc in v's deck orbit.
     """
-
-    def __init__(self, annulus: MarkedAnnulus, chords: Iterable[Chord],
-                 safe: Optional[dict[int, tuple[int, int]]] = None):
-        self.annulus = annulus
-        self.chords = {_norm_chord(c) for c in chords}
-        self.safe = safe
-        lo = {0: None, 1: None}
-        hi = {0: None, 1: None}
-        for c in self.chords:
-            for b, x in c:
-                lo[b] = x if lo[b] is None else min(lo[b], x)
-                hi[b] = x if hi[b] is None else max(hi[b], x)
-        if lo[0] is None or lo[1] is None:
-            raise MalformedTriangulation("chord family must touch both boundaries")
-        self.lo, self.hi = lo, hi
-        edges = set(self.chords)
-        for b in (0, 1):
-            for x in range(lo[b], hi[b]):
-                edges.add(((b, x), (b, x + 1)))
-        neighbors: dict[Endpoint, list[Endpoint]] = {}
-        for u, v in edges:
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-        for v, nbrs in neighbors.items():
-            nbrs.sort(key=lambda u: _rotation_key(v, u))
-        self.neighbors = neighbors
-        self._position = {
-            (v, u): i for v, nbrs in neighbors.items() for i, u in enumerate(nbrs)
-        }
-
-    def vertex_safe(self, v: Endpoint) -> bool:
-        if self.safe is None:
-            return True
-        lo, hi = self.safe[v[0]]
-        return lo <= v[1] <= hi
-
-    def faces(self) -> list[list[tuple[Endpoint, Endpoint]]]:
-        """All dart orbits; interior faces come out counterclockwise."""
-        seen: set[tuple[Endpoint, Endpoint]] = set()
-        out = []
-        darts = [(u, v) for v, nbrs in self.neighbors.items() for u in nbrs]
-        for start in darts:
-            if start in seen:
-                continue
-            face = []
-            d = start
-            while True:
-                seen.add(d)
-                face.append(d)
-                u, v = d
-                d = (v, self._turn(u, v))
-                if d == start:
-                    break
-            out.append(face)
-        return out
-
-    def _turn(self, u: Endpoint, v: Endpoint) -> Endpoint:
-        # the vertex after u -> v on the face to its left
-        nbrs = self.neighbors[v]
-        return nbrs[self._position[(v, u)] - 1]
-
-    def _triangle_apex(self, u: Endpoint, v: Endpoint) -> Optional[Endpoint]:
-        """Apex of the face left of u -> v, or None when it is no triangle."""
-        apex = self._turn(u, v)
-        if self._turn(v, apex) != u or self._turn(apex, u) != v:
-            return None
-        return apex
-
-    def _reindex(self, v: Endpoint) -> None:
-        for i, u in enumerate(self.neighbors[v]):
-            self._position[(v, u)] = i
-
-    def flip(self, chord: Chord, trusted) -> bool:
-        """Flip one chord in place, updating only the four rotations it
-        touches.
-
-        Returns False without touching anything when the chord's
-        quadrilateral is not two triangles with every vertex trusted
-        (possible only near the ragged ends of the strip).
-        """
-        u, v = chord
-        apexes = (self._triangle_apex(u, v), self._triangle_apex(v, u))
-        if None in apexes or not all(trusted(w) for w in (u, v) + apexes):
-            return False
-        if apexes[0] == apexes[1]:
-            raise MalformedTriangulation("flip quadrilateral lost its apexes")
-        for a, b in ((u, v), (v, u)):
-            self.neighbors[a].remove(b)
-            del self._position[(a, b)]
-            self._reindex(a)
-        new = _norm_chord(apexes)
-        for a, b in (new, new[::-1]):
-            bisect.insort(self.neighbors[a], b, key=lambda w: _rotation_key(a, w))
-            self._reindex(a)
-        self.chords.remove(chord)
-        self.chords.add(new)
-        return True
-
-    def safe_triangles(self) -> list[list[tuple[Endpoint, Endpoint]]]:
-        """Faces whose vertices are all inside the safe region.
-
-        Any such face is a genuine face of the infinite lift, and for a
-        triangulation it must have three sides.
-        """
-        out = []
-        for face in self.faces():
-            if all(self.vertex_safe(v) for v, _ in face):
-                if len(face) != 3:
-                    raise MalformedTriangulation(
-                        f"interior face with {len(face)} sides"
-                    )
-                out.append(face)
-        return out
-
-
-def _strip_of(tri: Triangulation, pad_periods: int = 3) -> _Strip:
     ann = tri.annulus
-    ext = {0: 0, 1: 0}
+    b, x = v
+    period = ann.period(b)
+    out: list[tuple[Endpoint, Side]] = [((b, x - 1), None), ((b, x + 1), None)]
     for arc in tri.arcs:
-        for b, x in arc.chord:
-            ext[b] = max(ext[b], abs(x))
-    k_span = 0
-    for b in (0, 1):
-        period = ann.period(b)
-        k_span = max(k_span, -(-(2 * ext[b] + 2 * period) // period))
-    K = k_span + pad_periods
-    chords = set(_lifts(tri.arcs, range(-K, K + 1), ann))
-    safe = {}
-    for b in (0, 1):
-        period = ann.period(b)
-        margin = K * period - ext[b] - period
-        safe[b] = (-margin, margin)
-    return _Strip(ann, chords, safe)
+        for here, there in (arc.chord, arc.chord[::-1]):
+            if here[0] == b and (x - here[1]) % period == 0:
+                out.append((deck_endpoint(there, (x - here[1]) // period, ann), arc))
+    out.sort(key=lambda item: _rotation_key(v, item[0]))
+    return out
 
 
-def _project_chord(annulus: MarkedAnnulus, chord: Chord) -> Optional[Arc]:
-    """Arc class of a strip chord; None when it is a boundary segment."""
-    (b1, x1), (b2, x2) = chord
-    if b1 == b2 and abs(x1 - x2) == 1:
-        return None
-    return make_arc(annulus, chord[0], chord[1])
+def _face_walk(tri: Triangulation):
+    """The face walk of the lifted triangulation, from vertex rotations alone.
+
+    Returns face(a, b), which walks the triangle to the left of the dart
+    a -> b (interior kept on the left) and gives its apex with the sides
+    b-apex and apex-a.  Rotations are computed once per vertex the walk
+    reaches, so a face costs the same however far its arcs wind.
+    """
+    rotations: dict[Endpoint, list[tuple[Endpoint, Side]]] = {}
+
+    def turn(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side]:
+        # the edge after a -> b on the face to its left, with its side
+        if b not in rotations:
+            rotations[b] = _rotation(tri, b)
+        rot = rotations[b]
+        for i, (w, _) in enumerate(rot):
+            if w == a:
+                return rot[i - 1]
+        raise MalformedTriangulation(f"{a} is not a neighbour of {b}")
+
+    def face(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side, Side]:
+        apex, side_b = turn(a, b)
+        back, side_a = turn(b, apex)
+        if back != a or turn(apex, a)[0] != b:
+            raise MalformedTriangulation(
+                f"the face left of {a} -> {b} does not close after three sides"
+            )
+        return apex, side_b, side_a
+
+    return face
 
 
 @dataclass(frozen=True)
 class Triangle:
     """One triangle of the annulus, as a counterclockwise dart cycle.
 
-    sides[i] is the side from vertices[i] to vertices[(i+1) % 3]; each side
-    carries its strip chord and its projected arc (None for a boundary
-    segment).
+    sides[i] is the arc along the side from vertices[i] to
+    vertices[(i+1) % 3] (None for a boundary segment).
     """
 
     vertices: tuple[Endpoint, Endpoint, Endpoint]
-    chords: tuple[Chord, Chord, Chord]
-    sides: tuple[Optional[Arc], Optional[Arc], Optional[Arc]]
+    sides: tuple[Side, Side, Side]
 
 
-def _face_orbit_key(annulus: MarkedAnnulus, face) -> tuple:
-    vertices = sorted(v for v, _ in face)
+def _face_orbit_key(annulus: MarkedAnnulus, vertices: Iterable[Endpoint]) -> tuple:
+    vertices = sorted(vertices)
     anchor = vertices[0]
     shift = -(anchor[1] // annulus.period(anchor[0]))
     return tuple(deck_endpoint(v, shift, annulus) for v in vertices)
 
 
-def _face_to_triangle(annulus: MarkedAnnulus, face) -> Triangle:
-    verts = tuple(v for v, _ in face)
-    chords = tuple(_norm_chord(d) for d in face)
-    sides = tuple(_project_chord(annulus, c) for c in chords)
-    return Triangle(verts, chords, sides)
-
-
 @functools.lru_cache(maxsize=8192)
 def triangles(tri: Triangulation) -> tuple[Triangle, ...]:
-    """One representative triangle per deck orbit; always p + q of them."""
+    """One representative triangle per deck orbit; always p + q of them.
+
+    Every triangle has an interior arc among its sides, so some translate
+    of it lies on one side of that arc's canonical lift; the faces on both
+    sides of every canonical lift therefore meet every orbit.
+    """
     ann = tri.annulus
-    strip = _strip_of(tri)
+    face = _face_walk(tri)
     reps: dict[tuple, Triangle] = {}
-    for face in strip.safe_triangles():
-        key = _face_orbit_key(ann, face)
-        if key not in reps:
-            reps[key] = _face_to_triangle(ann, face)
+    for arc in tri.arcs:
+        u, v = arc.chord
+        for a, b in ((u, v), (v, u)):
+            apex, side_b, side_a = face(a, b)
+            key = _face_orbit_key(ann, (a, b, apex))
+            if key not in reps:
+                reps[key] = Triangle((a, b, apex), (arc, side_b, side_a))
     expected = ann.p + ann.q
     if len(reps) != expected:
         raise MalformedTriangulation(
@@ -521,9 +462,6 @@ def quiver_of(tri: Triangulation) -> Quiver:
     return Quiver(b)
 
 
-Side = Optional[Arc]  # None stands for a boundary segment
-
-
 @dataclass(frozen=True)
 class FlipResult:
     """Outcome of one flip: the new triangulation, the new diagonal, and the
@@ -536,58 +474,17 @@ class FlipResult:
     pairs: tuple[tuple[Side, Side], tuple[Side, Side]]
 
 
-def _rotation(tri: Triangulation, v: Endpoint) -> list[tuple[Endpoint, Side]]:
-    """Neighbours of a vertex of the lifted triangulation, counterclockwise,
-    each with the side along the edge to it (None for a boundary segment).
-
-    Besides its two boundary neighbours, v meets one translate of an arc
-    for every endpoint of that arc in v's deck orbit.
-    """
-    ann = tri.annulus
-    b, x = v
-    period = ann.period(b)
-    out: list[tuple[Endpoint, Side]] = [((b, x - 1), None), ((b, x + 1), None)]
-    for arc in tri.arcs:
-        for here, there in (arc.chord, arc.chord[::-1]):
-            if here[0] == b and (x - here[1]) % period == 0:
-                out.append((deck_endpoint(there, (x - here[1]) // period, ann), arc))
-    out.sort(key=lambda item: _rotation_key(v, item[0]))
-    return out
-
-
 def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
     """Replace one arc by the opposite diagonal of its quadrilateral.
 
-    The two faces on the canonical lift u -> v of the arc are walked from
-    the rotations at their vertices alone, interior kept on the left, so a
-    flip costs the same however far its arc winds.  The first face holds
-    the dart u -> v and has apex a1, the second holds v -> u and has apex
-    a2; pairs is ((v-a1, u-a2), (a1-u, a2-v)).
+    The two faces on the canonical lift u -> v of the arc come from the
+    local face walk.  The first face holds the dart u -> v and has apex
+    a1, the second holds v -> u and has apex a2; pairs is
+    ((v-a1, u-a2), (a1-u, a2-v)).
     """
     idx = target if isinstance(target, int) else tri.index_of(target)
-    gamma = tri.arcs[idx]
-    rotations: dict[Endpoint, list[tuple[Endpoint, Side]]] = {}
-
-    def turn(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side]:
-        # the edge after a -> b on the face to its left, with its side
-        if b not in rotations:
-            rotations[b] = _rotation(tri, b)
-        rot = rotations[b]
-        for i, (w, _) in enumerate(rot):
-            if w == a:
-                return rot[i - 1]
-        raise MalformedTriangulation(f"{a} is not a neighbour of {b}")
-
-    def face(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side, Side]:
-        apex, side_b = turn(a, b)
-        back, side_a = turn(b, apex)
-        if back != a or turn(apex, a)[0] != b:
-            raise MalformedTriangulation(
-                f"a face on arc {gamma} does not close after three sides"
-            )
-        return apex, side_b, side_a
-
-    u, v = gamma.chord
+    face = _face_walk(tri)
+    u, v = tri.arcs[idx].chord
     apex1, v_apex1, apex1_u = face(u, v)
     apex2, u_apex2, apex2_v = face(v, u)
     ann = tri.annulus
@@ -596,7 +493,7 @@ def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
     arcs[idx] = new_arc
     return FlipResult(
         Triangulation(ann, tuple(arcs)),
-        removed=gamma,
+        removed=tri.arcs[idx],
         new_arc=new_arc,
         pairs=((v_apex1, u_apex2), (apex1_u, apex2_v)),
     )
@@ -869,6 +766,84 @@ def lift_triangulation(tri: Triangulation, window: int) -> list[Chord]:
     if window < 2:
         raise ValueError("window must cover at least two deck periods")
     return sorted(_lifts(tri.arcs, range(window), tri.annulus))
+
+
+class _Strip:
+    """A finite window of the universal cover with an explicit chord family.
+
+    Vertices are every integer boundary position spanned by the chords;
+    edges are the chords plus unit boundary segments.  Faces are traced
+    from the vertex rotations, interior kept on the left.
+    """
+
+    def __init__(self, annulus: MarkedAnnulus, chords: Iterable[Chord]):
+        self.annulus = annulus
+        self.chords = {_norm_chord(c) for c in chords}
+        lo = {0: None, 1: None}
+        hi = {0: None, 1: None}
+        for c in self.chords:
+            for b, x in c:
+                lo[b] = x if lo[b] is None else min(lo[b], x)
+                hi[b] = x if hi[b] is None else max(hi[b], x)
+        if lo[0] is None or lo[1] is None:
+            raise MalformedTriangulation("chord family must touch both boundaries")
+        self.lo, self.hi = lo, hi
+        edges = set(self.chords)
+        for b in (0, 1):
+            for x in range(lo[b], hi[b]):
+                edges.add(((b, x), (b, x + 1)))
+        neighbors: dict[Endpoint, list[Endpoint]] = {}
+        for u, v in edges:
+            neighbors.setdefault(u, []).append(v)
+            neighbors.setdefault(v, []).append(u)
+        for v, nbrs in neighbors.items():
+            nbrs.sort(key=lambda u: _rotation_key(v, u))
+        self.neighbors = neighbors
+        self._position = {
+            (v, u): i for v, nbrs in neighbors.items() for i, u in enumerate(nbrs)
+        }
+
+    def _turn(self, u: Endpoint, v: Endpoint) -> Endpoint:
+        # the vertex after u -> v on the face to its left
+        nbrs = self.neighbors[v]
+        return nbrs[self._position[(v, u)] - 1]
+
+    def _triangle_apex(self, u: Endpoint, v: Endpoint) -> Optional[Endpoint]:
+        """Apex of the face left of u -> v, or None when it is no triangle."""
+        apex = self._turn(u, v)
+        if self._turn(v, apex) != u or self._turn(apex, u) != v:
+            return None
+        return apex
+
+    def _reindex(self, v: Endpoint) -> None:
+        for i, u in enumerate(self.neighbors[v]):
+            self._position[(v, u)] = i
+
+    def flip(self, chord: Chord, trusted) -> bool:
+        """Flip one chord in place, updating only the four rotations it
+        touches.
+
+        Returns False without touching anything when the chord's
+        quadrilateral is not two triangles with every vertex trusted
+        (possible only near the ragged ends of the strip).
+        """
+        u, v = chord
+        apexes = (self._triangle_apex(u, v), self._triangle_apex(v, u))
+        if None in apexes or not all(trusted(w) for w in (u, v) + apexes):
+            return False
+        if apexes[0] == apexes[1]:
+            raise MalformedTriangulation("flip quadrilateral lost its apexes")
+        for a, b in ((u, v), (v, u)):
+            self.neighbors[a].remove(b)
+            del self._position[(a, b)]
+            self._reindex(a)
+        new = _norm_chord(apexes)
+        for a, b in (new, new[::-1]):
+            bisect.insort(self.neighbors[a], b, key=lambda w: _rotation_key(a, w))
+            self._reindex(a)
+        self.chords.remove(chord)
+        self.chords.add(new)
+        return True
 
 
 def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:

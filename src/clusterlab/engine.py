@@ -469,6 +469,8 @@ def seed_to_json(seed: Seed) -> dict:
 
 
 def seed_from_json(data: Mapping) -> Seed:
+    if not (isinstance(data, Mapping) and "quiver" in data and isinstance(data.get("cluster"), list)):
+        raise InvalidParameter('a seed is an object with "quiver" and a list "cluster"')
     return Seed(
         quiver_from_json(data["quiver"]),
         tuple(poly_from_json(v) for v in data["cluster"]),

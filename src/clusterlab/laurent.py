@@ -47,7 +47,8 @@ from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ExactDivisionFailed, ExponentOverflow
+from .errors import ExactDivisionFailed, ExponentOverflow, InvalidParameter
+from .quiver import _is_int
 
 Exponents = tuple[int, ...]
 
@@ -754,6 +755,30 @@ def poly_to_json(a: LaurentPoly) -> dict:
 
 
 def poly_from_json(data: Mapping) -> LaurentPoly:
-    arity = int(data["arity"])
-    terms = {tuple(int(e) for e in item["e"]): int(item["c"]) for item in data["terms"]}
+    """Inverse of poly_to_json.  Exponents and the arity must be ints and a
+    coefficient an int or its decimal string; anything else, a repeated
+    exponent vector included, is an InvalidParameter, never rounded."""
+    try:
+        arity = data["arity"]
+        items = [(item["e"], item["c"]) for item in data["terms"]]
+    except (KeyError, TypeError) as error:
+        raise InvalidParameter(
+            f'{data!r}: a polynomial is {{"arity", "terms": [{{"e", "c"}}, ...]}}'
+        ) from error
+    if not _is_int(arity) or arity < 0:
+        raise InvalidParameter(f"arity {arity!r} is not a nonnegative int")
+    terms = {}
+    for exps, coeff in items:
+        if not (isinstance(exps, list) and len(exps) == arity and all(map(_is_int, exps))):
+            raise InvalidParameter(f"exponent vector {exps!r} is not {arity} ints")
+        if isinstance(coeff, str):
+            try:
+                coeff = int(coeff)
+            except ValueError:
+                raise InvalidParameter(f"coefficient {coeff!r} is not an int") from None
+        elif not _is_int(coeff):
+            raise InvalidParameter(f"coefficient {coeff!r} is not an int")
+        if tuple(exps) in terms:
+            raise InvalidParameter(f"exponent vector {exps} appears twice")
+        terms[tuple(exps)] = coeff
     return LaurentPoly(arity, terms)

@@ -27,10 +27,6 @@ from .annulus import (
     FlipRecord,
     MarkedAnnulus,
     TriSeed,
-    _crossing_translates,
-    _cut_key,
-    _norm_chord,
-    _project_chord,
     arc_variable_map,
     candidate_arcs,
     classify_arc,
@@ -40,6 +36,7 @@ from .annulus import (
     flip_levels,
     flip_state,
     initial_triangulation,
+    quadrilateral_sides,
     reach_state,
     triangulation,
     verify_cover_flip,
@@ -321,23 +318,6 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def _quad_sides(ann: MarkedAnnulus, gamma_i: Arc, gamma_j: Arc):
-    """Corner cycle and projected sides of the quadrilateral whose diagonals
-    are the two given arcs crossing exactly once."""
-    ci = gamma_i.chord
-    crossing = _crossing_translates(ci, gamma_j.chord, ann)
-    if len(crossing) != 1:
-        raise ConstructionFailed("arcs do not cross exactly once")
-    corners = sorted(set(ci) | set(crossing[0]), key=_cut_key)
-    if len(corners) != 4:
-        raise ConstructionFailed("quadrilateral corners are not distinct")
-    sides = []
-    for idx in range(4):
-        chord = _norm_chord((corners[idx], corners[(idx + 1) % 4]))
-        sides.append(_project_chord(ann, chord))
-    return corners, sides
-
-
 def find_crossing_quadrilateral(
     ann: MarkedAnnulus,
     want_loop: bool = False,
@@ -361,7 +341,7 @@ def find_crossing_quadrilateral(
             if crossing_number(gamma_i, gamma_j, ann) != 1:
                 continue
             try:
-                corners, sides = _quad_sides(ann, gamma_i, gamma_j)
+                sides = quadrilateral_sides(ann, gamma_i, gamma_j)
             except ConstructionFailed:
                 continue
             if want_boundary_sides is not None:
@@ -888,17 +868,21 @@ def report_cover_flip(
     cover matches the lift of the flipped triangulation on the interior."""
     rng = random.Random(rng_seed)
     checked = 0
+    done: set[tuple] = set()  # a repeated (triangulation, index) sample is checked once
     for p, q in cases:
         ann = MarkedAnnulus(p, q)
+        fan = initial_triangulation(ann)
         for _ in range(samples):
-            tri = initial_triangulation(ann)
+            tri = fan
             for _ in range(rng.randrange(4)):
                 tri = flip(tri, rng.randrange(p + q)).triangulation
             index = rng.randrange(p + q)
-            if not verify_cover_flip(tri, index, window):
-                raise CounterexampleFound(
-                    f"cover flip mismatch on C({p},{q}) at index {index}"
-                )
+            if (tri, index) not in done:
+                done.add((tri, index))
+                if not verify_cover_flip(tri, index, window):
+                    raise CounterexampleFound(
+                        f"cover flip mismatch on C({p},{q}) at index {index}"
+                    )
             checked += 1
     return IdentityReport(
         name="cover-flip",

@@ -37,7 +37,7 @@ from clusterlab.annulus import (
 from clusterlab.engine import denominator_vector, initial_seed, mutate_seed
 from clusterlab.errors import InvalidArc, InvalidParameter, LimitExceeded, MalformedTriangulation
 from clusterlab.laurent import LaurentPoly, coordinates
-from clusterlab.quiver import are_isomorphic, classify_tilde_A, tilde_A_canonical
+from clusterlab.quiver import Quiver, are_isomorphic, classify_tilde_A, tilde_A_canonical
 from clusterlab.verify import _find_bridging_setup
 
 
@@ -227,6 +227,30 @@ class TestQuiverExtraction:
         for i in range(len(tri.arcs)):
             assert quiver_of(flip(tri, i).triangulation) == quiver.mutate(i)
 
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 5), (6, 1)])
+    def test_commutation_along_seeded_walks(self, p, q):
+        rng = random.Random(1000 * p + q)
+        tri = initial_triangulation(MarkedAnnulus(p, q))
+        for _ in range(15):
+            _assert_flips_commute_with_mutation(tri)
+            tri = flip(tri, rng.randrange(p + q)).triangulation
+
+    def test_commutation_on_the_wound_induction_triangulation(self):
+        ann = MarkedAnnulus(2, 2)
+        _, labeling, state, _, _, _ = _find_bridging_setup(ann)
+        tri = state.tri
+        for k in range(2, 7):
+            for slot in (labeling[3], labeling[0]) if k < 6 else (labeling[3],):
+                _assert_flips_commute_with_mutation(tri)
+                tri = flip(tri, slot).triangulation
+        _assert_flips_commute_with_mutation(tri)
+
+
+def _assert_flips_commute_with_mutation(tri):
+    quiver = quiver_of(tri)
+    for i in range(len(tri.arcs)):
+        assert quiver_of(flip(tri, i).triangulation) == quiver.mutate(i)
+
 
 class TestFlip:
     def test_involution(self, ann32):
@@ -269,39 +293,58 @@ class TestFlip:
                 states[(p, q)] = once.triangulation  # drift to new triangulations
 
 
-def _strip_flip(tri, idx):
-    """The flip read off the strip face walk: the two faces of triangles(tri)
-    that carry the arc, translated onto its canonical lift u -> v."""
+def _side(ann, a, b):
+    # the arc along the strip edge a-b, None for a boundary segment
+    if a[0] == b[0] and abs(a[1] - b[1]) == 1:
+        return None
+    return make_arc(ann, a, b)
+
+
+def _strip_reading(tri):
+    """Every flip of tri, and its quiver, read off one strip drawing
+    independently of the local face walk.
+
+    Both apexes of each arc's canonical lift u -> v are
+    _Strip._triangle_apex on a strip padded past every vertex of its
+    quadrilateral.  The face left of each of the two darts contributes the
+    arrow from the arc to the next side; each corner of every triangle
+    orbit is one such (dart, face) pair, so no orbit deduplication is
+    needed.
+    """
     ann = tri.annulus
-    gamma = tri.arcs[idx]
-    u, v = gamma.chord
-    faces = {}
-    for triangle in triangles(tri):
-        for s in range(3):
-            if triangle.sides[s] != gamma:
-                continue
-            a, b = triangle.vertices[s], triangle.vertices[(s + 1) % 3]
-            lead = min(a, b)
-            k, rest = divmod(u[1] - lead[1], ann.period(lead[0]))
-            assert lead[0] == u[0] and rest == 0
-            a, b, apex = (deck_endpoint(w, k, ann) for w in (a, b, triangle.vertices[(s + 2) % 3]))
-            assert (a, b) in ((u, v), (v, u))
-            # sides b-apex and apex-a, as the face runs
-            face = (apex, triangle.sides[(s + 1) % 3], triangle.sides[(s + 2) % 3])
-            assert (a, b) not in faces
-            faces[(a, b)] = face
-    apex1, v_apex1, apex1_u = faces[(u, v)]
-    apex2, u_apex2, apex2_v = faces[(v, u)]
-    new_arc = make_arc(ann, apex1, apex2)
-    arcs = list(tri.arcs)
-    arcs[idx] = new_arc
-    return tuple(arcs), new_arc, ((v_apex1, u_apex2), (apex1_u, apex2_v))
+    reach = max(abs(x) for arc in tri.arcs for _, x in arc.chord) + 1
+    # a vertex joined to u or v sits within reach * (1 + 2 max(p, q)) of 0,
+    # and its rotation needs the translates of every arc up to reach beyond
+    pad = reach * (2 * max(ann.p, ann.q) + 2) + 1
+    ks = range(-pad, pad + 1)
+    strip = _Strip(ann, [deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+    index = {arc: i for i, arc in enumerate(tri.arcs)}
+    b = [[0] * len(tri.arcs) for _ in tri.arcs]
+    flips = []
+    for idx, gamma in enumerate(tri.arcs):
+        u, v = gamma.chord
+        apex1, apex2 = strip._triangle_apex(u, v), strip._triangle_apex(v, u)
+        assert None not in (apex1, apex2)
+        for after in (_side(ann, v, apex1), _side(ann, u, apex2)):
+            if after is not None and after != gamma:
+                b[idx][index[after]] += 1
+                b[index[after]][idx] -= 1
+        new_arc = make_arc(ann, apex1, apex2)
+        arcs = list(tri.arcs)
+        arcs[idx] = new_arc
+        pairs = (
+            (_side(ann, v, apex1), _side(ann, u, apex2)),
+            (_side(ann, apex1, u), _side(ann, apex2, v)),
+        )
+        flips.append((tuple(arcs), new_arc, pairs))
+    return flips, Quiver(b)
 
 
 def _assert_flips_match_strip(tri):
-    for idx in range(len(tri.arcs)):
+    flips, quiver = _strip_reading(tri)
+    assert quiver_of(tri) == quiver
+    for idx, (arcs, new_arc, pairs) in enumerate(flips):
         result = flip(tri, idx)
-        arcs, new_arc, pairs = _strip_flip(tri, idx)
         assert result.triangulation.arcs == arcs
         assert result.new_arc == new_arc
         assert result.removed == tri.arcs[idx]
@@ -335,6 +378,7 @@ class TestLocalFlipAgainstStrip:
         assert crossing_number(tri.arcs[slot4], setup.tri.arcs[labeling[0]], ann) == 12
 
     def test_flip_builds_no_strip_and_cover_flip_builds_one(self, monkeypatch):
+        # nor do triangles and quiver_of, which walk faces as flip does
         built = []
         original = _Strip.__init__
 
@@ -343,9 +387,13 @@ class TestLocalFlipAgainstStrip:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(annulus_mod._Strip, "__init__", counting)
+        triangles.cache_clear()
+        quiver_of.cache_clear()
         tri = initial_triangulation(MarkedAnnulus(3, 2))
         for i in range(5):
             tri = flip(tri, i).triangulation
+            assert len(triangles(tri)) == 5
+            quiver_of(tri)
         assert built == []
         assert verify_cover_flip(tri, 2, 3)
         assert len(built) == 1
@@ -521,8 +569,8 @@ class TestLiftedTriangulations:
             assert verify_cover_flip(state.tri, rng.randrange(4), 3)
 
 
-def _face_set(strip):
-    return {frozenset(face) for face in strip.faces()}
+def _rotations(strip):
+    return {v: tuple(nbrs) for v, nbrs in strip.neighbors.items()}
 
 
 class TestInPlaceStrip:
@@ -543,15 +591,15 @@ class TestInPlaceStrip:
         for idx in range(p + q):
             strip = _Strip(ann, [deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
             for k in ks:
-                before = _face_set(strip)
+                before = _rotations(strip)
                 chord = tuple(sorted(deck_chord(tri.arcs[idx].chord, k, ann)))
                 if strip.flip(chord, trusted):
                     flipped += 1
                     fresh = _Strip(ann, strip.chords)
-                    assert _face_set(strip) == _face_set(fresh)
+                    assert _rotations(strip) == _rotations(fresh)
                     assert strip._position == fresh._position
                 else:
-                    assert _face_set(strip) == before
+                    assert _rotations(strip) == before
         assert flipped > 0
 
 

@@ -161,6 +161,26 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
       "cluster": [poly_to_json(coordinates(2)[0])] * 2}, "InvalidParameter"),
     (["classify", "--quiver"], "{not json", "InvalidParameter"),
     (["classify", "--quiver"], b"\xff\xfe{}", "InvalidParameter"),
+    # malformed annulus and seed JSON is rejected, not truncated to an int
+    (["annulus", "variable", "--p", "2", "--q", "1", "--arc"],
+     {"e1": {"b": 0, "pos": 0.9}, "e2": {"b": 1, "pos": 0}}, "InvalidArc"),
+    (["annulus", "variable", "--p", "2", "--q", "1", "--arc"],
+     {"e1": {"b": 0}, "e2": {"b": 1, "pos": 0}}, "InvalidArc"),
+    (["annulus", "flip", "--arc", "0", "--triangulation"], [1, 2], "InvalidParameter"),
+    (["annulus", "flip", "--arc", "0", "--triangulation"],
+     {"p": 1.5, "q": 1, "arcs": []}, "InvalidAnnulus"),
+    (["annulus", "flip", "--arc", "0", "--triangulation"],
+     {"p": 1, "q": 1, "arcs": [1, 2]}, "InvalidArc"),
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [{"arity": 2, "terms": [{"e": [1.9, 0], "c": "1"}]},
+                  poly_to_json(coordinates(2)[1])]}, "InvalidParameter"),
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [{"arity": 2, "terms": [{"e": [1, 0], "c": "x"}]},
+                  poly_to_json(coordinates(2)[1])]}, "InvalidParameter"),
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1))}, "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

@@ -70,3 +70,51 @@ def test_the_check_sees_an_unused_import(tmp_path):
     module = tmp_path / "sample.py"
     module.write_text("import os\nimport sys\nfrom typing import Optional\n\nprint(sys.argv)\n")
     assert _unused_imports(module) == ["sample.py:1: os", "sample.py:3: Optional"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level private functions and classes, with their lines."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name, an attribute or an import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unreferenced_private_definitions(paths) -> list[str]:
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    referenced = set().union(*map(_references, trees.values()))
+    return [
+        f"{path.name}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in referenced
+    ]
+
+
+def test_no_unreferenced_private_helpers():
+    # a private helper nothing in the package reads is left-over code
+    assert _unreferenced_private_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_the_check_sees_an_unreferenced_helper(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def _used():\n    return 1\n\n\ndef _orphan():\n    return _used()\n\n\n"
+        "class _Gone:\n    pass\n\n\ndef public():\n    return 2\n"
+    )
+    assert _unreferenced_private_definitions([module]) == ["sample.py:5: _orphan", "sample.py:9: _Gone"]

@@ -6,7 +6,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from clusterlab import laurent
-from clusterlab.errors import ClusterLabError, ExactDivisionFailed, ExponentOverflow
+from clusterlab.errors import ClusterLabError, ExactDivisionFailed, ExponentOverflow, InvalidParameter
 from clusterlab.laurent import (
     MAX_EXPONENT,
     MIN_EXPONENT,
@@ -219,6 +219,22 @@ class TestSerialization:
         x1, x2 = xy
         value = 3 * x1 * x1 - x2 + poly(2, {(-2, 5): 12345678901234567890})
         assert poly_from_json(poly_to_json(value)) == value
+
+    @pytest.mark.parametrize("data", [
+        {"arity": 2, "terms": [{"e": [1.9, 0], "c": "1"}]},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": "x"}]},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": 1.5}]},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": True}]},
+        {"arity": 2, "terms": [{"e": [1], "c": "1"}]},
+        {"arity": 2, "terms": [{"e": [1, 0], "c": "1"}, {"e": [1, 0], "c": "2"}]},
+        {"arity": 2.0, "terms": []},
+        {"arity": 2, "terms": [{"e": [1, 0]}]},
+        [1, 2],
+    ])
+    def test_malformed_json_is_rejected(self, data):
+        # never truncated, rounded or merged into some other polynomial
+        with pytest.raises(InvalidParameter):
+            poly_from_json(data)
 
     def test_terms_sorted_and_stringly(self, xy):
         x1, x2 = xy
