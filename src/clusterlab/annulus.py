@@ -39,6 +39,7 @@ from .errors import (
     InvalidAnnulus,
     InvalidArc,
     InvalidParameter,
+    InvalidTriangulation,
     LimitExceeded,
     MalformedTriangulation,
 )
@@ -286,13 +287,13 @@ def triangulation(annulus: MarkedAnnulus, arcs: Sequence[Arc]) -> Triangulation:
     tri = Triangulation(annulus, tuple(arcs))
     n = annulus.p + annulus.q
     if len(set(tri.arcs)) != len(tri.arcs):
-        raise MalformedTriangulation("repeated arc")
+        raise InvalidTriangulation("repeated arc")
     if len(tri.arcs) != n:
-        raise MalformedTriangulation(f"expected {n} interior arcs, got {len(tri.arcs)}")
+        raise InvalidTriangulation(f"expected {n} interior arcs, got {len(tri.arcs)}")
     for i, a in enumerate(tri.arcs):
         for b in tri.arcs[i + 1:]:
             if crossing_number(a, b, annulus):
-                raise MalformedTriangulation(f"arcs {a} and {b} cross")
+                raise InvalidTriangulation(f"arcs {a} and {b} cross")
     return tri
 
 

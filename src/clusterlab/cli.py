@@ -28,12 +28,15 @@ from .errors import (
     InvalidArc,
     InvalidParameter,
     InvalidQuiver,
+    InvalidTriangulation,
 )
 from .laurent import format_poly, poly_to_json
 from .quiver import classify_tilde_A, quiver_from_json, quiver_to_json
 
 
-_INVALID_INPUT = (InvalidQuiver, InvalidAnnulus, InvalidArc, InvalidParameter)
+_INVALID_INPUT = (
+    InvalidQuiver, InvalidAnnulus, InvalidArc, InvalidParameter, InvalidTriangulation,
+)
 
 
 def _load(path: str) -> dict:

@@ -46,6 +46,11 @@ class InvalidParameter(ClusterLabError, ValueError):
     """A report or construction parameter is outside its supported range."""
 
 
+class InvalidTriangulation(ClusterLabError, ValueError):
+    """An arc set is not a triangulation: it has the wrong number of arcs,
+    repeats an arc or holds two crossing arcs."""
+
+
 class MalformedTriangulation(ClusterLabError):
     """A face walk found a non-triangular interior face.
 

@@ -26,7 +26,8 @@ exponent, so a product checks the guard with one comparison and computes
 exact per-variable exponent ranges only when the bound is exceeded.
 
 Zero coefficients are pruned on construction.  Coefficients are Python
-ints and never overflow.  Exponent tuples appear only at the API boundary:
+ints and never overflow; a float, a bool or any other coefficient raises
+InvalidParameter.  Exponent tuples appear only at the API boundary:
 the constructor, ``coefficient``, the read-only ``terms`` view,
 formatting and JSON.
 
@@ -41,8 +42,9 @@ from __future__ import annotations
 
 import functools
 import struct
+import sys
 from collections.abc import Mapping
-from itertools import repeat
+from itertools import compress, repeat
 from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -110,6 +112,8 @@ class LaurentPoly:
         packed = {}
         bound = 0
         for exps, coeff in terms.items():
+            if not _is_int(coeff):
+                raise InvalidParameter(f"coefficient {coeff!r} is not an int")
             if coeff == 0:
                 continue
             exps = tuple(exps)
@@ -194,7 +198,7 @@ class LaurentPoly:
             if other.arity != self.arity:
                 raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
             return other
-        if isinstance(other, int):
+        if _is_int(other):
             return LaurentPoly.constant(other, self.arity)
         return None
 
@@ -407,6 +411,12 @@ def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
 _LATTICE_PAIRS = 4096
 _LATTICE_FILL = 4
 
+# memoryview formats of the signed words, by width in bytes, that read every
+# lattice slot in one cast; the slots are little-endian
+_SIGNED_WORDS = {struct.calcsize(code): code for code in "bhiq"}
+if sys.byteorder != "little":
+    _SIGNED_WORDS = {}
+
 
 def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]:
     """The packed terms of ``a * b`` from one big-int product, or None.
@@ -422,7 +432,9 @@ def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]
     ``s`` at bit ``8 * width * s``; every product coefficient is at most
     ``min(sum|a| * max|b|, sum|b| * max|a|)`` in absolute value, which
     ``width`` bytes hold with a sign bit, so the slots of the product int
-    are the product's coefficients.  A slot's key is
+    are the product's coefficients.  A width of at most 8 bytes is rounded
+    up to a machine word, so one memoryview cast reads every slot as a
+    signed int; wider slots are read one at a time.  A slot's key is
     ``(denom * key(corner) + sum(digit_j * K_j)) / denom``, and a nonzero
     remainder raises.  Returns None, meaning "use the term-pair loop",
     when the box is too sparse or the lattice test cannot be trusted (see
@@ -448,6 +460,8 @@ def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]
     bound = min(sum(map(abs, values_a)) * max(map(abs, values_b)),
                 sum(map(abs, values_b)) * max(map(abs, values_a)))
     width = (bound.bit_length() + 8) // 8  # bound < 2**(8 * width - 1)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # a machine word: 1, 2, 4 or 8 bytes
     factors = []
     for side, (terms, cols) in enumerate(((ta, cols_a), (tb, cols_b))):
         index = [-sum(low[side] * stride for low, stride in zip(corner, strides))] * len(terms)
@@ -456,11 +470,15 @@ def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]
         factors.append(_kronecker_int(terms.values(), index, width))
 
     # adding half to every slot keeps each one in 0..2**(8 * width) - 1, so
-    # no slot borrows from the next and the bytes are the biased slots
-    half = 1 << (8 * width - 1)
-    biased = factors[0] * factors[1] + int.from_bytes(half.to_bytes(width, "little") * slots, "little")
-    raw = biased.to_bytes(slots * width, "little")
-    coeffs = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
+    # no slot borrows from the next and the bytes are the biased slots;
+    # flipping each slot's top bit back leaves its two's-complement value
+    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
+    raw = ((factors[0] * factors[1] + bias) ^ bias).to_bytes(slots * width, "little")
+    if width in _SIGNED_WORDS:
+        coeffs = memoryview(raw).cast(_SIGNED_WORDS[width])
+    else:
+        coeffs = [int.from_bytes(raw[i:i + width], "little", signed=True)
+                  for i in range(0, len(raw), width)]
 
     # denom * key of each slot: the first terms' keys moved to the box corner,
     # then one weight per pivot digit
@@ -472,15 +490,15 @@ def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]
     for weight, radix in zip(weights, radices):
         steps = [digit * weight for digit in range(radix)]
         keys = [key + step for key in keys for step in steps]
+    terms = compress(zip(keys, coeffs), coeffs)
     if denom == 1:
-        return {key: c for key, c in zip(keys, coeffs) if c}
+        return dict(terms)
     out = {}
-    for key, c in zip(keys, coeffs):
-        if c:
-            key, rem = divmod(key, denom)
-            if rem:
-                raise ArithmeticError("a lattice product slot is not an integer point")
-            out[key] = c
+    for key, c in terms:
+        key, rem = divmod(key, denom)
+        if rem:
+            raise ArithmeticError("a lattice product slot is not an integer point")
+        out[key] = c
     return out
 
 
@@ -601,6 +619,23 @@ def poly_prod(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
     for item in items:
         total = item if total is None else total * item
     return LaurentPoly.one(arity) if total is None else total
+
+
+def support_product(first: LaurentPoly, *rest: LaurentPoly) -> LaurentPoly:
+    """The support of the product of the factors, every coefficient 1.
+
+    Its monomials are the sums of one monomial of each factor.  Products
+    of 0/1 indicators have positive coefficients, so no term cancels, and
+    resetting the coefficients to 1 after each product keeps them at most
+    the smaller factor's term count, so lattice slots stay one or two
+    bytes wide.  When the factors are nonzero with positive coefficients,
+    their product's support is this one.
+    """
+    total = _build(first._layout, dict.fromkeys(first._terms, 1), first._bound)
+    for factor in rest:
+        total = total * _build(factor._layout, dict.fromkeys(factor._terms, 1), factor._bound)
+        total = _build(total._layout, dict.fromkeys(total._terms, 1), total._bound)
+    return total
 
 
 def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
@@ -776,8 +811,6 @@ def poly_from_json(data: Mapping) -> LaurentPoly:
                 coeff = int(coeff)
             except ValueError:
                 raise InvalidParameter(f"coefficient {coeff!r} is not an int") from None
-        elif not _is_int(coeff):
-            raise InvalidParameter(f"coefficient {coeff!r} is not an int")
         if tuple(exps) in terms:
             raise InvalidParameter(f"exponent vector {exps} appears twice")
         terms[tuple(exps)] = coeff

@@ -58,7 +58,16 @@ from .errors import (
     ShapeMismatch,
     SideConditionViolated,
 )
-from .laurent import LaurentPoly, coordinates, div_exact, format_poly, poly_prod, substitute, try_div_exact
+from .laurent import (
+    LaurentPoly,
+    coordinates,
+    div_exact,
+    format_poly,
+    poly_prod,
+    substitute,
+    support_product,
+    try_div_exact,
+)
 from .quiver import tilde_A_canonical
 
 
@@ -647,7 +656,8 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     setup matches the two-term recurrence with the fixed cross term, (ii)
     the new arcs cross the original bridging arc exactly 2k-1 and 2k
     times, (iii) the two general product identities hold with residuals
-    whose expansions over the initial cluster are strictly positive.
+    whose expansions over the initial cluster are strictly positive,
+    proven from their factors (``_residual_term_counts``).
     """
     if K < 3:
         raise InvalidParameter("K must be at least 3")
@@ -689,33 +699,66 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
         if got4 != 2 * k:
             raise CrossingMismatch(f"fourth-slot arc at k={k} crosses {got4}, want {2 * k}")
 
-    z1v, z2v = values["z1"], values["z2"]
-    # z1' * z3' * prod(z1_k * z4_k for 2 <= k < m), extended once per m
-    prefix = values["z1'"] * values["z3'"]
-    residual_terms = {}
-    for m in range(3, K + 1):
-        prefix = prefix * (z1_vals[m - 1] * z4_vals[m - 1])
-        # each residual is lhs - main with the common factors pulled out, so
-        # the difference is formed on small factors before the large prefix
-        residual_one = prefix * (z1v * z1_vals[m] - z2v * z4_vals[m - 1])
-        residual_two = prefix * z1_vals[m] * (z1v * z4_vals[m] - z2v * z1_vals[m])
-        for tag, residual in ((2 * m + 2, residual_one), (2 * m + 3, residual_two)):
-            if residual.is_zero() or not residual.has_positive_coefficients():
-                raise IdentityFailed(f"residual at index {tag} is not positive")
-            residual_terms[tag] = len(residual.terms)
-
     return IdentityReport(
         name="induction",
         witness={
             "bridging_arc": str(gamma_i),
             "cross_term": format_poly(cross_term),
-            "residual_term_counts": str(residual_terms),
+            "residual_term_counts": str(_residual_term_counts(values, z1_vals, z4_vals)),
             "side_bindings": ", ".join(
                 f"{k}={format_poly(v)}" for k, v in sorted(bindings.items())
             ),
         },
         context={"p": p, "q": q, "K": K, "setup_flip_distance": found_at},
     )
+
+
+def _residual_term_counts(
+    values: dict[str, LaurentPoly],
+    z1_vals: dict[int, LaurentPoly],
+    z4_vals: dict[int, LaurentPoly],
+) -> dict[int, int]:
+    """Prove each residual of the induction positive and count its terms.
+
+    For 3 <= m <= K the residuals at indices 2m+2 and 2m+3 are lhs - main
+    with the common factors pulled out: ``prefix * (z1*z1_m - z2*z4_{m-1})``
+    and ``prefix * z1_m * (z1*z4_m - z2*z1_m)``, where the prefix is
+    ``z1' * z3' * prod(z1_k * z4_k for 2 <= k < m)``.  A product of nonzero
+    Laurent polynomials with positive coefficients is nonzero with positive
+    coefficients, and none of its terms cancels, so its support is the sum
+    of its factors' supports.  So every factor is checked positive and
+    each residual's term count is read off a support product; no residual
+    is multiplied out.  A factor that is zero or has a coefficient that is
+    not positive raises IdentityFailed, since the proof then fails.
+    """
+    def positive(name: str, factor: LaurentPoly, tag: int) -> LaurentPoly:
+        if factor.is_zero() or not factor.has_positive_coefficients():
+            raise IdentityFailed(f"factor {name} of the residual at index {tag} is not positive")
+        return factor
+
+    z1v, z2v = values["z1"], values["z2"]
+    prefix = support_product(
+        positive("z1'", values["z1'"], 8), positive("z3'", values["z3'"], 8)
+    )
+    counts = {}
+    for m in range(3, max(z4_vals) + 1):
+        one, two = 2 * m + 2, 2 * m + 3
+        prefix = support_product(
+            positive(f"z1_{m - 1}", z1_vals[m - 1], one),
+            positive(f"z4_{m - 1}", z4_vals[m - 1], one),
+            prefix,
+        )
+        small_one = z1v * z1_vals[m] - z2v * z4_vals[m - 1]
+        small_two = z1v * z4_vals[m] - z2v * z1_vals[m]
+        counts[one] = len(support_product(
+            positive(f"z1*z1_{m} - z2*z4_{m - 1}", small_one, one), prefix
+        ).terms)
+        counts[two] = len(support_product(
+            positive(f"z1_{m}", z1_vals[m], two),
+            positive(f"z1*z4_{m} - z2*z1_{m}", small_two, two),
+            prefix,
+        ).terms)
+    return counts
 
 
 # ---------------------------------------------------------------------------

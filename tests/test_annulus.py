@@ -35,7 +35,12 @@ from clusterlab.annulus import (
     verify_cover_flip,
 )
 from clusterlab.engine import denominator_vector, initial_seed, mutate_seed
-from clusterlab.errors import InvalidArc, InvalidParameter, LimitExceeded, MalformedTriangulation
+from clusterlab.errors import (
+    InvalidArc,
+    InvalidParameter,
+    InvalidTriangulation,
+    LimitExceeded,
+)
 from clusterlab.laurent import LaurentPoly, coordinates
 from clusterlab.quiver import Quiver, are_isomorphic, classify_tilde_A, tilde_A_canonical
 from clusterlab.verify import _find_bridging_setup
@@ -198,11 +203,11 @@ class TestTriangles:
             assert any(crossing_number(candidate, a, ann21) > 0 for a in tri.arcs)
 
     def test_rejects_undersized_collections(self, ann21):
-        with pytest.raises(MalformedTriangulation):
+        with pytest.raises(InvalidTriangulation):
             triangulation(ann21, [make_arc(ann21, (0, 0), (1, 0))])
 
     def test_rejects_crossing_pair(self, ann11):
-        with pytest.raises(MalformedTriangulation):
+        with pytest.raises(InvalidTriangulation):
             triangulation(
                 ann11,
                 [make_arc(ann11, (0, 0), (1, 0)), make_arc(ann11, (0, 0), (1, 2))],

@@ -16,7 +16,12 @@ from clusterlab.laurent import coordinates, poly_to_json
 from clusterlab.quiver import quiver_to_json, tilde_A_canonical
 
 # the envelope's error classes that mean invalid input, and exit 2
-INVALID_INPUT = {"InvalidQuiver", "InvalidAnnulus", "InvalidArc", "InvalidParameter"}
+INVALID_INPUT = {
+    "InvalidQuiver", "InvalidAnnulus", "InvalidArc", "InvalidParameter", "InvalidTriangulation",
+}
+
+
+C11 = MarkedAnnulus(1, 1)
 
 
 @pytest.fixture
@@ -181,6 +186,16 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
                   poly_to_json(coordinates(2)[1])]}, "InvalidParameter"),
     (["mutate-seed", "--at", "0", "--seed"],
      {"quiver": quiver_to_json(tilde_A_canonical(1, 1))}, "InvalidParameter"),
+    # an arc set that is not a triangulation is invalid input, not an internal error
+    (["annulus", "flip", "--arc", "0", "--triangulation"],
+     {"p": 1, "q": 1, "arcs": []}, "InvalidTriangulation"),
+    (["annulus", "flip", "--arc", "0", "--triangulation"],
+     {"p": 1, "q": 1, "arcs": [arc_to_json(make_arc(C11, (0, 0), (1, 0)))] * 2},
+     "InvalidTriangulation"),
+    (["annulus", "flip", "--arc", "0", "--triangulation"],
+     {"p": 1, "q": 1, "arcs": [arc_to_json(make_arc(C11, (0, 0), (1, 0))),
+                               arc_to_json(make_arc(C11, (0, 0), (1, 2)))]},
+     "InvalidTriangulation"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

@@ -49,6 +49,26 @@ class TestAdd:
             LaurentPoly.one(2) + LaurentPoly.one(3)
 
 
+class TestCoefficientType:
+    @pytest.mark.parametrize("coeff", [0.5, 2.0, 0.0, True, False, "1", None])
+    def test_constructor_rejects_non_int_coefficients(self, coeff):
+        # checked before zeros are pruned, so 0.0 and False are rejected too
+        with pytest.raises(InvalidParameter):
+            LaurentPoly(1, {(0,): coeff})
+
+    @pytest.mark.parametrize("value", [2.5, 1.0, True])
+    def test_constant_rejects_non_int_values(self, value):
+        with pytest.raises(InvalidParameter):
+            LaurentPoly.constant(value, 1)
+
+    def test_bool_operand_is_not_a_constant(self, xy):
+        x1, _ = xy
+        with pytest.raises(TypeError):
+            x1 + True
+        with pytest.raises(TypeError):
+            True * x1
+
+
 class TestMul:
     def test_inverse_monomial(self, xy):
         x1, _ = xy
@@ -550,6 +570,26 @@ class TestLatticeProduct:
         assert lattice_calls[-1][2] is not None
         assert got == loop_product(a, b)
         assert got == expanded(to_sympy(a) * to_sympy(b), 3)
+
+    @pytest.mark.parametrize("bound", [
+        2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63,
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_widths_at_their_boundaries(self, lattice_calls, bound, sign):
+        # b is 64 terms of +-1, so the slot bound is sum|a| == bound; the
+        # middle slot reaches sign * bound, and the other slots mix signs
+        rng = random.Random(bound)
+        coeffs = [rng.choice((1, -1)) for _ in range(63)]
+        coeffs.append(rng.choice((1, -1)) * (bound - 63))
+        rng.shuffle(coeffs)
+        a = LaurentPoly(1, {(e,): c for e, c in enumerate(coeffs)})
+        b = LaurentPoly(1, {(63 - e,): sign * (1 if c > 0 else -1) for e, c in enumerate(coeffs)})
+        got = a * b
+        assert [out is not None for *_, out in lattice_calls] == [True]
+        assert got.coefficient((63,)) == sign * bound
+        assert any(c < 0 for c in got.terms.values()) and any(c > 0 for c in got.terms.values())
+        assert got == loop_product(a, b)
+        assert got == expanded(to_sympy(a) * to_sympy(b), 1)
 
     def test_sparse_full_dimensional_pair_falls_back(self, lattice_calls):
         rng = random.Random(5)

@@ -11,6 +11,7 @@ from clusterlab.engine import initial_seed, mutate_seed
 from clusterlab.errors import (
     CounterexampleFound,
     HypothesisNotSatisfied,
+    IdentityFailed,
     InvalidParameter,
     SearchExhausted,
     ShapeMismatch,
@@ -36,6 +37,7 @@ from clusterlab.verify import (
     report_crossing_quadrilateral,
     report_peripheral_chain_formal,
     report_unistructurality,
+    report_winding_induction,
     run_report,
 )
 
@@ -269,6 +271,70 @@ class TestInduction:
         _, record = flip_state(state, 3)
         with pytest.raises(ShapeMismatch):
             _opposite_square(record, state.tri.arcs[0])
+
+
+def full_residuals(values, z1_vals, z4_vals):
+    """The residuals of the induction multiplied out in full, the slow path
+    the factor proof replaces: (every residual positive, term counts)."""
+    z1v, z2v = values["z1"], values["z2"]
+    prefix = values["z1'"] * values["z3'"]
+    positive, counts = True, {}
+    for m in range(3, max(z4_vals) + 1):
+        prefix = prefix * (z1_vals[m - 1] * z4_vals[m - 1])
+        residual_one = prefix * (z1v * z1_vals[m] - z2v * z4_vals[m - 1])
+        residual_two = prefix * z1_vals[m] * (z1v * z4_vals[m] - z2v * z1_vals[m])
+        for tag, residual in ((2 * m + 2, residual_one), (2 * m + 3, residual_two)):
+            positive = positive and bool(residual) and residual.has_positive_coefficients()
+            counts[tag] = len(residual.terms)
+    return positive, counts
+
+
+class TestInductionFactorProof:
+    @staticmethod
+    def record(monkeypatch, tamper=lambda *args: args):
+        """Capture the (possibly tampered) factors the proof is given."""
+        seen = []
+        original = verify._residual_term_counts
+
+        def recording(*args):
+            args = tamper(*args)
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "_residual_term_counts", recording)
+        return seen
+
+    @pytest.mark.parametrize("K", [3, 4, 5, 6])
+    def test_matches_the_full_products(self, monkeypatch, K):
+        seen = self.record(monkeypatch)
+        report = report_winding_induction(2, 2, K)
+        (factors,) = seen
+        positive, counts = full_residuals(*factors)
+        assert positive
+        assert report.witness["residual_term_counts"] == str(counts)
+
+    @pytest.mark.parametrize("table,key", [(2, 2), (2, 3), (2, 5), (1, 4), (0, "z3'")])
+    def test_a_factor_that_is_not_positive_raises(self, monkeypatch, table, key):
+        # negates (values, z1_k, z4_k)[table][key]: a z1_k or z4_k also sits
+        # in a small difference, z3' only in the prefix
+        def negate(*factors):
+            factors = [dict(f) for f in factors]
+            factors[table][key] = -factors[table][key]
+            return factors
+
+        seen = self.record(monkeypatch, negate)
+        with pytest.raises(IdentityFailed):
+            report_winding_induction(2, 2, 5)
+        positive, _ = full_residuals(*seen[0])
+        assert not positive
+
+    def test_K8_counts_are_pinned(self):
+        # recorded from the full products, before the factor proof
+        report = report_winding_induction(2, 2, 8)
+        assert report.witness["residual_term_counts"] == str({
+            8: 318, 9: 644, 10: 1179, 11: 1999, 12: 3192, 13: 4858,
+            14: 7109, 15: 10069, 16: 13874, 17: 18672, 18: 24623, 19: 31899,
+        })
 
 
 class TestPreconditions:
