@@ -12,7 +12,6 @@ from .engine import (
     initial_seed,
     is_algebraically_independent,
     mutate_seed,
-    positivity_audit,
     variables_up_to_depth,
 )
 from .annulus import (
@@ -24,9 +23,7 @@ from .annulus import (
     crossing_number,
     flip,
     initial_triangulation,
-    lift_triangulation,
     make_arc,
-    ptolemy_relation,
     quiver_of,
     triangles,
     variable_of_arc,

@@ -500,43 +500,15 @@ def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
     )
 
 
-@dataclass(frozen=True)
-class PtolemyRelation:
-    gamma: Arc
-    gamma_prime: Arc
-    pairs: tuple[tuple[Side, Side], tuple[Side, Side]]
-    products: tuple[LaurentPoly, LaurentPoly]
-
-    @property
-    def rhs(self) -> LaurentPoly:
-        return self.products[0] + self.products[1]
-
-
 def _pair_products(
     pairs, assignment: Mapping[Arc, LaurentPoly], arity: int
 ) -> tuple[LaurentPoly, LaurentPoly]:
     """The two opposite side products of a flip, boundary sides contributing 1."""
 
     def value(side: Side) -> LaurentPoly:
-        if side is None:
-            return LaurentPoly.one(arity)
-        got = assignment.get(side)
-        if got is None:
-            raise KeyError(f"assignment missing arc {side}")
-        return got
+        return LaurentPoly.one(arity) if side is None else assignment[side]
 
     return tuple(value(a) * value(b) for a, b in pairs)
-
-
-def ptolemy_relation(
-    tri: Triangulation, target: "Arc | int", assignment: Mapping[Arc, LaurentPoly]
-) -> PtolemyRelation:
-    """The exchange identity of a flip: the diagonal product equals the sum
-    of the two opposite side products."""
-    result = flip(tri, target)
-    arity = next(iter(assignment.values())).arity
-    products = _pair_products(result.pairs, assignment, arity)
-    return PtolemyRelation(result.removed, result.new_arc, result.pairs, products)
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +729,8 @@ def candidate_arcs(annulus: MarkedAnnulus, winding: int = 2) -> list[Arc]:
 
 
 # ---------------------------------------------------------------------------
-# lifted triangulations
+# the lifted strip: the cover-flip oracle
 # ---------------------------------------------------------------------------
-
-
-def lift_triangulation(tri: Triangulation, window: int) -> list[Chord]:
-    """Deck translates of every arc across the given number of fundamental
-    windows, as raw strip chords."""
-    if window < 2:
-        raise ValueError("window must cover at least two deck periods")
-    return sorted(_lifts(tri.arcs, range(window), tri.annulus))
 
 
 class _Strip:

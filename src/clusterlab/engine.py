@@ -113,9 +113,6 @@ class ExchangeGraph:
     nodes: dict[ClusterKey, GraphNode] = field(default_factory=dict)
     adjacency: dict[ClusterKey, dict[int, ClusterKey]] = field(default_factory=dict)
 
-    def clusters(self) -> set[frozenset[LaurentPoly]]:
-        return {frozenset(key) for key in self.nodes}
-
     def variables(self) -> set[LaurentPoly]:
         out: set[LaurentPoly] = set()
         for key in self.nodes:
@@ -296,28 +293,6 @@ def is_algebraically_independent(variables: Sequence[LaurentPoly]) -> bool:
     return not jacobian_determinant(variables).is_zero()
 
 
-@dataclass
-class PositivityReport:
-    checked: int
-    violations: list[LaurentPoly]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def positivity_audit(
-    seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> PositivityReport:
-    """Check every enumerated variable for positive numerator coefficients.
-
-    A violation falsifies this implementation, not the positivity theorem.
-    """
-    pool = variables_up_to_depth(seed, depth, node_limit)
-    violations = [v for v in sorted(pool) if not v.has_positive_coefficients()]
-    return PositivityReport(checked=len(pool), violations=violations)
-
-
 def _split_two_monomials(product: LaurentPoly) -> tuple[tuple[int, ...], tuple[int, ...]]:
     terms = sorted(product.terms.items())
     if len(terms) != 2 or any(c != 1 for _, c in terms) or any(
@@ -471,7 +446,10 @@ def seed_to_json(seed: Seed) -> dict:
 def seed_from_json(data: Mapping) -> Seed:
     if not (isinstance(data, Mapping) and "quiver" in data and isinstance(data.get("cluster"), list)):
         raise InvalidParameter('a seed is an object with "quiver" and a list "cluster"')
-    return Seed(
-        quiver_from_json(data["quiver"]),
-        tuple(poly_from_json(v) for v in data["cluster"]),
-    )
+    quiver = quiver_from_json(data["quiver"])
+    cluster = tuple(poly_from_json(v) for v in data["cluster"])
+    if len({v.arity for v in cluster}) > 1:
+        raise InvalidParameter("cluster variables must share one arity")
+    if any(v.is_zero() for v in cluster):
+        raise InvalidParameter("a cluster variable is zero")
+    return Seed(quiver, cluster)

@@ -1,4 +1,4 @@
-"""Quivers without loops or 2-cycles: mutation, isomorphism, affine type-A recognition.
+"""Quivers without loops or 2-cycles: mutation, canonical forms, affine type-A recognition.
 
 A quiver on n points is stored as the signed skew-symmetric matrix b,
 where b[i][j] > 0 means b[i][j] arrows from i to j.  Skew symmetry makes
@@ -273,28 +273,6 @@ def canonical_form(quiver: Quiver) -> Quiver:
     return quiver.permuted(canonical_permutation(quiver))
 
 
-def isomorphism(a: Quiver, b: Quiver) -> Optional[tuple[int, ...]]:
-    """A permutation sigma with a.permuted(...) == b arrangement, or None.
-
-    The returned sigma satisfies a.b[sigma[i]][sigma[j]] == b.b[i][j].
-    """
-    if a.n != b.n:
-        return None
-    pa = canonical_permutation(a)
-    pb = canonical_permutation(b)
-    if a.permuted(pa) != b.permuted(pb):
-        return None
-    inverse_pb = [0] * b.n
-    for i, v in enumerate(pb):
-        inverse_pb[v] = i
-    witness = tuple(pa[inverse_pb[i]] for i in range(a.n))
-    return witness
-
-
-def are_isomorphic(a: Quiver, b: Quiver) -> bool:
-    return isomorphism(a, b) is not None
-
-
 def tilde_A_canonical(p: int, q: int) -> Quiver:
     """The acyclic cycle quiver with p arrows one way around and q the other.
 
@@ -403,12 +381,3 @@ def quiver_from_json(data: Mapping) -> Quiver:
         raise InvalidQuiver('a quiver is an object with "n" and a list "arrows"')
     return Quiver.from_arrows(data["n"], data["arrows"])
 
-
-def quiver_to_dot(quiver: Quiver, name: str = "quiver") -> str:
-    lines = [f"digraph {name} {{"]
-    for v in range(quiver.n):
-        lines.append(f"  {v};")
-    for s, t in quiver.arrows():
-        lines.append(f"  {s} -> {t};")
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,9 +1,10 @@
 """Mechanical checks of the identity chains behind arc incompatibility,
 exchange-quiver recovery, and the cluster-structure uniqueness experiment.
 
-Two layers cooperate.  The formal layer works over free Laurent
-indeterminates and verifies displayed identity chains exactly: every
-claimed equality must leave a literally zero difference polynomial.  The
+Two layers cooperate, driven by the same relation tables.  The formal
+layer evaluates each table over free Laurent indeterminates and verifies
+the displayed identity chains exactly: every claimed equality must leave
+a literally zero difference polynomial.  The
 geometric layer works on a concrete annulus, finds configurations by
 bounded search (the relation patterns themselves drive the search), runs
 flips and seed mutations in lockstep, and checks relation shapes,
@@ -176,16 +177,73 @@ def _gens(n: int, ones: Iterable[int] = ()) -> list[LaurentPoly]:
     return gens
 
 
+# A chain is a table of exchange relations, one per flip.  A relation is
+# (token, side one, side two): the flip's new variable is stored under
+# token, and its exchange relation is old * new == side one + side two.
+# A side is (value keys, side tokens), both tuples, standing for the
+# product of the named values and side tokens; ("z4",), ("S8",) is
+# z4 * S8 and (), ("S8", "S10") is S8 * S10.  Step j of a chain flips
+# slot steps[j]; zi is the variable the labeling puts at slot i - 1.  The
+# formal chains read each side token Si as the free indeterminate zi; the
+# geometric searches unify the side tokens with boundary contributions (1)
+# or arc variables on a concrete annulus.
+
+_PERIPHERAL_PATTERNS = [
+    ("z1'", (("z2", "z5"), ()), (("z4",), ("S8",))),
+    ("z2'", (("z1'", "z3"), ()), ((), ("S8", "S10"))),
+    ("z3'", (("z2'",), ("S9",)), (("z4",), ("S8",))),
+    ("z4'", (("z1'", "z3'"), ()), (("z2'", "z5"), ())),
+    ("z5'", (("z3'",), ("S7",)), (("z4'",), ("S6",))),
+]
+
+_PERIPHERAL_STEPS = (0, 1, 2, 3, 4)
+
+_BRIDGING_PATTERNS = [
+    ("z1'", (("z2", "z3"), ()), (("z4",), ("S6",))),
+    ("z2'", (("z1'",), ("S5",)), (("z3",), ("S6",))),
+    ("z3'", (("z1'", "z1'"), ()), (("z2'", "z4"), ())),
+    ("z4'", (("z1'",), ("S8",)), (("z3'",), ("S7",))),
+    ("z1''", (("z2'",), ("S7",)), (("z3'", "z4'"), ())),
+    ("z3''", (("z1''",), ("S8",)), (("z4'",), ("S7",))),
+]
+
+_BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)
+
+# the formal bridging chain runs one relation past the geometric setup:
+# the first step of the induction's recurrence
+_BRIDGING_FORMAL = _BRIDGING_PATTERNS + [("z4''", (("z1''", "z1''"), ()), (("z2'", "z3''"), ()))]
+_BRIDGING_FORMAL_STEPS = _BRIDGING_STEPS + (3,)
+
+
+def _evaluate_chain(z: Sequence[LaurentPoly], patterns, steps) -> dict[str, LaurentPoly]:
+    """Run a chain table over the 1-based generator list z.
+
+    Each relation's sides are multiplied out with Si read as zi, and their
+    sum is divided exactly by the value the flipped slot holds: z(step+1)
+    until the slot is first flipped, its last new value after that.
+    Returns every value by name, z1, ..., zn included; an inexact quotient
+    raises ExactDivisionFailed.
+    """
+    arity = len(z) - 1
+    values = {f"z{i}": z[i] for i in range(1, arity + 1)}
+    held = list(values)  # the name of the value each slot holds
+    for (token, *sides), step in zip(patterns, steps):
+        first, second = (
+            poly_prod([*(values[key] for key in keys), *(z[int(t[1:])] for t in tokens)], arity)
+            for keys, tokens in sides
+        )
+        values[token] = div_exact(first + second, values[held[step]])
+        held[step] = token
+    return values
+
+
 def _peripheral_chain(ones: Iterable[int] = ()) -> dict:
     """The five-relation chain for two peripheral arcs crossing twice,
     expanded over ten indeterminates (optionally specializing side
     variables to 1).  Returns every intermediate value."""
     z = _gens(10, ones)
-    z1p = div_exact(z[2] * z[5] + z[4] * z[8], z[1])
-    z2p = div_exact(z1p * z[3] + z[8] * z[10], z[2])
-    z3p = div_exact(z2p * z[9] + z[4] * z[8], z[3])
-    z4p = div_exact(z1p * z3p + z2p * z[5], z[4])
-    z5p = div_exact(z3p * z[7] + z4p * z[6], z[5])
+    values = _evaluate_chain(z, _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+    z1p, z2p, z3p, z4p, z5p = (values[token] for token, *_ in _PERIPHERAL_PATTERNS)
     sigma1 = z2p * z[4] * z5p * z[8]
     sigma2 = z1p * z[3] * z4p * z[6] + z3p * z[7] * z[8] * z[10] + z4p * z[6] * z[8] * z[10] + sigma1
     sigma3 = z1p * z[4] * z[7] * z[8] + sigma2
@@ -250,38 +308,13 @@ def report_peripheral_chain_formal() -> IdentityReport:
     return report
 
 
-def _bridging_chain(max_n: int, ones: Iterable[int] = ()) -> dict:
-    """Primed variables and residuals for two bridging arcs crossing up to
-    max_n times, over eight indeterminates.  The later variables are exact
-    quotients by earlier non-monomial values; inexactness raises."""
-    z = _gens(8, ones)
-    values = {"z1": z[1], "z2": z[2], "z3": z[3], "z4": z[4]}
-
-    def grow(name: str, numerator: LaurentPoly, divisor: LaurentPoly):
-        quotient = try_div_exact(numerator, divisor)
-        if quotient is None:
-            raise IdentityFailed(f"defining quotient for {name} is not exact")
-        values[name] = quotient
-
-    grow("z1'", z[2] * z[3] + z[4] * z[6], z[1])
-    grow("z2'", values["z1'"] * z[5] + z[3] * z[6], z[2])
-    grow("z3'", values["z1'"] * values["z1'"] + values["z2'"] * z[4], z[3])
-    grow("z4'", values["z1'"] * z[8] + values["z3'"] * z[7], z[4])
-    if max_n >= 3:
-        grow("z1''", values["z2'"] * z[7] + values["z3'"] * values["z4'"], values["z1'"])
-    if max_n >= 4:
-        grow("z3''", values["z1''"] * z[8] + values["z4'"] * z[7], values["z3'"])
-        grow("z4''", values["z1''"] * values["z1''"] + values["z2'"] * values["z3''"], values["z4'"])
-    return {"z": z, "values": values}
-
-
 def report_bridging_chain_formal(n: int) -> IdentityReport:
     """Exact verification of the chains for two bridging arcs crossing
     n = 2, 3 or 4 times, with the residuals exactly as displayed."""
     if n not in (2, 3, 4):
         raise InvalidParameter("n must be 2, 3 or 4")
-    data = _bridging_chain(n)
-    z, v = data["z"], data["values"]
+    z = _gens(8)
+    v = _evaluate_chain(z, _BRIDGING_FORMAL, _BRIDGING_FORMAL_STEPS)
     report = IdentityReport(name=f"case3-n{n}", context={"n": n})
 
     def require(label: str, lhs: LaurentPoly, rhs: LaurentPoly):
@@ -457,13 +490,11 @@ def _run_pattern_sequence(
     """Flip the given slots in order, unifying each exchange relation with
     its pattern.
 
-    A pattern is (token, side one, side two): the new variable is stored
-    under token, and the two products of the relation must match the two
-    sides in either order.  A side is (value keys, side tokens), both
-    tuples, standing for the product of the named values and side tokens;
-    ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.
-    Every flip goes through flips, keyed on (state, slot), so a flip the
-    caller's search already made is looked up, not made again.
+    A pattern is a chain table entry (see the formal chains): the new
+    variable is stored under its token, and the two products of the
+    relation must match the two sides in either order.  Every flip goes
+    through flips, keyed on (state, slot), so a flip the caller's search
+    already made is looked up, not made again.
     Returns the final state, the value table and the bindings, or None.
     """
     if not patterns:
@@ -533,17 +564,6 @@ def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
     return best
 
 
-_PERIPHERAL_PATTERNS = [
-    ("z1'", (("z2", "z5"), ()), (("z4",), ("S8",))),
-    ("z2'", (("z1'", "z3"), ()), ((), ("S8", "S10"))),
-    ("z3'", (("z2'",), ("S9",)), (("z4",), ("S8",))),
-    ("z4'", (("z1'", "z3'"), ()), (("z2'", "z5"), ())),
-    ("z5'", (("z3'",), ("S7",)), (("z4'",), ("S6",))),
-]
-
-_PERIPHERAL_STEPS = (0, 1, 2, 3, 4)  # slot flipped at each step
-
-
 def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityReport:
     """Find, on a concrete annulus, a peripheral arc admitting the
     five-flip sequence whose exchange relations realize the formal chain,
@@ -575,13 +595,10 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
             bindings.get(f"S{i}", LaurentPoly.one(images[0].arity))
             for i in (6, 7, 8, 9, 10)
         ]
-        formal = _peripheral_chain()
-        for formal_value, name in zip(formal["primed"], ("z1'", "z2'", "z3'", "z4'", "z5'")):
-            translated = substitute(formal_value, images)
-            if translated != values[name]:
-                raise IdentityFailed(
-                    f"formal and geometric values of {name} disagree"
-                )
+        formal = _evaluate_chain(_gens(10), _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+        for name, *_ in _PERIPHERAL_PATTERNS:
+            if substitute(formal[name], images) != values[name]:
+                raise IdentityFailed(f"formal and geometric values of {name} disagree")
         for visited in (st.tri, end_state.tri):
             if not verify_cover_flip(visited, labeling[0], 3):
                 raise CounterexampleFound(
@@ -613,17 +630,6 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
 # ---------------------------------------------------------------------------
 # bridging winding induction
 # ---------------------------------------------------------------------------
-
-_BRIDGING_PATTERNS = [
-    ("z1'", (("z2", "z3"), ()), (("z4",), ("S6",))),
-    ("z2'", (("z1'",), ("S5",)), (("z3",), ("S6",))),
-    ("z3'", (("z1'", "z1'"), ()), (("z2'", "z4"), ())),
-    ("z4'", (("z1'",), ("S8",)), (("z3'",), ("S7",))),
-    ("z1''", (("z2'",), ("S7",)), (("z3'", "z4'"), ())),
-    ("z3''", (("z1''",), ("S8",)), (("z4'",), ("S7",))),
-]
-
-_BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)  # slot flipped at each setup step
 
 
 def _find_bridging_setup(ann: MarkedAnnulus):
@@ -984,6 +990,17 @@ REPORT_NAMES = (
 )
 
 
+# the parameters each report takes, at their defaults; a report not
+# listed takes none
+_DEFAULTS = {
+    "case1": {"p": 2, "q": 1},
+    "case2-geometric": {"p": 4, "q": 1, "depth": 6},
+    "induction": {"p": 2, "q": 2, "K": 5},
+    "quiver-recovery": {"p": 2, "q": 1, "depth": 4},
+    "unistructurality": {"p": 2, "q": 1, "depth": 4},
+}
+
+
 def run_report(
     name: str,
     p: Optional[int] = None,
@@ -996,39 +1013,41 @@ def run_report(
 
     Only a parameter left as None takes its default.  An explicit value, 0
     included, is used as given, so an invalid annulus size raises
-    InvalidAnnulus instead of silently running the default annulus.
+    InvalidAnnulus instead of silently running the default annulus.  A
+    parameter the report does not take raises InvalidParameter; "all"
+    runs every report at its defaults and takes none.
     """
+    if name != "all" and name not in REPORT_NAMES:
+        raise ValueError(f"unknown report {name!r}")
+    given = {key: value for key, value in (("p", p), ("q", q), ("depth", depth), ("K", K))
+             if value is not None}
+    defaults = _DEFAULTS.get(name, {})
+    unused = [key for key in given if key not in defaults]
+    if unused:
+        raise InvalidParameter(f"report {name!r} does not take {', '.join(unused)}")
+    params = {**defaults, **given}
+    if "p" in params:
+        MarkedAnnulus(params["p"], params["q"])  # an invalid annulus raises before any work
+
     if name == "all":
-        # parameter overrides apply to single reports only; the bundle runs
-        # every report at its documented default
         out = []
         for item in REPORT_NAMES:
             out.extend(run_report(item, rng_seed=rng_seed))
         return out
-
-    def annulus(default_p: int, default_q: int) -> tuple[int, int]:
-        ann = MarkedAnnulus(given(p, default_p), given(q, default_q))
-        return ann.p, ann.q
-
-    def given(value: Optional[int], default: int) -> int:
-        return default if value is None else value
-
     if name == "lemma31":
         return [report_dichotomy_instances()]
     if name == "case1":
-        return [report_crossing_quadrilateral(*annulus(2, 1))]
+        return [report_crossing_quadrilateral(**params)]
     if name == "case2-formal":
         return [report_peripheral_chain_formal()]
     if name == "case2-geometric":
-        return [report_peripheral_chain_geometric(*annulus(4, 1), given(depth, 6))]
+        return [report_peripheral_chain_geometric(**params)]
     if name in ("case3-n2", "case3-n3", "case3-n4"):
         return [report_bridging_chain_formal(int(name[-1]))]
     if name == "induction":
-        return [report_winding_induction(*annulus(2, 2), given(K, 5))]
+        return [report_winding_induction(**params)]
     if name == "quiver-recovery":
-        return [report_quiver_recovery(*annulus(2, 1), given(depth, 4))]
+        return [report_quiver_recovery(**params)]
     if name == "unistructurality":
-        return [report_unistructurality(*annulus(2, 1), given(depth, 4))]
-    if name == "cover-flip":
-        return [report_cover_flip(rng_seed=rng_seed)]
-    raise ValueError(f"unknown report {name!r}")
+        return [report_unistructurality(**params)]
+    return [report_cover_flip(rng_seed=rng_seed)]

@@ -135,6 +135,12 @@ def test_verify_rejects_zero_annulus_sizes(runner, sizes):
     ["--report", "induction", "--K", "2"],
     ["--report", "unistructurality", "--p", "2", "--q", "1", "--depth", "-2"],
     ["--report", "case2-geometric", "--p", "4", "--q", "1", "--depth", "-1"],
+    # a parameter the report does not take is rejected, not ignored
+    ["--report", "lemma31", "--p", "9"],
+    ["--report", "all", "--K", "2"],
+    ["--report", "cover-flip", "--depth", "-3"],
+    ["--report", "case3-n2", "--p", "0"],
+    ["--report", "induction", "--depth", "99"],
 ])
 def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     # a report precondition is a typed error, caught into the JSON envelope;
@@ -196,6 +202,19 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
      {"p": 1, "q": 1, "arcs": [arc_to_json(make_arc(C11, (0, 0), (1, 0))),
                                arc_to_json(make_arc(C11, (0, 0), (1, 2)))]},
      "InvalidTriangulation"),
+    # cluster variables of different arities, or a zero variable, are invalid seeds
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [poly_to_json(coordinates(3)[0]), poly_to_json(coordinates(2)[1])]},
+     "InvalidParameter"),
+    (["exchange-graph", "--depth", "1", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [poly_to_json(coordinates(2)[0]), poly_to_json(coordinates(3)[1])]},
+     "InvalidParameter"),
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [{"arity": 2, "terms": []}, poly_to_json(coordinates(2)[1])]},
+     "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

@@ -17,7 +17,6 @@ from clusterlab.engine import (
     is_algebraically_independent,
     jacobian_determinant,
     mutate_seed,
-    positivity_audit,
     seed_from_json,
     seed_to_json,
     variables_up_to_depth,
@@ -233,16 +232,18 @@ class TestIndependence:
 
 
 class TestPositivity:
+    # every enumerated variable has positive numerator coefficients
     def test_kronecker_depth_four(self, kronecker):
-        report = positivity_audit(kronecker, 4)
-        assert report.passed and report.checked >= 10
+        pool = variables_up_to_depth(kronecker, 4)
+        assert len(pool) >= 10
+        assert all(v.has_positive_coefficients() for v in pool)
 
     def test_two_one_depth_four(self):
-        report = positivity_audit(initial_seed(tilde_A_canonical(2, 1)), 4)
-        assert report.passed
+        pool = variables_up_to_depth(initial_seed(tilde_A_canonical(2, 1)), 4)
+        assert all(v.has_positive_coefficients() for v in pool)
 
     def test_initial(self, kronecker):
-        assert positivity_audit(kronecker, 0).passed
+        assert all(v.has_positive_coefficients() for v in variables_up_to_depth(kronecker, 0))
 
 
 class TestInferQuiver:

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked on its syntax trees."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import clusterlab
@@ -118,3 +119,103 @@ def test_the_check_sees_an_unreferenced_helper(tmp_path):
         "class _Gone:\n    pass\n\n\ndef public():\n    return 2\n"
     )
     assert _unreferenced_private_definitions([module]) == ["sample.py:5: _orphan", "sample.py:9: _Gone"]
+
+
+# public definitions no CLI command or report reaches yet, each kept for
+# the ROADMAP item whose report will reach it
+ALLOWED_UNREACHED = {
+    ("engine", "is_algebraically_independent"): "item 5, the independence report",
+    ("engine", "check_automorphism_candidate"): "item 6, the automorphism report",
+}
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and assigned names, with their nodes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
+    return out
+
+
+def _reached(trees: dict[str, ast.Module], roots) -> set[tuple[str, str]]:
+    """(module, name) of every definition a name walk from the roots reaches.
+
+    A root is a (module, name) definition; the walk follows every name a
+    reached definition reads into every definition of that name in any
+    module, so a name shared by two modules reaches both.
+    """
+    definitions = {
+        (module, name): node for module, tree in trees.items() for name, node in _definitions(tree).items()
+    }
+    by_name = defaultdict(list)
+    for module, name in definitions:
+        by_name[name].append((module, name))
+    reached = set(roots)
+    pending = list(reached)
+    while pending:
+        for name in _references(definitions[pending.pop()]):
+            for key in by_name[name]:
+                if key not in reached:
+                    reached.add(key)
+                    pending.append(key)
+    return reached
+
+
+def _unreached_public_definitions(paths, roots) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    reached = _reached(trees, roots)
+    return [
+        f"{module}.py:{node.lineno}: {name}"
+        for module, tree in trees.items()
+        for name, node in _definitions(tree).items()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not name.startswith("_") and (module, name) not in reached
+    ]
+
+
+def _package_roots() -> list[tuple[str, str]]:
+    """The CLI's commands and groups, and the report dispatcher."""
+    cli = ast.parse((PACKAGE / "cli.py").read_text())
+    commands = [
+        ("cli", node.name) for node in cli.body
+        if isinstance(node, ast.FunctionDef) and node.decorator_list
+    ]
+    return commands + [("verify", "run_report")]
+
+
+def _package_modules() -> list[Path]:
+    return [path for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+
+
+def test_every_public_definition_is_reached_from_the_cli_or_a_report():
+    # a public function or class nothing but tests reaches is surface to
+    # delete, unless it waits on a ROADMAP item's report
+    roots = _package_roots() + list(ALLOWED_UNREACHED)
+    assert _unreached_public_definitions(_package_modules(), roots) == []
+
+
+def test_the_allowed_unreached_names_are_still_unreached():
+    # an entry whose report now reaches it should be dropped from the list
+    trees = {path.stem: ast.parse(path.read_text()) for path in _package_modules()}
+    reached = _reached(trees, _package_roots())
+    for module, name in ALLOWED_UNREACHED:
+        assert name in _definitions(trees[module])
+        assert (module, name) not in reached
+
+
+def test_the_check_sees_an_unreached_definition(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "LIMIT = 3\n\n\ndef entry():\n    return helper(LIMIT)\n\n\n"
+        "def helper(x):\n    return _inner(x)\n\n\ndef _inner(x):\n    return Kept(x)\n\n\n"
+        "class Kept:\n    pass\n\n\ndef orphan():\n    return helper(1)\n\n\n"
+        "class Gone:\n    pass\n"
+    )
+    assert _unreached_public_definitions([module], [("sample", "entry")]) == [
+        "sample.py:20: orphan", "sample.py:24: Gone",
+    ]
