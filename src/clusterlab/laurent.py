@@ -412,10 +412,12 @@ _LATTICE_PAIRS = 4096
 _LATTICE_FILL = 4
 
 # memoryview formats of the signed words, by width in bytes, that read every
-# lattice slot in one cast; the slots are little-endian
+# lattice slot in one cast, and of the unsigned words that write them; the
+# slots are little-endian
 _SIGNED_WORDS = {struct.calcsize(code): code for code in "bhiq"}
+_UNSIGNED_WORDS = {struct.calcsize(code): code for code in "BHIQ"}
 if sys.byteorder != "little":
-    _SIGNED_WORDS = {}
+    _SIGNED_WORDS = _UNSIGNED_WORDS = {}
 
 
 def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]:
@@ -574,14 +576,26 @@ def _extend_basis(rows, pivots, denom, vector):
 
 def _kronecker_int(coeffs: Iterable[int], index: list[int], width: int) -> int:
     """Sum of ``c * 2**(8 * width * s)`` over coefficients c in slots s."""
+    # every |c| is below 2**(8 * width - 1) and every slot is named once;
+    # the magnitudes of each sign fill their own little-endian buffer,
+    # through an unsigned-word cast when width is a machine word
     size = (max(index) + 1) * width
     positive, negative = bytearray(size), bytearray(size)
-    for s, c in zip(index, coeffs):
-        s *= width
-        if c > 0:
-            positive[s:s + width] = c.to_bytes(width, "little")
-        else:
-            negative[s:s + width] = (-c).to_bytes(width, "little")
+    code = _UNSIGNED_WORDS.get(width)
+    if code is not None:
+        plus, minus = memoryview(positive).cast(code), memoryview(negative).cast(code)
+        for s, c in zip(index, coeffs):
+            if c > 0:
+                plus[s] = c
+            else:
+                minus[s] = -c
+    else:
+        for s, c in zip(index, coeffs):
+            s *= width
+            if c > 0:
+                positive[s:s + width] = c.to_bytes(width, "little")
+            else:
+                negative[s:s + width] = (-c).to_bytes(width, "little")
     return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 

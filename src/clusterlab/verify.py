@@ -25,8 +25,9 @@ from typing import Iterable, Optional, Sequence
 from . import engine, laurent
 from .annulus import (
     Arc,
-    FlipRecord,
     MarkedAnnulus,
+    Side,
+    Triangulation,
     TriSeed,
     arc_variable_map,
     candidate_arcs,
@@ -55,6 +56,7 @@ from .errors import (
     HypothesisNotSatisfied,
     IdentityFailed,
     InvalidParameter,
+    MalformedTriangulation,
     SearchExhausted,
     ShapeMismatch,
     SideConditionViolated,
@@ -69,7 +71,7 @@ from .laurent import (
     support_product,
     try_div_exact,
 )
-from .quiver import tilde_A_canonical
+from .quiver import Quiver, tilde_A_canonical
 
 
 @dataclass
@@ -275,8 +277,8 @@ def report_peripheral_chain_formal() -> IdentityReport:
     the deviation is visible rather than silently absorbed.
     """
     report = IdentityReport(name="case2-formal")
-    for ones, tag in ((frozenset(), "free"), (frozenset({8, 10}), "z8=z10=1")):
-        data = _peripheral_chain(ones)
+    chains = {"free": _peripheral_chain(), "z8=z10=1": _peripheral_chain((8, 10))}
+    for tag, data in chains.items():
         product = data["product"]
         for label, value in data["lines"].items():
             difference = product - value
@@ -286,7 +288,7 @@ def report_peripheral_chain_formal() -> IdentityReport:
                 )
         report.witness[f"{tag}: sigma1"] = format_poly(data["sigmas"][0], _Z10)
         report.witness[f"{tag}: sigma3 terms"] = str(len(data["sigmas"][2].terms))
-    data = _peripheral_chain()
+    data = chains["free"]
     z = data["z"]
     z1p, z2p, z3p, z4p, z5p = data["primed"]
     unprimed_s1 = z2p * z[4] * z[5] * z[8]
@@ -640,23 +642,95 @@ def _find_bridging_setup(ann: MarkedAnnulus):
     raise SearchExhausted(f"no winding-induction setup found on C({ann.p},{ann.q})")
 
 
-def _opposite_square(record: FlipRecord, arc: Arc) -> LaurentPoly:
-    """The product opposite the quadrilateral pair that is one arc twice.
-
-    The recurrence's square is that pair's product, already formed by the
-    flip; the arc must be the given slot arc.
-    """
-    for j, (first, second) in enumerate(record.pairs):
+def _opposite_pair(pairs: tuple[tuple[Side, Side], ...], arc: Arc) -> tuple[Side, Side]:
+    """The sides of the quadrilateral pair opposite the pair that is one
+    arc twice, from a flip's side pairs; that arc must be the given slot
+    arc."""
+    for j, (first, second) in enumerate(pairs):
         if first is not None and first == second:
             if first != arc:
                 raise ShapeMismatch(f"squared side is {first}, not the slot arc {arc}")
-            return record.products[1 - j]
+            return pairs[1 - j]
     raise ShapeMismatch("no quadrilateral pair is one arc twice")
+
+
+def _band(x0: LaurentPoly, x1: LaurentPoly, cross_term: LaurentPoly) -> LaurentPoly:
+    """The band L = (x2 + x0) / x1 of the winding recurrence, where x2 is
+    the quotient of the first winding relation x2 * x0 == x1**2 + c."""
+    return div_exact(div_exact(x1 * x1 + cross_term, x0) + x0, x1)
+
+
+def _winding_flip(tri: Triangulation, quiver: Quiver, cluster, slot: int, other: int,
+                  cross_term: LaurentPoly, band: LaurentPoly, label: str):
+    """One winding flip, checked by multiplication only; returns the
+    flipped triangulation, quiver and cluster.
+
+    Shape: the other slot's arc twice against a pair whose product is c
+    (ShapeMismatch).  Quiver alignment: the arcs of the positive and of the
+    negative entries of the slot's row are the two pairs' arcs, boundary
+    sides dropped (MalformedTriangulation); the cluster is algebraically
+    independent, so the quiver's exchange sum is x_n**2 + c.  Exchange:
+    x_{n+1} = L * x_n - x_{n-1} must satisfy x_{n+1} * x_{n-1} ==
+    x_n**2 + c (IdentityFailed), which fixes it, as the Laurent ring has
+    no zero divisors.
+    """
+    result = flip(tri, slot)
+    opposite = _opposite_pair(result.pairs, tri.arcs[other])
+    sides = [cluster[tri.index_of(side)] for side in opposite if side is not None]
+    if poly_prod(sides, cross_term.arity) != cross_term:
+        raise ShapeMismatch(f"{label} is not the recurrence")
+    row = quiver.b[slot]
+    arrows = sorted(
+        sorted(arc for arc, m in zip(tri.arcs, row) for _ in range(sign * m))
+        for sign in (1, -1)
+    )
+    pairs = sorted(sorted(side for side in pair if side is not None) for pair in result.pairs)
+    if arrows != pairs:
+        raise MalformedTriangulation(f"{label}: the quiver disagrees with the flip quadrilateral")
+    old, square = cluster[slot], cluster[other]
+    new = band * square - old
+    if new * old != square * square + cross_term:
+        raise IdentityFailed(f"{label}: the band recurrence misses the exchange relation")
+    cluster = list(cluster)
+    cluster[slot] = new
+    return result.triangulation, quiver.mutate(slot), cluster
+
+
+def _winding_walk(state: TriSeed, slot1: int, slot4: int, cross_term, band, K: int):
+    """The winding flips from the end of the setup, the fourth slot at
+    k = 2..K and the first at k = 3..K in turn: z1_k, z4_k and their arcs,
+    keyed by k."""
+    tri, quiver, cluster = state.tri, state.seed.quiver, state.seed.cluster
+    z1_vals = {2: cluster[slot1]}
+    z4_vals: dict[int, LaurentPoly] = {}
+    z1_arcs = {2: tri.arcs[slot1]}
+    z4_arcs: dict[int, Arc] = {}
+    for k in range(2, K + 1):
+        tri, quiver, cluster = _winding_flip(
+            tri, quiver, cluster, slot4, slot1, cross_term, band,
+            f"widening relation at k={k}",
+        )
+        z4_vals[k], z4_arcs[k] = cluster[slot4], tri.arcs[slot4]
+        if k < K:
+            tri, quiver, cluster = _winding_flip(
+                tri, quiver, cluster, slot1, slot4, cross_term, band,
+                f"return relation at k={k + 1}",
+            )
+            z1_vals[k + 1], z1_arcs[k + 1] = cluster[slot1], tri.arcs[slot1]
+    return z1_vals, z4_vals, z1_arcs, z4_arcs
 
 
 def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     """Run the alternating flip recurrence for a bridging arc against
     increasingly winding partners.
+
+    Past the setup the flips alternate between the first and the fourth
+    slot, and their variables x_0 = z4_1, x_1 = z1_2, x_2 = z4_2, ...
+    satisfy x_{n+1} * x_{n-1} == x_n**2 + c for the fixed cross term c.
+    Two consecutive relations show that L = (x_{n+1} + x_{n-1}) / x_n, the
+    band around the core, does not depend on n, so
+    x_{n+1} = L * x_n - x_{n-1}.  ``_band`` takes L from the first winding
+    relation; past it, no flip divides (``_winding_flip``).
 
     Checks, on a concrete annulus: (i) every exchange relation past the
     setup matches the two-term recurrence with the fixed cross term, (ii)
@@ -677,25 +751,8 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
             )
     cross_term = values["z2'"] * values["z3''"]
     slot1, slot4 = labeling[0], labeling[3]
-
-    z1_vals = {2: values["z1''"]}
-    z4_vals: dict[int, LaurentPoly] = {}
-    z1_arcs = {2: state.tri.arcs[slot1]}
-    z4_arcs: dict[int, Arc] = {}
-
-    current = state
-    for k in range(2, K + 1):
-        current, record = flip_state(current, slot4)
-        if _opposite_square(record, z1_arcs[k]) != cross_term:
-            raise ShapeMismatch(f"widening relation at k={k} is not the recurrence")
-        z4_vals[k] = record.new_var
-        z4_arcs[k] = current.tri.arcs[slot4]
-        if k < K:
-            current, record = flip_state(current, slot1)
-            if _opposite_square(record, z4_arcs[k]) != cross_term:
-                raise ShapeMismatch(f"return relation at k={k + 1} is not the recurrence")
-            z1_vals[k + 1] = record.new_var
-            z1_arcs[k + 1] = current.tri.arcs[slot1]
+    band = _band(state.seed.cluster[slot4], state.seed.cluster[slot1], cross_term)
+    z1_vals, z4_vals, z1_arcs, z4_arcs = _winding_walk(state, slot1, slot4, cross_term, band, K)
 
     for k in range(2, K + 1):
         got1 = crossing_number(z1_arcs[k], gamma_i, ann)

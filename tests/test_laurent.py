@@ -1,4 +1,5 @@
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -509,6 +510,35 @@ def lattice_calls():
 
 # the 2-D grading lattice of the C(2,2) cluster variables inside Z^4
 C22_BASIS = [(1, 0, 0, -1), (0, 1, 1, 0)]
+
+
+def slotwise_kronecker(coeffs, index, width):
+    """The Kronecker int built one slot at a time: the reference for the
+    machine-word fill of laurent._kronecker_int."""
+    return sum(c << (8 * width * s) for s, c in zip(index, coeffs))
+
+
+class TestKroneckerInt:
+    @pytest.mark.parametrize("packed", [True, False], ids=["machine-words", "byte-slices"])
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
+    def test_matches_the_slotwise_reference(self, monkeypatch, width, packed):
+        if not packed:
+            monkeypatch.setattr(laurent, "_UNSIGNED_WORDS", {})
+        top = (1 << (8 * width - 1)) - 1  # the largest |c| a width-byte slot holds
+        rng = random.Random(width)
+        coeffs = [top, -top, 1, -1, top - 1, -(top - 1)]
+        coeffs += [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(200)]
+        index = rng.sample(range(3 * len(coeffs)), len(coeffs))
+        assert laurent._kronecker_int(coeffs, index, width) == slotwise_kronecker(coeffs, index, width)
+        # the last slot holds an extreme value, so the int spans every byte
+        index[-1], coeffs[-1] = 3 * len(coeffs), -top
+        assert laurent._kronecker_int(coeffs, index, width) == slotwise_kronecker(coeffs, index, width)
+
+    def test_machine_word_widths_take_the_word_fill(self):
+        if sys.byteorder == "little":
+            assert sorted(laurent._UNSIGNED_WORDS) == [1, 2, 4, 8]
+        else:
+            assert laurent._UNSIGNED_WORDS == {}
 
 
 class TestLatticeProduct:

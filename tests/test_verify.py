@@ -5,19 +5,29 @@ import random
 
 import pytest
 
-from clusterlab import verify
-from clusterlab.annulus import MarkedAnnulus, classify_arc, flip_bfs, flip_state, initial_state
-from clusterlab.engine import initial_seed, mutate_seed
+from clusterlab import laurent, verify
+from clusterlab.annulus import (
+    MarkedAnnulus,
+    TriSeed,
+    classify_arc,
+    crossing_number,
+    flip,
+    flip_bfs,
+    flip_state,
+    initial_state,
+)
+from clusterlab.engine import Seed, initial_seed, mutate_seed
 from clusterlab.errors import (
     CounterexampleFound,
     HypothesisNotSatisfied,
     IdentityFailed,
     InvalidParameter,
+    MalformedTriangulation,
     SearchExhausted,
     ShapeMismatch,
     SideConditionViolated,
 )
-from clusterlab.laurent import coordinates, substitute
+from clusterlab.laurent import LaurentPoly, coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
     _BRIDGING_PATTERNS,
@@ -28,9 +38,11 @@ from clusterlab.verify import (
     IdentityReport,
     _find_bridging_setup,
     _labeled_matches,
+    _band,
     _match_product,
-    _opposite_square,
+    _opposite_pair,
     _run_pattern_sequence,
+    _winding_walk,
     check_dichotomy,
     max_peripheral_crossing,
     report_bridging_chain_formal,
@@ -88,6 +100,18 @@ class TestFormalChains:
         report = report_peripheral_chain_formal()
         assert report.passed
         assert len(report.notes) == 2  # both unprimed displays break the chain
+
+    def test_peripheral_chain_is_evaluated_once_per_specialization(self, monkeypatch):
+        calls = []
+        original = verify._peripheral_chain
+
+        def recording(ones=()):
+            calls.append(tuple(ones))
+            return original(ones)
+
+        monkeypatch.setattr(verify, "_peripheral_chain", recording)
+        report_peripheral_chain_formal()
+        assert calls == [(), (8, 10)]
 
     def test_bridging_chains(self):
         for n in (2, 3, 4):
@@ -257,20 +281,121 @@ class TestInduction:
         with pytest.raises(ValueError):
             run_report("induction", K=2)
 
-    def test_opposite_square_finds_the_pair_by_its_sides(self):
-        # on the fan of C(1,1), flipping arc 0 gives x1 * x1' = x2^2 + 1
-        state = initial_state(MarkedAnnulus(1, 1))
-        _, record = flip_state(state, 0)
-        assert _opposite_square(record, state.tri.arcs[1]).terms == {(0, 0): 1}
+    def test_opposite_pair_finds_the_pair_by_its_sides(self):
+        # on the fan of C(1,1), flipping arc 0 gives x1 * x1' = x2^2 + 1:
+        # arc 1 twice against two boundary segments
+        tri = initial_state(MarkedAnnulus(1, 1)).tri
+        pairs = flip(tri, 0).pairs
+        assert _opposite_pair(pairs, tri.arcs[1]) == (None, None)
         with pytest.raises(ShapeMismatch):
-            _opposite_square(record, state.tri.arcs[0])
+            _opposite_pair(pairs, tri.arcs[0])
 
-    def test_opposite_square_needs_a_square_pair(self):
+    def test_opposite_pair_needs_a_square_pair(self):
         # the inner fan arc of C(3,2) has no side twice on its quadrilateral
-        state = initial_state(MarkedAnnulus(3, 2))
-        _, record = flip_state(state, 3)
+        tri = initial_state(MarkedAnnulus(3, 2)).tri
         with pytest.raises(ShapeMismatch):
-            _opposite_square(record, state.tri.arcs[0])
+            _opposite_pair(flip(tri, 3).pairs, tri.arcs[0])
+
+
+def winding_setup():
+    """The C(2,2) setup of the induction: (bridging arc, end state of the
+    setup, first slot, fourth slot, cross term)."""
+    ann = MarkedAnnulus(2, 2)
+    setup, labeling, state, values, _, _ = _find_bridging_setup(ann)
+    cross_term = values["z2'"] * values["z3''"]
+    return setup.tri.arcs[labeling[0]], state, labeling[0], labeling[3], cross_term
+
+
+def flip_state_walk(state, slot1, slot4, cross_term, K):
+    """The winding flips made with flip_state, which mutates the seed and
+    divides every exchange sum: the slow path the band recurrence
+    replaces.  Returns z1_k, z4_k and their arcs, keyed by k."""
+    def step(state, slot, other):
+        new_state, record = flip_state(state, slot)
+        (square,) = [j for j, (a, b) in enumerate(record.pairs) if a is not None and a == b]
+        assert record.pairs[square][0] == state.tri.arcs[other]
+        assert record.products[1 - square] == cross_term
+        return new_state
+
+    z1_vals, z4_vals = {2: state.seed.cluster[slot1]}, {}
+    z1_arcs, z4_arcs = {2: state.tri.arcs[slot1]}, {}
+    for k in range(2, K + 1):
+        state = step(state, slot4, slot1)
+        z4_vals[k], z4_arcs[k] = state.seed.cluster[slot4], state.tri.arcs[slot4]
+        if k < K:
+            state = step(state, slot1, slot4)
+            z1_vals[k + 1], z1_arcs[k + 1] = state.seed.cluster[slot1], state.tri.arcs[slot1]
+    return z1_vals, z4_vals, z1_arcs, z4_arcs
+
+
+class TestBandRecurrence:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        gamma, state, slot1, slot4, cross_term = winding_setup()
+        band = _band(state.seed.cluster[slot4], state.seed.cluster[slot1], cross_term)
+        return gamma, state, slot1, slot4, cross_term, band
+
+    @pytest.mark.parametrize("K", [3, 4, 5, 6, 7, 8])
+    def test_matches_the_flip_state_walk(self, setup, K):
+        gamma, state, slot1, slot4, cross_term, band = setup
+        fast = _winding_walk(state, slot1, slot4, cross_term, band, K)
+        slow = flip_state_walk(state, slot1, slot4, cross_term, K)
+        assert fast == slow
+        ann = MarkedAnnulus(2, 2)
+        z1_arcs, z4_arcs = fast[2], fast[3]
+        assert [crossing_number(z1_arcs[k], gamma, ann) for k in range(2, K + 1)] == [
+            2 * k - 1 for k in range(2, K + 1)
+        ]
+        assert [crossing_number(z4_arcs[k], gamma, ann) for k in range(2, K + 1)] == [
+            2 * k for k in range(2, K + 1)
+        ]
+
+    def test_band_is_the_five_term_loop(self, setup):
+        *_, band = setup
+        assert len(band.terms) == 5
+        assert band.has_positive_coefficients()
+
+    @pytest.mark.parametrize("change", [1, -1, 2])
+    def test_a_changed_band_coefficient_raises(self, setup, change):
+        gamma, state, slot1, slot4, cross_term, band = setup
+        for exps in band.terms:
+            changed = band + LaurentPoly.monomial(exps, change)
+            with pytest.raises(IdentityFailed):
+                _winding_walk(state, slot1, slot4, cross_term, changed, 4)
+
+    def test_a_changed_cross_term_raises(self, setup):
+        gamma, state, slot1, slot4, cross_term, band = setup
+        x1 = coordinates(cross_term.arity)[0]
+        for changed in (cross_term + 1, cross_term * x1):
+            with pytest.raises(ShapeMismatch):
+                _winding_walk(state, slot1, slot4, changed, band, 4)
+
+    def test_a_quiver_out_of_step_raises(self, setup):
+        # the quiver mutated at a slot the winding never flips
+        gamma, state, slot1, slot4, cross_term, band = setup
+        other = min(set(range(len(state.tri.arcs))) - {slot1, slot4})
+        wrong = TriSeed(state.tri, Seed(state.seed.quiver.mutate(other), state.seed.cluster))
+        with pytest.raises(MalformedTriangulation):
+            _winding_walk(wrong, slot1, slot4, cross_term, band, 4)
+
+    def test_the_winding_flips_do_not_divide(self, monkeypatch):
+        # every exact division goes through laurent.try_div_exact (div_exact
+        # and the engine call it there) or verify's own binding of it
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        original = laurent.try_div_exact
+        monkeypatch.setattr(laurent, "try_div_exact", counting)
+        monkeypatch.setattr(verify, "try_div_exact", counting)
+        counts = {}
+        for K in (4, 8):
+            calls.clear()
+            report_winding_induction(2, 2, K)
+            counts[K] = len(calls)
+        assert counts[4] == counts[8] > 0
 
 
 def full_residuals(values, z1_vals, z4_vals):
