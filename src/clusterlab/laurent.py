@@ -635,21 +635,47 @@ def poly_prod(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
     return LaurentPoly.one(arity) if total is None else total
 
 
-def support_product(first: LaurentPoly, *rest: LaurentPoly) -> LaurentPoly:
-    """The support of the product of the factors, every coefficient 1.
+class SupportLattice:
+    """Supports of products of nonzero factors, as bitsets in one box.
 
-    Its monomials are the sums of one monomial of each factor.  Products
-    of 0/1 indicators have positive coefficients, so no term cancels, and
-    resetting the coefficients to 1 after each product keeps them at most
-    the smaller factor's term count, so lattice slots stay one or two
-    bytes wide.  When the factors are nonzero with positive coefficients,
-    their product's support is this one.
+    ``products`` lists the factors of every product that will be formed
+    (its partial products included).  One pivot lattice spans the term
+    differences of all the factors, and each radix is the widest summed
+    pivot range of a product, plus 1, so digits never carry and the pivot
+    digits name each product term once.  A support is an int with bit s
+    set for each slot s, counted from the product's low corner; the
+    support of the empty product is 1.
     """
-    total = _build(first._layout, dict.fromkeys(first._terms, 1), first._bound)
-    for factor in rest:
-        total = total * _build(factor._layout, dict.fromkeys(factor._terms, 1), factor._bound)
-        total = _build(total._layout, dict.fromkeys(total._terms, 1), total._bound)
-    return total
+
+    __slots__ = ("_factors", "_offsets")
+
+    def __init__(self, products: Sequence[Sequence[LaurentPoly]]):
+        # keyed by id: hashing a polynomial sorts its terms
+        factors = list({id(f): f for product in products for f in product}.values())
+        found = _pivot_lattice(
+            factors[0]._layout, [list(f._terms) for f in factors],
+            2 * max(f._bound for f in factors),
+        )
+        if found is None:
+            raise ExponentOverflow("exponents too large for an exact support lattice")
+        spans = {id(f): [max(col) - min(col) for col in cols] for f, cols in zip(factors, found[2])}
+        widths = [map(sum, zip(*(spans[id(f)] for f in product))) for product in products]
+        radices = [max(column) + 1 for column in zip(*widths)]
+        strides = [prod(radices[:j]) for j in range(len(radices))]
+        self._factors = factors  # keeps each id in _offsets naming its factor
+        self._offsets = {}
+        for f, cols in zip(factors, found[2]):
+            index = [-sum(min(col) * stride for col, stride in zip(cols, strides))] * len(f._terms)
+            for col, stride in zip(cols, strides):
+                index = list(map(add, index, map(mul, col, repeat(stride))))
+            self._offsets[id(f)] = index
+
+    def plus(self, bits: int, factor: LaurentPoly) -> int:
+        """The support of the product with support ``bits`` times ``factor``."""
+        out = 0
+        for offset in self._offsets[id(factor)]:
+            out |= bits << offset
+        return out
 
 
 def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:

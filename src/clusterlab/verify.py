@@ -17,6 +17,7 @@ than returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -63,12 +64,12 @@ from .errors import (
 )
 from .laurent import (
     LaurentPoly,
+    SupportLattice,
     coordinates,
     div_exact,
     format_poly,
     poly_prod,
     substitute,
-    support_product,
     try_div_exact,
 )
 from .quiver import Quiver, tilde_A_canonical
@@ -790,9 +791,10 @@ def _residual_term_counts(
     Laurent polynomials with positive coefficients is nonzero with positive
     coefficients, and none of its terms cancels, so its support is the sum
     of its factors' supports.  So every factor is checked positive and
-    each residual's term count is read off a support product; no residual
-    is multiplied out.  A factor that is zero or has a coefficient that is
-    not positive raises IdentityFailed, since the proof then fails.
+    each residual's term count is read off a support bitset over one
+    lattice of the chain; no residual is multiplied out.  A factor that is
+    zero or has a coefficient that is not positive raises IdentityFailed,
+    since the proof then fails.
     """
     def positive(name: str, factor: LaurentPoly, tag: int) -> LaurentPoly:
         if factor.is_zero() or not factor.has_positive_coefficients():
@@ -800,27 +802,33 @@ def _residual_term_counts(
         return factor
 
     z1v, z2v = values["z1"], values["z2"]
-    prefix = support_product(
-        positive("z1'", values["z1'"], 8), positive("z3'", values["z3'"], 8)
-    )
-    counts = {}
+    start = [positive("z1'", values["z1'"], 8), positive("z3'", values["z3'"], 8)]
+    prefix, steps, products = start, [], []
     for m in range(3, max(z4_vals) + 1):
         one, two = 2 * m + 2, 2 * m + 3
-        prefix = support_product(
+        grown = [
             positive(f"z1_{m - 1}", z1_vals[m - 1], one),
             positive(f"z4_{m - 1}", z4_vals[m - 1], one),
-            prefix,
-        )
+        ]
         small_one = z1v * z1_vals[m] - z2v * z4_vals[m - 1]
         small_two = z1v * z4_vals[m] - z2v * z1_vals[m]
-        counts[one] = len(support_product(
-            positive(f"z1*z1_{m} - z2*z4_{m - 1}", small_one, one), prefix
-        ).terms)
-        counts[two] = len(support_product(
+        own_one = [positive(f"z1*z1_{m} - z2*z4_{m - 1}", small_one, one)]
+        own_two = [
             positive(f"z1_{m}", z1_vals[m], two),
             positive(f"z1*z4_{m} - z2*z1_{m}", small_two, two),
-            prefix,
-        ).terms)
+        ]
+        prefix = prefix + grown
+        products += [prefix + own_one, prefix + own_two]
+        steps.append((one, two, grown, own_one, own_two))
+
+    # the prefix's support is carried from m to m + 1 as one bitset
+    lattice = SupportLattice(products)
+    bits = functools.reduce(lattice.plus, start, 1)
+    counts = {}
+    for one, two, grown, own_one, own_two in steps:
+        bits = functools.reduce(lattice.plus, grown, bits)
+        counts[one] = functools.reduce(lattice.plus, own_one, bits).bit_count()
+        counts[two] = functools.reduce(lattice.plus, own_two, bits).bit_count()
     return counts
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from clusterlab import laurent
 from clusterlab.annulus import (
     MarkedAnnulus,
     arc_to_json,
@@ -12,8 +13,10 @@ from clusterlab.annulus import (
 )
 from clusterlab.cli import main
 from clusterlab.engine import initial_seed, seed_to_json
+from clusterlab.errors import ExponentOverflow
 from clusterlab.laurent import coordinates, poly_to_json
 from clusterlab.quiver import quiver_to_json, tilde_A_canonical
+from clusterlab.verify import report_winding_induction
 
 # the envelope's error classes that mean invalid input, and exit 2
 INVALID_INPUT = {
@@ -151,6 +154,20 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidParameter"
+
+
+def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):
+    # the support lattice has no second counting path: when its packed
+    # lattice test cannot be trusted, the report raises and the CLI exits 1
+    monkeypatch.setattr(laurent, "_pivot_lattice", lambda *args: None)
+    with pytest.raises(ExponentOverflow):
+        report_winding_induction(2, 2, 3)
+    result = runner.invoke(main, ["verify", "--report", "induction", "--K", "3"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "ExponentOverflow"
+    assert envelope["detail"]
 
 
 @pytest.mark.parametrize("command,payload,error", [

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 import sys
 from unittest import mock
@@ -690,3 +692,74 @@ class TestLatticeProduct:
         assume(got is not None)
         assert got == loop_product(a, b)._terms
         assert got == expanded(to_sympy(a) * to_sympy(b), n)._terms
+
+
+# -- support bitsets against the sets of exponent sums -------------------------
+
+
+def sums(factors):
+    """The support of the product of nonzero positive factors: every sum of
+    one exponent vector per factor."""
+    choices = itertools.product(*(f.terms for f in factors))
+    return {tuple(map(sum, zip(*choice))) for choice in choices}
+
+
+def support_counts(products):
+    """Each product's term count read off one SupportLattice, one factor at
+    a time."""
+    lattice = laurent.SupportLattice(products)
+    return [functools.reduce(lattice.plus, product, 1).bit_count() for product in products]
+
+
+class TestSupportLattice:
+    def test_common_denominator_above_one(self):
+        # the inputs of TestLatticeProduct.test_common_denominator_above_one
+        rng = random.Random(4)
+        basis = [(2, 1, 0), (0, 2, 1)]
+        a = on_lattice(rng, basis, (1, -1, 0), 70)
+        b = on_lattice(rng, basis, (0, 3, -2), 70)
+        groups = (list(a._terms), list(b._terms))
+        _, denom, _ = laurent._pivot_lattice(a._layout, groups, 2 * max(a._bound, b._bound))
+        assert denom > 1
+        products = [[a], [a, b], [a, b, a]]
+        assert support_counts(products) == [len(sums(p)) for p in products]
+
+    def test_radices_come_from_the_widest_product(self):
+        # the earlier product is wider in both pivots than the last one,
+        # whose ranges alone would let the first one's digits carry
+        square = LaurentPoly(2, {(i, j): 1 for i in range(3) for j in range(3)})
+        wide = LaurentPoly(2, {**{(i, 0): 1 for i in range(10)}, **{(0, j): 1 for j in range(10)}})
+        narrow = LaurentPoly(2, {(i, j): 1 for i in range(2) for j in range(2)})
+        products = [[square, wide], [square, narrow]]
+        assert support_counts(products) == [len(sums(p)) for p in products] == [63, 16]
+
+    def test_an_untrusted_lattice_raises(self):
+        # exponents this large make the packed lattice test inexact
+        a = LaurentPoly(2, {(MAX_EXPONENT - 1 - e, e): 1 for e in range(70)})
+        b = LaurentPoly(2, {(-e, MIN_EXPONENT + 70 + e): 2 for e in range(70)})
+        with pytest.raises(ExponentOverflow):
+            laurent.SupportLattice([[a, b]])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_the_exponent_sums(self, data):
+        n = data.draw(arities)
+        rank = data.draw(st.integers(0, n))
+        basis = [data.draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(rank)]
+
+        def factor():
+            steps = st.tuples(*[st.integers(0, 3)] * rank)
+            picked = data.draw(st.lists(steps, min_size=1, max_size=6, unique=True))
+            offset = data.draw(st.tuples(*[small_exponents] * n))
+            coeff = data.draw(st.integers(1, 5))
+            points = (
+                tuple(o + sum(k * v[i] for k, v in zip(c, basis)) for i, o in enumerate(offset))
+                for c in picked
+            )
+            return LaurentPoly(n, dict.fromkeys(points, coeff))
+
+        chain = [factor() for _ in range(data.draw(st.integers(1, 4)))]
+        # every prefix of the chain, and the chain with a last factor swapped
+        products = [chain[:j] for j in range(1, len(chain) + 1)]
+        products.append(chain[:-1] + [factor()])
+        assert support_counts(products) == [len(sums(p)) for p in products]

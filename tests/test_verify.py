@@ -18,6 +18,7 @@ from clusterlab.annulus import (
 )
 from clusterlab.engine import Seed, initial_seed, mutate_seed
 from clusterlab.errors import (
+    ClusterLabError,
     CounterexampleFound,
     HypothesisNotSatisfied,
     IdentityFailed,
@@ -414,6 +415,33 @@ def full_residuals(values, z1_vals, z4_vals):
     return positive, counts
 
 
+def support_product(first, *rest):
+    """The support of the product of the factors, every coefficient 1,
+    from dict products with the coefficients reset to 1 after each: the
+    path the support bitsets replace."""
+    def ones(poly):
+        return LaurentPoly(poly.arity, dict.fromkeys(poly.terms, 1))
+
+    total = ones(first)
+    for factor in rest:
+        total = ones(total * ones(factor))
+    return total
+
+
+def support_counts(values, z1_vals, z4_vals):
+    """The residual term counts of the induction from support products."""
+    z1v, z2v = values["z1"], values["z2"]
+    prefix = support_product(values["z1'"], values["z3'"])
+    counts = {}
+    for m in range(3, max(z4_vals) + 1):
+        prefix = support_product(z1_vals[m - 1], z4_vals[m - 1], prefix)
+        small_one = z1v * z1_vals[m] - z2v * z4_vals[m - 1]
+        small_two = z1v * z4_vals[m] - z2v * z1_vals[m]
+        counts[2 * m + 2] = len(support_product(small_one, prefix).terms)
+        counts[2 * m + 3] = len(support_product(z1_vals[m], small_two, prefix).terms)
+    return counts
+
+
 class TestInductionFactorProof:
     @staticmethod
     def record(monkeypatch, tamper=lambda *args: args):
@@ -453,6 +481,30 @@ class TestInductionFactorProof:
         positive, _ = full_residuals(*seen[0])
         assert not positive
 
+    @pytest.mark.parametrize("p,q,K", [(2, 2, 6), (3, 2, 3), (2, 3, 3)])
+    def test_support_bitsets_match_the_support_products(self, monkeypatch, p, q, K):
+        # C(3,2) and C(2,3) have rank-4 lattices in 5 variables, whose
+        # support boxes are sparse
+        seen = self.record(monkeypatch)
+        report = report_winding_induction(p, q, K)
+        (factors,) = seen
+        assert report.witness["residual_term_counts"] == str(support_counts(*factors))
+
+    def test_one_pivot_lattice_per_report(self, monkeypatch):
+        counts = verify._residual_term_counts
+        seen = self.record(monkeypatch)
+        report_winding_induction(2, 2, 6)
+        calls = []
+        original = laurent._pivot_lattice
+
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(laurent, "_pivot_lattice", recording)
+        counts(*seen[0])
+        assert len(calls) == 1
+
     def test_K8_counts_are_pinned(self):
         # recorded from the full products, before the factor proof
         report = report_winding_induction(2, 2, 8)
@@ -460,6 +512,70 @@ class TestInductionFactorProof:
             8: 318, 9: 644, 10: 1179, 11: 1999, 12: 3192, 13: 4858,
             14: 7109, 15: 10069, 16: 13874, 17: 18672, 18: 24623, 19: 31899,
         })
+
+    def test_K12_counts_are_pinned(self):
+        # the documented scaling point; recorded from the support products
+        report = report_winding_induction(2, 2, 12)
+        assert report.witness["residual_term_counts"] == str({
+            8: 318, 9: 644, 10: 1179, 11: 1999, 12: 3192, 13: 4858, 14: 7109,
+            15: 10069, 16: 13874, 17: 18672, 18: 24623, 19: 31899, 20: 40684,
+            21: 51174, 22: 63577, 23: 78113, 24: 95014, 25: 114524, 26: 136899,
+            27: 162407,
+        })
+
+
+# the induction at K = 3 on the annuli where a side token binds to an arc
+# variable: S7 on C(3,2), S6 on C(2,3); on C(2,2) every side token is 1.
+# Only S8 -> S5 in z4' or z3'' changes none of the three reports.
+SIDE_TOKEN_ANNULI = {
+    (3, 2): ("{8: 11508, 9: 41646}", "S5=1, S6=1, S7=x1*x2^-1 + x2^-1*x3, S8=1"),
+    (2, 3): ("{8: 12310, 9: 43970}", "S5=1, S6=x1*x4^-1 + x3*x4^-1, S7=1, S8=1"),
+}
+
+
+def side_token_substitutions():
+    """(p, q, row, side, position, new): each side token occurrence in the
+    bridging patterns and a token to put there, where the old or the new
+    token is the one that binds to an arc variable on C(p,q)."""
+    bound = {(3, 2): "S7", (2, 3): "S6"}
+    for (p, q), arc_token in bound.items():
+        for name, *sides in _BRIDGING_PATTERNS:
+            for side, (_, tokens) in enumerate(sides):
+                for position, old in enumerate(tokens):
+                    for new in ("S5", "S6", "S7", "S8"):
+                        if new != old and arc_token in (old, new):
+                            yield p, q, name, side, position, new
+
+
+class TestSideTokens:
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return {(p, q): report_winding_induction(p, q, 3).to_json() for p, q in SIDE_TOKEN_ANNULI}
+
+    @pytest.mark.parametrize("p,q", sorted(SIDE_TOKEN_ANNULI))
+    def test_induction_is_pinned(self, p, q):
+        counts, bindings = SIDE_TOKEN_ANNULI[p, q]
+        report = report_winding_induction(p, q, 3)
+        assert report.witness["residual_term_counts"] == counts
+        assert report.witness["side_bindings"] == bindings
+
+    @pytest.mark.parametrize("p,q,name,side,position,new", list(side_token_substitutions()))
+    def test_a_substituted_side_token_changes_the_report(
+        self, monkeypatch, reports, p, q, name, side, position, new
+    ):
+        patterns = []
+        for token, *sides in _BRIDGING_PATTERNS:
+            if token == name:
+                keys, tokens = sides[side]
+                tokens = tokens[:position] + (new,) + tokens[position + 1:]
+                sides[side] = (keys, tokens)
+            patterns.append((token, *sides))
+        monkeypatch.setattr(verify, "_BRIDGING_PATTERNS", patterns)
+        try:
+            got = report_winding_induction(p, q, 3).to_json()
+        except ClusterLabError:
+            return
+        assert got != reports[p, q]
 
 
 class TestPreconditions:
