@@ -9,6 +9,8 @@ ever tries to close them.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
@@ -106,18 +108,20 @@ class GraphNode:
 
 @dataclass
 class ExchangeGraph:
-    """Depth-bounded exchange graph over canonicalized seeds."""
+    """Depth-bounded exchange graph over canonicalized seeds.  Node i is the
+    i-th entry of ``nodes``; ``_clusters[i]`` indexes its cluster into
+    ``_variables``, and ``_links[i]`` mirrors its ``adjacency`` by number."""
 
     root: ClusterKey
     depth: int
     nodes: dict[ClusterKey, GraphNode] = field(default_factory=dict)
     adjacency: dict[ClusterKey, dict[int, ClusterKey]] = field(default_factory=dict)
+    _variables: list[LaurentPoly] = field(default_factory=list, repr=False)
+    _clusters: list[tuple[int, ...]] = field(default_factory=list, repr=False)
+    _links: list[dict[int, int]] = field(default_factory=list, repr=False)
 
     def variables(self) -> set[LaurentPoly]:
-        out: set[LaurentPoly] = set()
-        for key in self.nodes:
-            out.update(key)
-        return out
+        return set(self._variables)
 
     def node_count(self) -> int:
         return len(self.nodes)
@@ -125,58 +129,55 @@ class ExchangeGraph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
 
+    def _sorted_numbers(self) -> tuple[list[int], list[int]]:
+        """Node numbers in sorted cluster order, and each node's place in it."""
+        keys = [v.sort_key() for v in self._variables]
+        order = sorted(range(len(self._clusters)), key=lambda a: [keys[i] for i in self._clusters[a]])
+        return order, sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+
     def to_json(self) -> dict:
         """JSON form of the graph, nodes in sorted cluster order.
 
         Each distinct variable is serialised once and its dict is shared by
         every node holding it, so treat the result as read-only.
         """
-        keys = sorted(self.nodes)
-        index = {key: i for i, key in enumerate(keys)}
-        as_json = {v: poly_to_json(v) for v in self.variables()}
+        order, place = self._sorted_numbers()
+        as_json = [poly_to_json(v) for v in self._variables]
+        nodes = list(self.nodes.values())
         return {
-            "root": index[self.root],
+            "root": place[0],
             "depth": self.depth,
             "nodes": [
                 {
-                    "cluster": [as_json[v] for v in key],
-                    "quiver": quiver_to_json(self.nodes[key].seed.quiver),
-                    "depth": self.nodes[key].depth,
+                    "cluster": [as_json[i] for i in self._clusters[a]],
+                    "quiver": quiver_to_json(nodes[a].seed.quiver),
+                    "depth": nodes[a].depth,
                 }
-                for key in keys
+                for a in order
             ],
             "edges": sorted(
-                [index[key], k, index[other]]
-                for key, nbrs in self.adjacency.items()
-                for k, other in nbrs.items()
-                if index[key] <= index[other]
+                [place[a], k, place[b]]
+                for a, links in enumerate(self._links)
+                for k, b in links.items()
+                if place[a] <= place[b]
             ),
         }
 
     def to_dot(self) -> str:
-        keys = sorted(self.nodes)
-        index = {key: i for i, key in enumerate(keys)}
+        """Nodes in sorted cluster order, labelled by denominator vectors;
+        each edge once, where enumeration first recorded it."""
+        order, place = self._sorted_numbers()
+        labels = ["(" + " ".join(map(str, denominator_vector(v))) + ")" for v in self._variables]
         lines = ["graph exchange {"]
-        for key in keys:
-            label = ",".join(
-                "(" + " ".join(str(d) for d in denominator_vector(v)) + ")" for v in key
-            )
-            lines.append(f'  n{index[key]} [label="{label}"];')
-        seen = set()
-        for key, nbrs in self.adjacency.items():
-            for other in nbrs.values():
-                pair = frozenset((index[key], index[other]))
-                if pair not in seen and len(pair) == 2:
-                    seen.add(pair)
-                    a, b = sorted(pair)
-                    lines.append(f"  n{a} -- n{b};")
+        lines.extend(f'  n{r} [label="{",".join(labels[i] for i in self._clusters[a])}"];'
+                     for r, a in enumerate(order))
+        lines.extend(f"  n{min(place[a], place[b])} -- n{max(place[a], place[b])};"
+                     for a, links in enumerate(self._links) for b in links.values() if a < b)
         lines.append("}")
         return "\n".join(lines)
 
 
-def exchange_graph(
-    seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> ExchangeGraph:
+def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT) -> ExchangeGraph:
     """Breadth-first enumeration of seeds to the given depth.
 
     Nodes are identified by their sorted cluster.  Two seeds with equal
@@ -186,56 +187,71 @@ def exchange_graph(
     at least) are not mutated again: mutation is an involution, so the
     edge is already recorded from the other end.
 
+    Variables are interned as ints, and a neighbour's cluster is its
+    parent's with one int bisected into place by sort key, so no
+    polynomial is hashed or compared per edge.
+
     The exchange quotient at k is a function of x_k and of the variables
     at k's neighbours with their multiplicities b_kj alone, so each such
     exchange is divided (by ``mutate_seed``, with its exactness check)
     once per call; an edge with an exchange seen before reuses the
-    quotient and still builds and checks its own seed and quiver.
+    quotient and still mutates and checks its own quiver.
     """
     if depth < 0:
         raise InvalidParameter(f"depth {depth} must be nonnegative")
     if node_limit < 1:
         raise InvalidParameter(f"node limit {node_limit} must be positive")
     root = canonical_seed(seed)
-    graph = ExchangeGraph(root=root.cluster, depth=depth)
-    graph.nodes[root.cluster] = GraphNode(root, 0)
-    graph.adjacency[root.cluster] = {}
-    quotients: dict[tuple[LaurentPoly, frozenset], LaurentPoly] = {}
-    queue = deque([root.cluster])
-    while queue:
-        key = queue.popleft()
-        node = graph.nodes[key]
+    variables = list(root.cluster)
+    sort_keys = [v.sort_key() for v in variables]
+    interned = {v: i for i, v in enumerate(variables)}
+    numbers = {tuple(range(root.rank)): 0}  # cluster ids -> node number
+    clusters, nodes, links = list(numbers), [GraphNode(root, 0)], [{}]
+    quotients: dict[tuple, int] = {}
+    for a, node in enumerate(nodes):  # nodes grows as it is walked: breadth first
         if node.depth >= depth:
-            continue
-        known = graph.adjacency[key]
-        cluster = node.seed.cluster
+            break
+        cluster, known = clusters[a], links[a]
         for k, row in enumerate(node.seed.quiver.b):
             if k in known:
                 continue
-            exchange = (cluster[k], frozenset((cluster[j], m) for j, m in enumerate(row) if m))
-            new_var = quotients.get(exchange)
-            if new_var is None:
+            exchange = (cluster[k], tuple((cluster[j], m) for j, m in enumerate(row) if m))
+            new = quotients.get(exchange)
+            if new is None:
                 mutated = mutate_seed(node.seed, k)
-                new_var = quotients[exchange] = mutated.cluster[k]
+                quiver, variable = mutated.quiver, mutated.cluster[k]
+                new = quotients[exchange] = interned.setdefault(variable, len(variables))
+                if new == len(variables):
+                    variables.append(variable)
+                    sort_keys.append(variable.sort_key())
             else:
-                mutated = Seed(node.seed.quiver.mutate(k), cluster[:k] + (new_var,) + cluster[k + 1:])
-            neighbor = canonical_seed(mutated)
-            nkey = neighbor.cluster
-            existing = graph.nodes.get(nkey)
-            if existing is None:
-                if len(graph.nodes) >= node_limit:
+                quiver = node.seed.quiver.mutate(k)
+            rest = cluster[:k] + cluster[k + 1:]
+            place = bisect_left(rest, sort_keys[new], key=sort_keys.__getitem__)
+            neighbour = rest[:place] + (new,) + rest[place:]
+            if place != k:
+                order = list(range(len(neighbour)))
+                order.insert(place, order.pop(k))
+                quiver = quiver.permuted(order)
+            b = numbers.setdefault(neighbour, len(nodes))
+            if b == len(nodes):
+                if b >= node_limit:
                     raise LimitExceeded(f"exchange graph exceeded {node_limit} nodes")
-                graph.nodes[nkey] = GraphNode(neighbor, node.depth + 1)
-                graph.adjacency[nkey] = {}
-                queue.append(nkey)
-            elif existing.seed.quiver != neighbor.quiver:
+                clusters.append(neighbour)
+                nodes.append(GraphNode(Seed(quiver, tuple(variables[i] for i in neighbour)), node.depth + 1))
+                links.append({})
+            elif nodes[b].seed.quiver != quiver:
                 raise AssertionError(
                     "two seeds share a cluster but disagree on the quiver; "
                     "cluster-keyed deduplication would be unsound"
                 )
-            known[k] = nkey
-            graph.adjacency[nkey][nkey.index(new_var)] = key
-    return graph
+            known[k] = b
+            links[b][place] = a
+    return ExchangeGraph(
+        root.cluster, depth, {n.seed.cluster: n for n in nodes},
+        {n.seed.cluster: {k: nodes[b].seed.cluster for k, b in link.items()} for n, link in zip(nodes, links)},
+        _variables=variables, _clusters=clusters, _links=links,
+    )
 
 
 def variables_up_to_depth(
@@ -267,21 +283,15 @@ def jacobian_determinant(variables: Sequence[LaurentPoly]) -> LaurentPoly:
     if n != arity:
         raise ValueError("need exactly one variable per ambient coordinate")
     rows = [[variables[i].derivative(j) for j in range(n)] for i in range(n)]
-    cache: dict[frozenset[int], LaurentPoly] = {}
 
+    @functools.cache
     def minor(cols: frozenset[int]) -> LaurentPoly:
-        got = cache.get(cols)
-        if got is not None:
-            return got
-        row = n - len(cols)
         if not cols:
-            value = LaurentPoly.one(arity)
-        else:
-            value = LaurentPoly.zero(arity)
-            for position, j in enumerate(sorted(cols)):
-                term = rows[row][j] * minor(cols - {j})
-                value = value + (term if position % 2 == 0 else -term)
-        cache[cols] = value
+            return LaurentPoly.one(arity)
+        value = LaurentPoly.zero(arity)
+        for position, j in enumerate(sorted(cols)):
+            term = rows[n - len(cols)][j] * minor(cols - {j})
+            value = value + (term if position % 2 == 0 else -term)
         return value
 
     return minor(frozenset(range(n)))
@@ -365,9 +375,7 @@ def infer_exchange_quiver(
                 raise InconsistentExchangePattern(
                     f"positions {i + 1} and {j + 1} admit no consistent orientation"
                 )
-    for j in range(n):
-        if choice[j] is None:
-            choice[j] = 0  # no interaction with the fixed component; either works
+    choice = [c or 0 for c in choice]  # None: no interaction with the fixed component; either works
 
     b = [[0] * n for _ in range(n)]
     for i in range(n):

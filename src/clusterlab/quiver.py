@@ -83,12 +83,7 @@ class Quiver:
 
     def arrows(self) -> list[tuple[int, int]]:
         """Arrow list with repetition for multiplicities."""
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.b[i][j] > 0:
-                    out.extend([(i, j)] * self.b[i][j])
-        return out
+        return [(i, j) for i, row in enumerate(self.b) for j, m in enumerate(row) if m > 0 for _ in range(m)]
 
     def mutate(self, k: int) -> "Quiver":
         """Mutation at point k.
@@ -128,18 +123,14 @@ class Quiver:
         return Quiver._trusted(_relabeled(self.b, perm))
 
     def is_acyclic(self) -> bool:
-        state = [0] * self.n  # 0 unseen, 1 active, 2 done
-
-        def visit(v: int) -> bool:
-            state[v] = 1
-            for w in range(self.n):
-                if self.b[v][w] > 0:
-                    if state[w] == 1 or (state[w] == 0 and not visit(w)):
-                        return False
-            state[v] = 2
-            return True
-
-        return all(state[v] or visit(v) for v in range(self.n))
+        """Whether removing points with no arrow in, round after round, empties the quiver."""
+        left = set(range(self.n))
+        while left:
+            sources = {v for v in left if all(self.b[u][v] <= 0 for u in left)}
+            if not sources:
+                return False
+            left -= sources
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, Quiver):
@@ -181,19 +172,21 @@ def _refine(nbrs: list[list[tuple[int, int]]], colour: list[int]) -> list[int]:
     A point's new colour is its old colour together with the sorted
     multiset of (b[v][w], colour of w) over its neighbours w; colours are
     the ranks of these signatures in sorted order, so they never depend on
-    the labels, and a refined cell stays where its parent cell was.
+    the labels, and a refined cell stays where its parent cell was.  A
+    discrete colouring is stable and is returned as it is.
     """
     cells = len(set(colour))
-    while True:
+    while cells < len(colour):
         sigs = [
             (colour[v], tuple(sorted((m, colour[w]) for m, w in row)))
             for v, row in enumerate(nbrs)
         ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         if len(rank) == cells:
-            return colour
+            break
         colour = [rank[sig] for sig in sigs]
         cells = len(rank)
+    return colour
 
 
 def _orbits(n: int, generators: list[list[int]]) -> list[int]:
@@ -295,47 +288,48 @@ def mutation_class(quiver: Quiver, node_limit: int) -> set[Quiver]:
     Returns canonical representatives.  Raises LimitExceeded when the class
     does not close within node_limit nodes, which signals either a limit
     that is too small or an input outside the finite-mutation world.
+    Each edge is canonicalized from one end: when Q mutated at k has the
+    canonical form N under perm, N mutated at perm.index(k) is a
+    relabeling of Q, so that direction of N is marked done.
     """
     if node_limit <= 0:
-        raise ValueError("node_limit must be positive")
+        raise InvalidParameter(f"node limit {node_limit} must be positive")
     start = canonical_form(quiver)
-    seen = {start}
+    done: dict[Quiver, set[int]] = {start: set()}
     frontier = [start]
     while frontier:
         nxt = []
         for current in frontier:
             for k in range(current.n):
-                neighbor = canonical_form(current.mutate(k))
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    if len(seen) > node_limit:
+                if k in done[current]:
+                    continue
+                mutated = current.mutate(k)
+                perm = canonical_permutation(mutated)
+                neighbor = Quiver._trusted(_relabeled(mutated.b, perm))
+                back = done.get(neighbor)
+                if back is None:
+                    if len(done) >= node_limit:
                         raise LimitExceeded(
                             f"mutation class exceeded {node_limit} quivers"
                         )
+                    back = done[neighbor] = set()
                     nxt.append(neighbor)
+                back.add(perm.index(k))
         frontier = nxt
-    return seen
+    return set(done)
 
 
 @dataclass(frozen=True)
 class TypeLabel:
-    """Recognition result: affine type-A with parameters, or anything else."""
+    """Recognition result: affine type A with parameters p and q, or
+    anything else when both are None."""
 
-    kind: str  # "tilde_a" | "other"
     p: Optional[int] = None
     q: Optional[int] = None
 
-    @classmethod
-    def tilde_a(cls, p: int, q: int) -> "TypeLabel":
-        return cls("tilde_a", p, q)
-
-    @classmethod
-    def other(cls) -> "TypeLabel":
-        return cls("other")
-
     @property
     def is_tilde_a(self) -> bool:
-        return self.kind == "tilde_a"
+        return self.p is not None
 
     def to_json(self) -> dict:
         if self.is_tilde_a:
@@ -368,8 +362,8 @@ def classify_tilde_A(quiver: Quiver, node_limit: int = DEFAULT_CLASS_LIMIT) -> T
         if q < 1:
             continue
         if key in _tilde_class(p, q, node_limit):
-            return TypeLabel.tilde_a(p, q)
-    return TypeLabel.other()
+            return TypeLabel(p, q)
+    return TypeLabel()
 
 
 def quiver_to_json(quiver: Quiver) -> dict:

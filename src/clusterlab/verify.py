@@ -848,10 +848,8 @@ def report_quiver_recovery(p: int, q: int, depth: int) -> IdentityReport:
     seed = initial_seed(quiver)
     pool = variables_up_to_depth(seed, depth)
     n = quiver.n
-    partner_counts = []
-    for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        partner_counts.append(sum(1 for v in pool if denominator_vector(v) == unit))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    partner_counts = [sum(denominator_vector(v) == unit for v in pool) for unit in units]
     inferred = engine.infer_exchange_quiver(list(seed.cluster), pool)
     matches = "same" if inferred == quiver else (
         "opposite" if inferred == quiver.opposite() else "neither"
@@ -874,8 +872,7 @@ def _nearest(items: Iterable[tuple]) -> dict:
     """Smallest depth per key over (key, depth) pairs."""
     out: dict = {}
     for key, d in items:
-        if key not in out or d < out[key]:
-            out[key] = d
+        out[key] = min(d, out.get(key, d))
     return out
 
 

@@ -80,7 +80,19 @@ def test_exchange_graph_with_dot(runner, tmp_path):
     payload = json.loads(result.output)
     assert len(payload["nodes"]) == 5
     assert len(payload["edges"]) == 4
-    assert dot.read_text().startswith("graph exchange")
+    assert dot.read_text() == "\n".join([
+        "graph exchange {",
+        '  n0 [label="(2 1),(1 0)"];',
+        '  n1 [label="(1 2),(0 1)"];',
+        '  n2 [label="(1 0),(0 0)"];',
+        '  n3 [label="(0 1),(0 0)"];',
+        '  n4 [label="(0 0),(0 0)"];',
+        "  n3 -- n4;",
+        "  n2 -- n4;",
+        "  n1 -- n3;",
+        "  n0 -- n2;",
+        "}\n",
+    ])
 
 
 def test_annulus_flip(runner, tmp_path):

@@ -149,6 +149,18 @@ class TestExchangeGraph:
         payload = json.dumps(exchange_graph(initial_seed(quiver), depth).to_json(), indent=2, sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
+    # sha256 of `exchange_graph(...).to_dot()`, recorded before node
+    # numbering replaced cluster-keyed lookups; edges come in enumeration order
+    @pytest.mark.parametrize("quiver,depth,digest", [
+        (tilde_A_canonical(3, 2), 4,
+         "95580bbe49a29d67851f139bc37daf5c521ad04e0e174bb540c12a92af7c6efb"),
+        (tilde_A_canonical(2, 2).mutate(1).mutate(3), 5,
+         "3835c2b2f49ae3bbc52b12536cd09a7588eb832b304f7e4d99cfb55fd603f9cd"),
+    ])
+    def test_graph_dot_is_golden(self, quiver, depth, digest):
+        dot = exchange_graph(initial_seed(quiver), depth).to_dot()
+        assert hashlib.sha256(dot.encode()).hexdigest() == digest
+
     def test_depth_zero(self, kronecker):
         graph = exchange_graph(kronecker, 0)
         assert graph.node_count() == 1 and graph.edge_count() == 0

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clusterlab import quiver as quiver_module
 from clusterlab.errors import InvalidParameter, InvalidQuiver, LimitExceeded
 from clusterlab.quiver import (
     Quiver,
@@ -14,6 +15,13 @@ from clusterlab.quiver import (
     quiver_to_json,
     tilde_A_canonical,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_class_cache():
+    """Each test closes the classes it classifies against itself, instead of
+    finding them closed by an earlier test."""
+    quiver_module._class_cache.clear()
 
 
 def arrow_step_mutation(n, arrows, k):
@@ -392,6 +400,17 @@ class TestCanonicalQuivers:
         assert sorted(quiver.arrows()) == [(0, 1), (0, 2), (1, 2)]
         assert quiver.is_acyclic()
 
+    def test_acyclic_exactly_when_some_order_has_every_arrow_forward(self):
+        rng = random.Random(12)
+        quivers = [tilde_A_canonical(3, 2), tilde_A_canonical(3, 2).mutate(1), Quiver(())]
+        quivers += [random_multiplicity_quiver(rng, rng.randrange(1, 6)) for _ in range(200)]
+        for quiver in quivers:
+            forward = any(
+                all(quiver.b[perm[i]][perm[j]] >= 0 for i, j in itertools.combinations(range(quiver.n), 2))
+                for perm in itertools.permutations(range(quiver.n))
+            )
+            assert quiver.is_acyclic() == forward
+
     def test_matches_annulus_oracle(self):
         # the annulus fan triangulation is the independent source of truth
         from clusterlab.annulus import MarkedAnnulus, initial_triangulation, quiver_of
@@ -408,7 +427,65 @@ class TestCanonicalQuivers:
             tilde_A_canonical(1, 0)
 
 
+def two_sided_closure(quiver, node_limit):
+    """The mutation class closed by canonicalizing every neighbour from
+    both ends of its edge: the oracle for the edge-once closure."""
+    start = canonical_form(quiver)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for current in frontier:
+            for k in range(current.n):
+                neighbor = canonical_form(current.mutate(k))
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    assert len(seen) <= node_limit
+                    nxt.append(neighbor)
+        frontier = nxt
+    return seen
+
+
+def a_line(n):
+    return Quiver.from_arrows(n, [(i, i + 1) for i in range(n - 1)])
+
+
+E6 = Quiver.from_arrows(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)])
+D6_AFFINE = Quiver.from_arrows(7, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)])
+ORACLE_CASES = [
+    pytest.param(tilde_A_canonical(p, n - p), id=f"tilde_A({p},{n - p})")
+    for n in range(2, 9)
+    for p in range((n + 1) // 2, n)
+] + [
+    pytest.param(E6, id="E6"),
+    pytest.param(D6_AFFINE, id="D6-affine"),
+    *(pytest.param(a_line(n), id=f"A{n}") for n in (2, 5, 8)),
+]
+
+
 class TestMutationClass:
+    @pytest.mark.parametrize("quiver", ORACLE_CASES)
+    def test_edge_once_closure_matches_two_sided_oracle(self, quiver):
+        assert mutation_class(quiver, 1000) == two_sided_closure(quiver, 1000)
+
+    def test_each_edge_is_canonicalized_once(self, monkeypatch):
+        # the two-sided closure made 701 calls here: the start, and each of
+        # the class's 100 quivers times 7 directions
+        calls = []
+
+        def counting(quiver):
+            calls.append(quiver)
+            return canonical_permutation(quiver)
+
+        monkeypatch.setattr(quiver_module, "canonical_permutation", counting)
+        assert len(mutation_class(tilde_A_canonical(4, 3), 1000)) == 100
+        assert len(calls) == 351
+
+    @pytest.mark.parametrize("node_limit", [0, -3])
+    def test_nonpositive_limit_is_invalid_parameter(self, node_limit):
+        with pytest.raises(InvalidParameter):
+            mutation_class(tilde_A_canonical(2, 1), node_limit)
+
     def test_double_arrow_class_is_singleton(self):
         kron = tilde_A_canonical(1, 1)
         assert mutation_class(kron, 10) == {canonical_form(kron)}
