@@ -21,7 +21,7 @@ from .annulus import (
     triangulation_to_json,
     variable_of_arc,
 )
-from .engine import exchange_graph, mutate_seed, seed_from_json, seed_to_json
+from .engine import DEFAULT_NODE_LIMIT, exchange_graph, mutate_seed, seed_from_json, seed_to_json
 from .errors import (
     ClusterLabError,
     InvalidAnnulus,
@@ -99,7 +99,7 @@ def mutate_seed_cmd(seed_path: str, direction: int, trace: bool):
 @main.command("exchange-graph")
 @click.option("--seed", "seed_path", required=True, type=click.Path(exists=True))
 @click.option("--depth", required=True, type=int)
-@click.option("--limit", default=100_000, show_default=True, type=int)
+@click.option("--limit", default=DEFAULT_NODE_LIMIT, show_default=True, type=int)
 @click.option("--dot", "dot_path", type=click.Path(), default=None)
 def exchange_graph_cmd(seed_path: str, depth: int, limit: int, dot_path: str | None):
     """Enumerate the exchange graph to a depth, optionally writing DOT."""
@@ -169,7 +169,7 @@ def variable_cmd(p: int, q: int, arc_path: str):
 @click.option("--q", type=int, default=None)
 @click.option("--depth", type=int, default=None)
 @click.option("--K", "big_k", type=int, default=None)
-@click.option("--seed-rng", type=int, default=0, show_default=True)
+@click.option("--seed-rng", type=int, default=None)
 def verify_cmd(report_name: str, p, q, depth, big_k, seed_rng):
     """Run a verification report; a failed check exits 1 with the error envelope."""
     reports = verify_mod.run_report(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import laurent
@@ -97,42 +97,37 @@ def canonical_seed(seed: Seed) -> Seed:
     return Seed(seed.quiver.permuted(order), tuple(seed.cluster[i] for i in order))
 
 
-ClusterKey = tuple[LaurentPoly, ...]
-
-
-@dataclass
-class GraphNode:
-    seed: Seed  # canonical
-    depth: int
-
-
 @dataclass
 class ExchangeGraph:
-    """Depth-bounded exchange graph over canonicalized seeds.  Node i is the
-    i-th entry of ``nodes``; ``_clusters[i]`` indexes its cluster into
-    ``_variables``, and ``_links[i]`` mirrors its ``adjacency`` by number."""
+    """Depth-bounded exchange graph with nodes numbered in enumeration
+    order, node 0 the root.  Node i has ``clusters[i]``, its cluster as ids
+    into ``variables`` in polynomial order, ``quivers[i]`` labelled along,
+    ``depths[i]``, and ``links[i]``, sending each direction k mutated at
+    node i to the neighbour's number."""
 
-    root: ClusterKey
     depth: int
-    nodes: dict[ClusterKey, GraphNode] = field(default_factory=dict)
-    adjacency: dict[ClusterKey, dict[int, ClusterKey]] = field(default_factory=dict)
-    _variables: list[LaurentPoly] = field(default_factory=list, repr=False)
-    _clusters: list[tuple[int, ...]] = field(default_factory=list, repr=False)
-    _links: list[dict[int, int]] = field(default_factory=list, repr=False)
+    variables: list[LaurentPoly]
+    clusters: list[tuple[int, ...]]
+    quivers: list[Quiver]
+    depths: list[int]
+    links: list[dict[int, int]]
 
-    def variables(self) -> set[LaurentPoly]:
-        return set(self._variables)
+    def cluster(self, i: int) -> tuple[LaurentPoly, ...]:
+        return tuple(self.variables[j] for j in self.clusters[i])
+
+    def seed(self, i: int) -> Seed:
+        return Seed(self.quivers[i], self.cluster(i))
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.clusters)
 
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return sum(map(len, self.links)) // 2
 
     def _sorted_numbers(self) -> tuple[list[int], list[int]]:
         """Node numbers in sorted cluster order, and each node's place in it."""
-        keys = [v.sort_key() for v in self._variables]
-        order = sorted(range(len(self._clusters)), key=lambda a: [keys[i] for i in self._clusters[a]])
+        keys = [v.sort_key() for v in self.variables]
+        order = sorted(range(len(self.clusters)), key=lambda a: [keys[i] for i in self.clusters[a]])
         return order, sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
 
     def to_json(self) -> dict:
@@ -142,22 +137,21 @@ class ExchangeGraph:
         every node holding it, so treat the result as read-only.
         """
         order, place = self._sorted_numbers()
-        as_json = [poly_to_json(v) for v in self._variables]
-        nodes = list(self.nodes.values())
+        as_json = [poly_to_json(v) for v in self.variables]
         return {
             "root": place[0],
             "depth": self.depth,
             "nodes": [
                 {
-                    "cluster": [as_json[i] for i in self._clusters[a]],
-                    "quiver": quiver_to_json(nodes[a].seed.quiver),
-                    "depth": nodes[a].depth,
+                    "cluster": [as_json[i] for i in self.clusters[a]],
+                    "quiver": quiver_to_json(self.quivers[a]),
+                    "depth": self.depths[a],
                 }
                 for a in order
             ],
             "edges": sorted(
                 [place[a], k, place[b]]
-                for a, links in enumerate(self._links)
+                for a, links in enumerate(self.links)
                 for k, b in links.items()
                 if place[a] <= place[b]
             ),
@@ -167,12 +161,12 @@ class ExchangeGraph:
         """Nodes in sorted cluster order, labelled by denominator vectors;
         each edge once, where enumeration first recorded it."""
         order, place = self._sorted_numbers()
-        labels = ["(" + " ".join(map(str, denominator_vector(v))) + ")" for v in self._variables]
+        labels = ["(" + " ".join(map(str, denominator_vector(v))) + ")" for v in self.variables]
         lines = ["graph exchange {"]
-        lines.extend(f'  n{r} [label="{",".join(labels[i] for i in self._clusters[a])}"];'
+        lines.extend(f'  n{r} [label="{",".join(labels[i] for i in self.clusters[a])}"];'
                      for r, a in enumerate(order))
         lines.extend(f"  n{min(place[a], place[b])} -- n{max(place[a], place[b])};"
-                     for a, links in enumerate(self._links) for b in links.values() if a < b)
+                     for a, links in enumerate(self.links) for b in links.values() if a < b)
         lines.append("}")
         return "\n".join(lines)
 
@@ -189,7 +183,8 @@ def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT)
 
     Variables are interned as ints, and a neighbour's cluster is its
     parent's with one int bisected into place by sort key, so no
-    polynomial is hashed or compared per edge.
+    polynomial is hashed or compared per edge, and no seed is built per
+    node.
 
     The exchange quotient at k is a function of x_k and of the variables
     at k's neighbours with their multiplicities b_kj alone, so each such
@@ -202,62 +197,62 @@ def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT)
     if node_limit < 1:
         raise InvalidParameter(f"node limit {node_limit} must be positive")
     root = canonical_seed(seed)
-    variables = list(root.cluster)
+    variables, clusters, quivers, depths, links = (
+        list(root.cluster), [tuple(range(root.rank))], [root.quiver], [0], [{}])
     sort_keys = [v.sort_key() for v in variables]
     interned = {v: i for i, v in enumerate(variables)}
-    numbers = {tuple(range(root.rank)): 0}  # cluster ids -> node number
-    clusters, nodes, links = list(numbers), [GraphNode(root, 0)], [{}]
+    numbers = {clusters[0]: 0}  # cluster ids -> node number
     quotients: dict[tuple, int] = {}
-    for a, node in enumerate(nodes):  # nodes grows as it is walked: breadth first
-        if node.depth >= depth:
+    for a, cluster in enumerate(clusters):  # clusters grows as it is walked: breadth first
+        if depths[a] >= depth:
             break
-        cluster, known = clusters[a], links[a]
-        for k, row in enumerate(node.seed.quiver.b):
+        known, parent = links[a], None
+        for k, row in enumerate(quivers[a].b):
             if k in known:
                 continue
             exchange = (cluster[k], tuple((cluster[j], m) for j, m in enumerate(row) if m))
             new = quotients.get(exchange)
             if new is None:
-                mutated = mutate_seed(node.seed, k)
+                parent = parent or Seed(quivers[a], tuple(variables[i] for i in cluster))
+                mutated = mutate_seed(parent, k)
                 quiver, variable = mutated.quiver, mutated.cluster[k]
                 new = quotients[exchange] = interned.setdefault(variable, len(variables))
                 if new == len(variables):
                     variables.append(variable)
                     sort_keys.append(variable.sort_key())
             else:
-                quiver = node.seed.quiver.mutate(k)
+                quiver = quivers[a].mutate(k)
             rest = cluster[:k] + cluster[k + 1:]
+            if new in rest:
+                raise InvalidParameter("cluster members must be pairwise distinct")
             place = bisect_left(rest, sort_keys[new], key=sort_keys.__getitem__)
             neighbour = rest[:place] + (new,) + rest[place:]
             if place != k:
                 order = list(range(len(neighbour)))
                 order.insert(place, order.pop(k))
                 quiver = quiver.permuted(order)
-            b = numbers.setdefault(neighbour, len(nodes))
-            if b == len(nodes):
+            b = numbers.setdefault(neighbour, len(clusters))
+            if b == len(clusters):
                 if b >= node_limit:
                     raise LimitExceeded(f"exchange graph exceeded {node_limit} nodes")
                 clusters.append(neighbour)
-                nodes.append(GraphNode(Seed(quiver, tuple(variables[i] for i in neighbour)), node.depth + 1))
+                quivers.append(quiver)
+                depths.append(depths[a] + 1)
                 links.append({})
-            elif nodes[b].seed.quiver != quiver:
+            elif quivers[b] != quiver:
                 raise AssertionError(
                     "two seeds share a cluster but disagree on the quiver; "
                     "cluster-keyed deduplication would be unsound"
                 )
             known[k] = b
             links[b][place] = a
-    return ExchangeGraph(
-        root.cluster, depth, {n.seed.cluster: n for n in nodes},
-        {n.seed.cluster: {k: nodes[b].seed.cluster for k, b in link.items()} for n, link in zip(nodes, links)},
-        _variables=variables, _clusters=clusters, _links=links,
-    )
+    return ExchangeGraph(depth, variables, clusters, quivers, depths, links)
 
 
 def variables_up_to_depth(
     seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> set[LaurentPoly]:
-    return exchange_graph(seed, depth, node_limit).variables()
+    return set(exchange_graph(seed, depth, node_limit).variables)
 
 
 def denominator_vector(variable: LaurentPoly) -> tuple[int, ...]:
@@ -411,35 +406,33 @@ def check_automorphism_candidate(
     if list(seed.cluster) != list(coordinates(seed.rank)):
         raise ValueError("candidate checking is rooted at a coordinate seed")
     graph = exchange_graph(seed, depth, node_limit)
+    numbers = {frozenset(graph.cluster(a)): a for a in range(graph.node_count())}
+    image = functools.cache(lambda i: laurent.substitute(graph.variables[i], images))
 
-    def apply(variable: LaurentPoly) -> Optional[LaurentPoly]:
-        return laurent.substitute(variable, images)
+    def image_node(a: int) -> Optional[int]:
+        """Number of the node whose cluster is node a's image, -1 when no
+        node's is; None when an image is not Laurent."""
+        mapped = [image(i) for i in graph.clusters[a]]
+        return None if any(v is None for v in mapped) else numbers.get(frozenset(mapped), -1)
 
-    image_cluster = [apply(v) for v in seed.cluster]
-    if any(v is None for v in image_cluster):
+    if image_node(0) in (None, -1):
         return False
-    image_key = tuple(sorted(image_cluster, key=lambda v: v.sort_key()))
-    if image_key not in graph.nodes:
-        return False
-
-    for key, node in graph.nodes.items():
-        if node.depth >= depth:
-            continue
-        mapped = [apply(v) for v in node.seed.cluster]
-        if any(v is None for v in mapped):
-            return False
-        mapped_key = tuple(sorted(mapped, key=lambda v: v.sort_key()))
-        target = graph.nodes.get(mapped_key)
+    for a, cluster in enumerate(graph.clusters):
+        if graph.depths[a] >= depth:
+            break  # nodes come in breadth-first order
+        target = image_node(a)
         if target is None:
+            return False
+        if target < 0:
             continue  # image cluster out of radius; undecided here
-        for k in range(node.seed.rank):
-            mutated = mutate_seed(node.seed, k).cluster[k]
-            expected = apply(mutated)
+        target_seed = graph.seed(target)
+        for k, i in enumerate(cluster):  # an interior node has all rank links
+            new = next(j for j in graph.clusters[graph.links[a][k]] if j not in cluster)
+            expected = image(new)
             if expected is None:
                 return False
-            j = mapped_key.index(mapped[k])
-            got = mutate_seed(target.seed, j).cluster[j]
-            if expected != got:
+            place = target_seed.cluster.index(image(i))
+            if expected != mutate_seed(target_seed, place).cluster[place]:
                 return False
     return True
 

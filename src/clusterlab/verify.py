@@ -333,10 +333,11 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
         require("two-crossing product", z[1] * v["z1'"] * v["z4'"], v["z1'"] * z[6] * z[8] + sigma2)
         report.witness["sigma1"] = format_poly(sigma1, _Z8)
         report.witness["sigma2 terms"] = str(len(sigma2.terms))
-    elif n == 3:
-        sigma4 = v["z1''"] * v["z3'"] * z[4] * z[6]
-        sigma5 = v["z1''"] * z[2] * v["z2'"] * z[4] + sigma4
-        sigma6 = v["z1'"] * z[2] * v["z2'"] * z[7] + sigma5
+        return report
+    sigma4 = v["z1''"] * v["z3'"] * z[4] * z[6]
+    sigma5 = v["z1''"] * z[2] * v["z2'"] * z[4] + sigma4
+    sigma6 = v["z1'"] * z[2] * v["z2'"] * z[7] + sigma5
+    if n == 3:
         require(
             "three-crossing product",
             z[1] * v["z1'"] * v["z3'"] * v["z1''"],
@@ -345,9 +346,6 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
         report.witness["sigma4"] = format_poly(sigma4, _Z8)
         report.witness["sigma6 terms"] = str(len(sigma6.terms))
     else:
-        sigma4 = v["z1''"] * v["z3'"] * z[4] * z[6]
-        sigma5 = v["z1''"] * z[2] * v["z2'"] * z[4] + sigma4
-        sigma6 = v["z1'"] * z[2] * v["z2'"] * z[7] + sigma5
         sigma7 = v["z1'"] * z[2] * v["z2'"] * v["z3'"] * v["z3''"] + v["z4''"] * sigma6
         require(
             "four-crossing product",
@@ -939,11 +937,11 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     for pick in picks:
         images = list(pick.state.seed.cluster)
         fresh = exchange_graph(initial_seed(pick.state.seed.quiver), depth)
-        image_of = {v: substitute(v, images) for v in fresh.variables()}
-        if any(image is None for image in image_of.values()):
+        image_of = [substitute(v, images) for v in fresh.variables]
+        if any(image is None for image in image_of):
             raise CounterexampleFound("a re-rooted variable is not Laurent in the root frame")
         translated = _nearest(
-            (frozenset(image_of[v] for v in key), gnode.depth) for key, gnode in fresh.nodes.items()
+            (frozenset(image_of[i] for i in cluster), d) for cluster, d in zip(fresh.clusters, fresh.depths)
         )
         mapped_vars = _nearest((v, d) for key, d in translated.items() for v in key)
         reach = depth - pick.depth
@@ -1037,30 +1035,22 @@ def report_dichotomy_instances() -> IdentityReport:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-REPORT_NAMES = (
-    "lemma31",
-    "case1",
-    "case2-formal",
-    "case2-geometric",
-    "case3-n2",
-    "case3-n3",
-    "case3-n4",
-    "induction",
-    "quiver-recovery",
-    "unistructurality",
-    "cover-flip",
-)
-
-
-# the parameters each report takes, at their defaults; a report not
-# listed takes none
-_DEFAULTS = {
-    "case1": {"p": 2, "q": 1},
-    "case2-geometric": {"p": 4, "q": 1, "depth": 6},
-    "induction": {"p": 2, "q": 2, "K": 5},
-    "quiver-recovery": {"p": 2, "q": 1, "depth": 4},
-    "unistructurality": {"p": 2, "q": 1, "depth": 4},
+# each report's function and the parameters it takes, at their defaults,
+# in the order "all" runs them
+_REPORTS = {
+    "lemma31": (report_dichotomy_instances, {}),
+    "case1": (report_crossing_quadrilateral, {"p": 2, "q": 1}),
+    "case2-formal": (report_peripheral_chain_formal, {}),
+    "case2-geometric": (report_peripheral_chain_geometric, {"p": 4, "q": 1, "depth": 6}),
+    "case3-n2": (functools.partial(report_bridging_chain_formal, 2), {}),
+    "case3-n3": (functools.partial(report_bridging_chain_formal, 3), {}),
+    "case3-n4": (functools.partial(report_bridging_chain_formal, 4), {}),
+    "induction": (report_winding_induction, {"p": 2, "q": 2, "K": 5}),
+    "quiver-recovery": (report_quiver_recovery, {"p": 2, "q": 1, "depth": 4}),
+    "unistructurality": (report_unistructurality, {"p": 2, "q": 1, "depth": 4}),
+    "cover-flip": (report_cover_flip, {"rng_seed": 0}),
 }
+REPORT_NAMES = tuple(_REPORTS)
 
 
 def run_report(
@@ -1069,7 +1059,7 @@ def run_report(
     q: Optional[int] = None,
     depth: Optional[int] = None,
     K: Optional[int] = None,
-    rng_seed: int = 0,
+    rng_seed: Optional[int] = None,
 ) -> list[IdentityReport]:
     """Run one named report (or all of them) with documented defaults.
 
@@ -1079,37 +1069,18 @@ def run_report(
     parameter the report does not take raises InvalidParameter; "all"
     runs every report at its defaults and takes none.
     """
-    if name != "all" and name not in REPORT_NAMES:
+    if name != "all" and name not in _REPORTS:
         raise ValueError(f"unknown report {name!r}")
-    given = {key: value for key, value in (("p", p), ("q", q), ("depth", depth), ("K", K))
+    given = {key: value for key, value in
+             (("p", p), ("q", q), ("depth", depth), ("K", K), ("rng_seed", rng_seed))
              if value is not None}
-    defaults = _DEFAULTS.get(name, {})
+    report, defaults = _REPORTS.get(name, (None, {}))
     unused = [key for key in given if key not in defaults]
     if unused:
         raise InvalidParameter(f"report {name!r} does not take {', '.join(unused)}")
     params = {**defaults, **given}
     if "p" in params:
         MarkedAnnulus(params["p"], params["q"])  # an invalid annulus raises before any work
-
     if name == "all":
-        out = []
-        for item in REPORT_NAMES:
-            out.extend(run_report(item, rng_seed=rng_seed))
-        return out
-    if name == "lemma31":
-        return [report_dichotomy_instances()]
-    if name == "case1":
-        return [report_crossing_quadrilateral(**params)]
-    if name == "case2-formal":
-        return [report_peripheral_chain_formal()]
-    if name == "case2-geometric":
-        return [report_peripheral_chain_geometric(**params)]
-    if name in ("case3-n2", "case3-n3", "case3-n4"):
-        return [report_bridging_chain_formal(int(name[-1]))]
-    if name == "induction":
-        return [report_winding_induction(**params)]
-    if name == "quiver-recovery":
-        return [report_quiver_recovery(**params)]
-    if name == "unistructurality":
-        return [report_unistructurality(**params)]
-    return [report_cover_flip(rng_seed=rng_seed)]
+        return [item for each in REPORT_NAMES for item in run_report(each)]
+    return [report(**params)]

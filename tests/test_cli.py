@@ -156,6 +156,7 @@ def test_verify_rejects_zero_annulus_sizes(runner, sizes):
     ["--report", "cover-flip", "--depth", "-3"],
     ["--report", "case3-n2", "--p", "0"],
     ["--report", "induction", "--depth", "99"],
+    ["--report", "all", "--seed-rng", "0"],
 ])
 def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     # a report precondition is a typed error, caught into the JSON envelope;
@@ -166,6 +167,15 @@ def test_verify_rejects_bad_parameters_with_envelope(runner, args):
     payload = json.loads(result.output)
     assert payload["passed"] is False
     assert payload["error"] == "InvalidParameter"
+
+
+def test_verify_seed_rng_is_read_only_by_cover_flip(runner):
+    rejected = runner.invoke(main, ["verify", "--report", "case2-formal", "--seed-rng", "5"])
+    assert rejected.exit_code == 2
+    assert "rng_seed" in json.loads(rejected.output)["detail"]
+    taken = runner.invoke(main, ["verify", "--report", "cover-flip", "--seed-rng", "5"])
+    assert taken.exit_code == 0
+    assert [report["name"] for report in json.loads(taken.output)] == ["cover-flip"]
 
 
 def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 
@@ -28,8 +29,8 @@ from clusterlab.errors import (
     NoPartnerFound,
     NotTwoMonomials,
 )
-from clusterlab.laurent import LaurentPoly, coordinates
-from clusterlab.quiver import tilde_A_canonical
+from clusterlab.laurent import LaurentPoly, coordinates, substitute
+from clusterlab.quiver import Quiver, tilde_A_canonical
 
 
 def exchange_key(seed, k):
@@ -125,11 +126,12 @@ class TestExchangeGraph:
         interior = set()
         # every edge, including those recorded only from their other end or
         # built from a reused quotient, is the one mutation gives
-        for key, node in graph.nodes.items():
-            if node.depth < depth:
-                for k in range(node.seed.rank):
-                    interior.add(exchange_key(node.seed, k))
-                    assert graph.adjacency[key][k] == canonical_seed(mutate_seed(node.seed, k)).cluster
+        for a, links in enumerate(graph.links):
+            if graph.depths[a] < depth:
+                seed = graph.seed(a)
+                for k in range(seed.rank):
+                    interior.add(exchange_key(seed, k))
+                    assert graph.seed(links[k]) == canonical_seed(mutate_seed(seed, k))
         assert interior.issuperset(calls)
 
     @pytest.mark.parametrize("depth,node_limit", [(-1, 10), (2, 0), (2, -5)])
@@ -169,21 +171,21 @@ class TestExchangeGraph:
         graph = exchange_graph(kronecker, 2)
         assert graph.node_count() == 5
         assert graph.edge_count() == 4
-        degrees = sorted(len(nbrs) for nbrs in graph.adjacency.values())
+        degrees = sorted(map(len, graph.links))
         assert degrees == [1, 1, 2, 2, 2]
 
     def test_interior_nodes_have_full_degree(self):
         seed = initial_seed(tilde_A_canonical(2, 1))
         graph = exchange_graph(seed, 3)
-        for key, node in graph.nodes.items():
-            if node.depth < 2:
-                assert len(graph.adjacency[key]) == 3
+        for links, depth in zip(graph.links, graph.depths):
+            if depth < 2:
+                assert len(links) == 3
 
     def test_adjacent_clusters_differ_in_one(self, kronecker):
         graph = exchange_graph(kronecker, 3)
-        for key, nbrs in graph.adjacency.items():
-            for other in nbrs.values():
-                assert len(set(key) - set(other)) == 1
+        for a, links in enumerate(graph.links):
+            for b in links.values():
+                assert len(set(graph.cluster(a)) - set(graph.cluster(b))) == 1
 
     def test_node_limit(self, kronecker):
         with pytest.raises(LimitExceeded):
@@ -197,7 +199,43 @@ class TestExchangeGraph:
         )
         a = exchange_graph(kronecker, 1)
         b = exchange_graph(swapped, 1)
-        assert set(a.nodes) == set(b.nodes)
+        assert set(map(a.cluster, range(a.node_count()))) == set(map(b.cluster, range(b.node_count())))
+
+    @pytest.mark.parametrize("quiver,depth", [
+        (tilde_A_canonical(1, 1), 4),
+        (tilde_A_canonical(2, 1), 4),
+        (tilde_A_canonical(3, 2), 3),
+        (tilde_A_canonical(2, 2).mutate(1).mutate(3), 3),
+    ])
+    def test_numbered_graph_invariants(self, quiver, depth):
+        graph = exchange_graph(initial_seed(quiver), depth)
+        keys = [v.sort_key() for v in graph.variables]
+        assert len(set(graph.variables)) == len(graph.variables)
+        assert len(set(graph.clusters)) == graph.node_count()
+        assert graph.clusters[0] == tuple(range(quiver.n)) and graph.depths[0] == 0
+        for a, cluster in enumerate(graph.clusters):
+            # ids pairwise distinct and in sort-key order
+            assert len(set(cluster)) == len(cluster) == quiver.n
+            assert all(keys[i] < keys[j] for i, j in zip(cluster, cluster[1:]))
+            if graph.depths[a] < depth:
+                assert sorted(graph.links[a]) == list(range(quiver.n))
+            for k, b in graph.links[a].items():
+                (old,) = set(cluster) - set(graph.clusters[b])
+                (new,) = set(graph.clusters[b]) - set(cluster)
+                assert cluster.index(old) == k
+                assert graph.links[b][graph.clusters[b].index(new)] == a
+                assert abs(graph.depths[a] - graph.depths[b]) <= 1
+
+    def test_repeated_variable_is_invalid_parameter(self):
+        # an A2 edge and an isolated point, with the root cluster chosen so
+        # that x1' = 1/x1 at the A2 point and the isolated point's
+        # exchange 2/(2 x1) is the same variable: the second time the A2
+        # exchange comes up, its reused quotient is already in the cluster
+        x1, x2, _ = coordinates(3)
+        one = LaurentPoly.one(3)
+        root = Seed(Quiver([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]), (x1 * (x2 + one), x2, x1 + x1))
+        with pytest.raises(InvalidParameter, match="pairwise distinct"):
+            exchange_graph(root, 2)
 
 
 class TestVariables:
@@ -239,8 +277,8 @@ class TestIndependence:
 
     def test_all_enumerated_clusters(self, kronecker):
         graph = exchange_graph(kronecker, 4)
-        for key in graph.nodes:
-            assert is_algebraically_independent(list(key))
+        for a in range(graph.node_count()):
+            assert is_algebraically_independent(list(graph.cluster(a)))
 
 
 class TestPositivity:
@@ -323,6 +361,52 @@ class TestAutomorphismCandidates:
     def test_non_cluster_image_rejected(self, kronecker):
         x1, _ = coordinates(2)
         assert not check_automorphism_candidate(kronecker, [x1, X1_PRIME], 3)
+
+    @pytest.mark.parametrize("p,q,depth,passing,total", [
+        (1, 1, 4, 10, 10), (2, 1, 4, 10, 60), (2, 2, 3, 4, 120),
+    ])
+    def test_census(self, monkeypatch, p, q, depth, passing, total):
+        # every bijection from the initial cluster onto a cluster within half
+        # the radius; a checked edge (an interior node whose image cluster is
+        # enumerated, and one direction of it) costs one mutate_seed call,
+        # on the image side, besides those the exchange graph makes
+        seed = initial_seed(tilde_A_canonical(p, q))
+        graph = exchange_graph(seed, depth)
+        clusters = set(map(frozenset, map(graph.cluster, range(graph.node_count()))))
+        interior = [graph.cluster(a) for a, d in enumerate(graph.depths) if d < depth]
+        candidates = [
+            list(images)
+            for a, d in enumerate(graph.depths) if d <= depth // 2
+            for images in itertools.permutations(graph.cluster(a))
+        ]
+        assert len(candidates) == total
+        calls, inside = {"graph": 0, "check": 0}, []
+
+        def counting(seed, k):
+            calls["graph" if inside else "check"] += 1
+            return mutate_seed(seed, k)
+
+        def graph_counting(*args):
+            inside.append(True)
+            try:
+                return exchange_graph(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(engine, "mutate_seed", counting)
+        monkeypatch.setattr(engine, "exchange_graph", graph_counting)
+        passed = 0
+        for images in candidates:
+            calls["check"] = 0
+            checked = seed.rank * sum(
+                frozenset(substitute(v, images) for v in cluster) in clusters for cluster in interior
+            )
+            if check_automorphism_candidate(seed, images, depth):
+                passed += 1
+                assert calls["check"] == checked
+            else:
+                assert calls["check"] <= checked
+        assert passed == passing
 
 
 class TestSerialization:

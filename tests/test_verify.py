@@ -588,6 +588,14 @@ class TestPreconditions:
         with pytest.raises(InvalidParameter):
             run_report(name, **params)
 
+    @pytest.mark.parametrize("name", ["case2-formal", "unistructurality", "all"])
+    @pytest.mark.parametrize("rng_seed", [0, 5])
+    def test_rng_seed_is_taken_only_by_cover_flip(self, name, rng_seed):
+        # like every other parameter, an rng seed a report does not read is
+        # rejected, 0 included, instead of silently ignored
+        with pytest.raises(InvalidParameter, match="rng_seed"):
+            run_report(name, rng_seed=rng_seed)
+
 
 class TestRecoveryAndUniqueness:
     @pytest.mark.parametrize("p,q,depth", [(1, 1, 3), (2, 1, 4), (3, 2, 3)])
