@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import functools
 import struct
-import sys
 from collections.abc import Mapping
-from itertools import compress, repeat
+from itertools import repeat
 from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
@@ -239,10 +238,6 @@ class LaurentPoly:
         bound = self._bound + other._bound
         if bound > MAX_EXPONENT:
             bound = _product_bound(self, other)
-        if len(self._terms) * len(other._terms) >= _LATTICE_PAIRS:
-            out = _lattice_product(self, other)
-            if out is not None:
-                return _build(self._layout, out, bound)
         # the longer operand in the inner loop, so the outer loop runs least
         outer, inner = self._terms, other._terms
         if len(outer) > len(inner):
@@ -405,105 +400,6 @@ def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
     return bound
 
 
-# A product with at least this many term pairs tries the lattice path first,
-# and falls back to the term-pair loop when the lattice box holds more than
-# _LATTICE_FILL slots per term pair (a sparse support in many directions).
-_LATTICE_PAIRS = 4096
-_LATTICE_FILL = 4
-
-# memoryview formats of the signed words, by width in bytes, that read every
-# lattice slot in one cast, and of the unsigned words that write them; the
-# slots are little-endian
-_SIGNED_WORDS = {struct.calcsize(code): code for code in "bhiq"}
-_UNSIGNED_WORDS = {struct.calcsize(code): code for code in "BHIQ"}
-if sys.byteorder != "little":
-    _SIGNED_WORDS = _UNSIGNED_WORDS = {}
-
-
-def _lattice_product(a: LaurentPoly, b: LaurentPoly) -> Optional[dict[int, int]]:
-    """The packed terms of ``a * b`` from one big-int product, or None.
-
-    Kronecker substitution over the exponent lattice of the operands
-    (Harvey, J. Symb. Comp. 2009).  With a0 a term of a and b0 one of b,
-    every term-pair product lies on ``a0 + b0 + L``, where L is spanned by
-    the differences between terms of each operand.  The pivot coordinates
-    of an echelon basis of L are injective on that affine lattice, so a
-    mixed-radix number over the product's box of pivot coordinates names
-    each product term, and adding the numbers of two factors never
-    carries.  Each operand becomes one int with coefficient ``c`` in slot
-    ``s`` at bit ``8 * width * s``; every product coefficient is at most
-    ``min(sum|a| * max|b|, sum|b| * max|a|)`` in absolute value, which
-    ``width`` bytes hold with a sign bit, so the slots of the product int
-    are the product's coefficients.  A width of at most 8 bytes is rounded
-    up to a machine word, so one memoryview cast reads every slot as a
-    signed int; wider slots are read one at a time.  A slot's key is
-    ``(denom * key(corner) + sum(digit_j * K_j)) / denom``, and a nonzero
-    remainder raises.  Returns None, meaning "use the term-pair loop",
-    when the box is too sparse or the lattice test cannot be trusted (see
-    ``_pivot_lattice``).  The caller has run the exponent overflow guard.
-    """
-    ta, tb = a._terms, b._terms
-    if not ta or not tb:
-        return {}
-    found = _pivot_lattice(a._layout, (list(ta), list(tb)), 2 * max(a._bound, b._bound))
-    if found is None:
-        return None
-    weights, denom, (cols_a, cols_b) = found
-    radices, corner = [], []
-    for col_a, col_b in zip(cols_a, cols_b):
-        low_a, low_b = min(col_a), min(col_b)
-        corner.append((low_a, low_b))
-        radices.append(max(col_a) - low_a + max(col_b) - low_b + 1)
-    slots = prod(radices)
-    if slots > _LATTICE_FILL * len(ta) * len(tb):
-        return None
-    strides = [prod(radices[j + 1:]) for j in range(len(radices))]
-    values_a, values_b = ta.values(), tb.values()
-    bound = min(sum(map(abs, values_a)) * max(map(abs, values_b)),
-                sum(map(abs, values_b)) * max(map(abs, values_a)))
-    width = (bound.bit_length() + 8) // 8  # bound < 2**(8 * width - 1)
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()  # a machine word: 1, 2, 4 or 8 bytes
-    factors = []
-    for side, (terms, cols) in enumerate(((ta, cols_a), (tb, cols_b))):
-        index = [-sum(low[side] * stride for low, stride in zip(corner, strides))] * len(terms)
-        for col, stride in zip(cols, strides):
-            index = list(map(add, index, map(mul, col, repeat(stride))))
-        factors.append(_kronecker_int(terms.values(), index, width))
-
-    # adding half to every slot keeps each one in 0..2**(8 * width) - 1, so
-    # no slot borrows from the next and the bytes are the biased slots;
-    # flipping each slot's top bit back leaves its two's-complement value
-    bias = int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
-    raw = ((factors[0] * factors[1] + bias) ^ bias).to_bytes(slots * width, "little")
-    if width in _SIGNED_WORDS:
-        coeffs = memoryview(raw).cast(_SIGNED_WORDS[width])
-    else:
-        coeffs = [int.from_bytes(raw[i:i + width], "little", signed=True)
-                  for i in range(0, len(raw), width)]
-
-    # denom * key of each slot: the first terms' keys moved to the box corner,
-    # then one weight per pivot digit
-    key_a, key_b = next(iter(ta)), next(iter(tb))
-    start = denom * (key_a + key_b - a._layout.zero)
-    for weight, col_a, col_b, (low_a, low_b) in zip(weights, cols_a, cols_b, corner):
-        start += (low_a - col_a[0] + low_b - col_b[0]) * weight
-    keys = [start]
-    for weight, radix in zip(weights, radices):
-        steps = [digit * weight for digit in range(radix)]
-        keys = [key + step for key in keys for step in steps]
-    terms = compress(zip(keys, coeffs), coeffs)
-    if denom == 1:
-        return dict(terms)
-    out = {}
-    for key, c in terms:
-        key, rem = divmod(key, denom)
-        if rem:
-            raise ArithmeticError("a lattice product slot is not an integer point")
-        out[key] = c
-    return out
-
-
 def _pivot_lattice(layout: _Layout, groups, spread: int):
     """An echelon basis of the differences within each group of packed keys.
 
@@ -572,31 +468,6 @@ def _extend_basis(rows, pivots, denom, vector):
     if denom < 0:
         common = -common
     return [[x // common for x in row] for row in rows], pivots, denom // common
-
-
-def _kronecker_int(coeffs: Iterable[int], index: list[int], width: int) -> int:
-    """Sum of ``c * 2**(8 * width * s)`` over coefficients c in slots s."""
-    # every |c| is below 2**(8 * width - 1) and every slot is named once;
-    # the magnitudes of each sign fill their own little-endian buffer,
-    # through an unsigned-word cast when width is a machine word
-    size = (max(index) + 1) * width
-    positive, negative = bytearray(size), bytearray(size)
-    code = _UNSIGNED_WORDS.get(width)
-    if code is not None:
-        plus, minus = memoryview(positive).cast(code), memoryview(negative).cast(code)
-        for s, c in zip(index, coeffs):
-            if c > 0:
-                plus[s] = c
-            else:
-                minus[s] = -c
-    else:
-        for s, c in zip(index, coeffs):
-            s *= width
-            if c > 0:
-                positive[s:s + width] = c.to_bytes(width, "little")
-            else:
-                negative[s:s + width] = (-c).to_bytes(width, "little")
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
 
 class _TermView(Mapping):

@@ -574,8 +574,10 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
     variables.  The found values are substituted back into the formal
     chain as an agreement check between the layers.
     """
-    if p < 4:
-        raise InvalidParameter("need at least four marked points on one boundary")
+    if max(p, q) < 4:
+        raise InvalidParameter(
+            "need at least four marked points on the outer or the inner boundary"
+        )
     ann = MarkedAnnulus(p, q)
     ceiling = max_peripheral_crossing(ann)
     if ceiling > 2:
@@ -661,17 +663,19 @@ def _band(x0: LaurentPoly, x1: LaurentPoly, cross_term: LaurentPoly) -> LaurentP
 
 def _winding_flip(tri: Triangulation, quiver: Quiver, cluster, slot: int, other: int,
                   cross_term: LaurentPoly, band: LaurentPoly, label: str):
-    """One winding flip, checked by multiplication only; returns the
-    flipped triangulation, quiver and cluster.
+    """One winding flip, x_{n+1} = L * x_n - x_{n-1}; returns the flipped
+    triangulation, quiver and cluster.
 
     Shape: the other slot's arc twice against a pair whose product is c
     (ShapeMismatch).  Quiver alignment: the arcs of the positive and of the
     negative entries of the slot's row are the two pairs' arcs, boundary
     sides dropped (MalformedTriangulation); the cluster is algebraically
     independent, so the quiver's exchange sum is x_n**2 + c.  Exchange:
-    x_{n+1} = L * x_n - x_{n-1} must satisfy x_{n+1} * x_{n-1} ==
-    x_n**2 + c (IdentityFailed), which fixes it, as the Laurent ring has
-    no zero divisors.
+    the recurrence conserves I_n = x_{n+1} * x_{n-1} - x_n**2, since
+    I_n = x_n * (L * x_{n-1} - x_n) - x_{n-1}**2 = I_{n-1}.  So once
+    ``_winding_walk`` has checked I_1 == c, x_{n+1} * x_{n-1} == x_n**2 + c
+    holds at every flip, and x_{n+1} is the exchanged variable, as the
+    Laurent ring has no zero divisors.
     """
     result = flip(tri, slot)
     opposite = _opposite_pair(result.pairs, tri.arcs[other])
@@ -686,20 +690,18 @@ def _winding_flip(tri: Triangulation, quiver: Quiver, cluster, slot: int, other:
     pairs = sorted(sorted(side for side in pair if side is not None) for pair in result.pairs)
     if arrows != pairs:
         raise MalformedTriangulation(f"{label}: the quiver disagrees with the flip quadrilateral")
-    old, square = cluster[slot], cluster[other]
-    new = band * square - old
-    if new * old != square * square + cross_term:
-        raise IdentityFailed(f"{label}: the band recurrence misses the exchange relation")
     cluster = list(cluster)
-    cluster[slot] = new
+    cluster[slot] = band * cluster[other] - cluster[slot]
     return result.triangulation, quiver.mutate(slot), cluster
 
 
 def _winding_walk(state: TriSeed, slot1: int, slot4: int, cross_term, band, K: int):
     """The winding flips from the end of the setup, the fourth slot at
     k = 2..K and the first at k = 3..K in turn: z1_k, z4_k and their arcs,
-    keyed by k."""
+    keyed by k.  The exchange relation of the first flip is checked
+    exactly (IdentityFailed); it gives every later one (``_winding_flip``)."""
     tri, quiver, cluster = state.tri, state.seed.quiver, state.seed.cluster
+    x0 = cluster[slot4]
     z1_vals = {2: cluster[slot1]}
     z4_vals: dict[int, LaurentPoly] = {}
     z1_arcs = {2: tri.arcs[slot1]}
@@ -710,6 +712,10 @@ def _winding_walk(state: TriSeed, slot1: int, slot4: int, cross_term, band, K: i
             f"widening relation at k={k}",
         )
         z4_vals[k], z4_arcs[k] = cluster[slot4], tri.arcs[slot4]
+        if k == 2 and z4_vals[2] * x0 != z1_vals[2] * z1_vals[2] + cross_term:
+            raise IdentityFailed(
+                "widening relation at k=2: the band recurrence misses the exchange relation"
+            )
         if k < K:
             tri, quiver, cluster = _winding_flip(
                 tri, quiver, cluster, slot1, slot4, cross_term, band,
@@ -732,7 +738,10 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     relation; past it, no flip divides (``_winding_flip``).
 
     Checks, on a concrete annulus: (i) every exchange relation past the
-    setup matches the two-term recurrence with the fixed cross term, (ii)
+    setup matches the two-term recurrence with the fixed cross term: each
+    flip's shape and quiver row give the exchange sum x_n**2 + c, and the
+    recurrence conserves I_n = x_{n+1} * x_{n-1} - x_n**2 (I_n = I_{n-1}),
+    so checking I_1 == c once proves the relation at every flip, (ii)
     the new arcs cross the original bridging arc exactly 2k-1 and 2k
     times, (iii) the two general product identities hold with residuals
     whose expansions over the initial cluster are strictly positive,

@@ -127,11 +127,16 @@ def test_verify_rejects_unknown_report(runner):
 
 
 def test_verify_reports_errors_as_failure(runner):
-    # K below the supported range surfaces as a verification failure payload
+    # C(2,1) has fewer than four marked points on each boundary, which
+    # case2-geometric refuses as a typed precondition error in the envelope
     result = runner.invoke(
         main, ["verify", "--report", "case2-geometric", "--p", "2", "--q", "1"]
     )
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    assert payload["error"] == "InvalidParameter"
+    assert "outer or the inner boundary" in payload["detail"]
 
 
 @pytest.mark.parametrize("sizes", [["--p", "0", "--q", "0"], ["--p", "0"], ["--q", "0"]])

@@ -1,8 +1,6 @@
 import functools
 import itertools
 import random
-import sys
-from unittest import mock
 
 import pytest
 import sympy
@@ -466,24 +464,30 @@ class TestExponentOverflow:
         with pytest.raises(ExponentOverflow):
             try_div_exact(top, bottom)
 
+    def test_field_edges_raise_before_packing(self):
+        # 70 x 70 terms, one at the top of x1's field: the product leaves it
+        top = {(MAX_EXPONENT, 0): 1, **{(0, e): 1 for e in range(69)}}
+        a = LaurentPoly(2, top)
+        b = LaurentPoly(2, {(1, e): 1 for e in range(70)})
+        with pytest.raises(ExponentOverflow):
+            a * b
 
-# -- the lattice (Kronecker) product against the term-pair loop and sympy -----
+    def test_field_edges_that_fit_are_exact(self):
+        # both supports lie on a line at opposite ends of the field; the
+        # term pairs with line parameters summing to s meet in one term
+        a = LaurentPoly(2, {(MAX_EXPONENT - 1 - e, e): 1 for e in range(70)})
+        b = LaurentPoly(2, {(-e, MIN_EXPONENT + 70 + e): 2 for e in range(70)})
+        got = a * b
+        assert got == LaurentPoly(2, {
+            (MAX_EXPONENT - 1 - s, MIN_EXPONENT + 70 + s): 2 * (min(s, 138 - s) + 1)
+            for s in range(139)
+        })
 
 
-def loop_product(a, b):
-    """a * b by the term-pair loop alone, the oracle of the lattice path."""
-    with mock.patch.object(laurent, "_LATTICE_PAIRS", float("inf")):
-        return a * b
+# -- support bitsets against the sets of exponent sums -------------------------
 
 
-def lattice_terms(a, b, fill):
-    """The lattice path's packed terms of a * b with ``fill`` slots per
-    term pair allowed, None when it declines."""
-    with mock.patch.object(laurent, "_LATTICE_FILL", fill):
-        return laurent._lattice_product(a, b)
-
-
-def on_lattice(rng, basis, offset, count, coeff=lambda rng: rng.randrange(-9, 10)):
+def on_lattice(rng, basis, offset, count):
     """A polynomial with ``count`` terms at offset + sum(c_j * basis_j), 0 <= c_j < 12."""
     terms = {}
     while len(terms) < count:
@@ -491,210 +495,8 @@ def on_lattice(rng, basis, offset, count, coeff=lambda rng: rng.randrange(-9, 10
         exps = tuple(
             o + sum(c * vector[i] for c, vector in zip(steps, basis)) for i, o in enumerate(offset)
         )
-        terms[exps] = coeff(rng) or 1
+        terms[exps] = rng.randrange(-9, 10) or 1
     return LaurentPoly(len(offset), terms)
-
-
-@pytest.fixture
-def lattice_calls():
-    """Every (operands, result) of the lattice path while the test runs."""
-    calls = []
-    original = laurent._lattice_product
-
-    def recording(a, b):
-        out = original(a, b)
-        calls.append((a, b, out))
-        return out
-
-    with mock.patch.object(laurent, "_lattice_product", recording):
-        yield calls
-
-
-# the 2-D grading lattice of the C(2,2) cluster variables inside Z^4
-C22_BASIS = [(1, 0, 0, -1), (0, 1, 1, 0)]
-
-
-def slotwise_kronecker(coeffs, index, width):
-    """The Kronecker int built one slot at a time: the reference for the
-    machine-word fill of laurent._kronecker_int."""
-    return sum(c << (8 * width * s) for s, c in zip(index, coeffs))
-
-
-class TestKroneckerInt:
-    @pytest.mark.parametrize("packed", [True, False], ids=["machine-words", "byte-slices"])
-    @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
-    def test_matches_the_slotwise_reference(self, monkeypatch, width, packed):
-        if not packed:
-            monkeypatch.setattr(laurent, "_UNSIGNED_WORDS", {})
-        top = (1 << (8 * width - 1)) - 1  # the largest |c| a width-byte slot holds
-        rng = random.Random(width)
-        coeffs = [top, -top, 1, -1, top - 1, -(top - 1)]
-        coeffs += [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(200)]
-        index = rng.sample(range(3 * len(coeffs)), len(coeffs))
-        assert laurent._kronecker_int(coeffs, index, width) == slotwise_kronecker(coeffs, index, width)
-        # the last slot holds an extreme value, so the int spans every byte
-        index[-1], coeffs[-1] = 3 * len(coeffs), -top
-        assert laurent._kronecker_int(coeffs, index, width) == slotwise_kronecker(coeffs, index, width)
-
-    def test_machine_word_widths_take_the_word_fill(self):
-        if sys.byteorder == "little":
-            assert sorted(laurent._UNSIGNED_WORDS) == [1, 2, 4, 8]
-        else:
-            assert laurent._UNSIGNED_WORDS == {}
-
-
-class TestLatticeProduct:
-    def test_two_dimensional_lattice_in_four_variables(self, lattice_calls):
-        rng = random.Random(1)
-        a = on_lattice(rng, C22_BASIS, (0, -2, 1, 3), 80)
-        b = on_lattice(rng, C22_BASIS, (-1, 0, 0, 2), 60)
-        assert len(a.terms) * len(b.terms) >= laurent._LATTICE_PAIRS
-        got = a * b
-        assert [out is not None for *_, out in lattice_calls] == [True]
-        assert got == loop_product(a, b)
-        assert got == expanded(to_sympy(a) * to_sympy(b), 4)
-
-    def test_cancellation_leaves_only_the_corners(self, lattice_calls):
-        # (x1 - x2)(x3 - x4) * sum x1^i x2^(31-i) x3^j x4^(31-j)
-        #   == (x1^32 - x2^32)(x3^32 - x4^32): every inner slot cancels
-        x1, x2, x3, x4 = coordinates(4)
-        a = (x1 - x2) * (x3 - x4)
-        b = LaurentPoly(4, {(i, 31 - i, j, 31 - j): 1 for i in range(32) for j in range(32)})
-        got = a * b
-        assert lattice_calls[-1][2] is not None
-        assert got == (x1**32 - x2**32) * (x3**32 - x4**32)
-        assert len(got.terms) == 4
-        zero = LaurentPoly.zero(4)
-        assert laurent._lattice_product(zero, b) == {} == laurent._lattice_product(a, zero)
-
-    def test_negative_and_huge_coefficients(self, lattice_calls):
-        rng = random.Random(2)
-        huge = lambda rng: rng.randrange(-(2**100), 2**100)
-        a = on_lattice(rng, C22_BASIS, (3, 0, 0, -3), 70, huge)
-        b = on_lattice(rng, C22_BASIS, (0, 0, 0, 0), 70, huge)
-        got = a * b
-        assert lattice_calls[-1][2] is not None
-        assert max(abs(c) for c in got.terms.values()) > 2**64
-        assert any(c < 0 for c in got.terms.values())
-        assert got == loop_product(a, b)
-        assert got == expanded(to_sympy(a) * to_sympy(b), 4)
-
-    def test_arity_one(self, lattice_calls):
-        rng = random.Random(3)
-        a = LaurentPoly(1, {(e,): rng.randrange(-5, 6) or 1 for e in range(-30, 40)})
-        b = LaurentPoly(1, {(e,): rng.randrange(-(2**70), 2**70) or 1 for e in range(0, 140, 2)})
-        got = a * b
-        assert lattice_calls[-1][2] is not None
-        assert got == loop_product(a, b)
-        assert got == expanded(to_sympy(a) * to_sympy(b), 1)
-
-    def test_common_denominator_above_one(self, lattice_calls):
-        # the differences span (2, 1, 0) and (0, 2, 1); their reduced echelon
-        # rows (4, 0, -1) and (0, 4, 2) share the pivot entry 4
-        rng = random.Random(4)
-        basis = [(2, 1, 0), (0, 2, 1)]
-        a = on_lattice(rng, basis, (1, -1, 0), 70)
-        b = on_lattice(rng, basis, (0, 3, -2), 70)
-        groups = (list(a._terms), list(b._terms))
-        _, denom, _ = laurent._pivot_lattice(a._layout, groups, 2 * max(a._bound, b._bound))
-        assert denom > 1
-        got = a * b
-        assert lattice_calls[-1][2] is not None
-        assert got == loop_product(a, b)
-        assert got == expanded(to_sympy(a) * to_sympy(b), 3)
-
-    @pytest.mark.parametrize("bound", [
-        2**7 - 1, 2**7, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**63 - 1, 2**63,
-    ])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_slot_widths_at_their_boundaries(self, lattice_calls, bound, sign):
-        # b is 64 terms of +-1, so the slot bound is sum|a| == bound; the
-        # middle slot reaches sign * bound, and the other slots mix signs
-        rng = random.Random(bound)
-        coeffs = [rng.choice((1, -1)) for _ in range(63)]
-        coeffs.append(rng.choice((1, -1)) * (bound - 63))
-        rng.shuffle(coeffs)
-        a = LaurentPoly(1, {(e,): c for e, c in enumerate(coeffs)})
-        b = LaurentPoly(1, {(63 - e,): sign * (1 if c > 0 else -1) for e, c in enumerate(coeffs)})
-        got = a * b
-        assert [out is not None for *_, out in lattice_calls] == [True]
-        assert got.coefficient((63,)) == sign * bound
-        assert any(c < 0 for c in got.terms.values()) and any(c > 0 for c in got.terms.values())
-        assert got == loop_product(a, b)
-        assert got == expanded(to_sympy(a) * to_sympy(b), 1)
-
-    def test_sparse_full_dimensional_pair_falls_back(self, lattice_calls):
-        rng = random.Random(5)
-        point = lambda: tuple(rng.randrange(-40, 41) for _ in range(4))
-        a = LaurentPoly(4, {point(): rng.randrange(1, 9) for _ in range(70)})
-        b = LaurentPoly(4, {point(): rng.randrange(-9, 0) for _ in range(70)})
-        got = a * b
-        assert [out for *_, out in lattice_calls] == [None]
-        assert got == loop_product(a, b)
-
-    def test_small_products_never_try_the_lattice(self, lattice_calls):
-        rng = random.Random(6)
-        a = on_lattice(rng, C22_BASIS, (0, 0, 0, 0), 60)
-        b = on_lattice(rng, C22_BASIS, (0, 0, 0, 0), 60)
-        assert len(a.terms) * len(b.terms) < laurent._LATTICE_PAIRS
-        assert a * b == expanded(to_sympy(a) * to_sympy(b), 4)
-        assert lattice_calls == []
-
-    def test_field_edges_raise_before_packing(self):
-        # 70 x 70 terms, one at the top of x1's field: the product leaves it
-        top = {(MAX_EXPONENT, 0): 1, **{(0, e): 1 for e in range(69)}}
-        a = LaurentPoly(2, top)
-        b = LaurentPoly(2, {(1, e): 1 for e in range(70)})
-        untouched = mock.Mock(side_effect=AssertionError("packed an overflowing product"))
-        with mock.patch.object(laurent, "_lattice_product", untouched):
-            with pytest.raises(ExponentOverflow):
-                a * b
-        assert not untouched.called
-
-    def test_field_edges_that_fit_are_exact(self):
-        # both supports lie on a line, and exponents this large make the
-        # packed test for that line inexact, so the lattice path declines
-        # and the term-pair loop answers
-        a = LaurentPoly(2, {(MAX_EXPONENT - 1 - e, e): 1 for e in range(70)})
-        b = LaurentPoly(2, {(-e, MIN_EXPONENT + 70 + e): 2 for e in range(70)})
-        assert laurent._lattice_product(a, b) is None
-        got = a * b
-        assert got == loop_product(a, b)
-        assert got.coefficient((MAX_EXPONENT - 1, MIN_EXPONENT + 70)) == 2
-        assert got.coefficient((MAX_EXPONENT - 2, MIN_EXPONENT + 71)) == 4
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_direct_calls_match_the_loop_and_sympy(self, data):
-        n = data.draw(arities)
-        rank = data.draw(st.integers(0, n))
-        basis = [data.draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(rank)]
-        coeffs = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80))
-
-        def operand():
-            steps = st.tuples(*[st.integers(0, 2)] * rank)
-            picked = data.draw(st.dictionaries(steps, coeffs, min_size=1, max_size=8))
-            offset = data.draw(st.tuples(*[small_exponents] * n))
-            terms = {}
-            for c, coeff in picked.items():
-                exps = tuple(
-                    o + sum(k * vector[i] for k, vector in zip(c, basis))
-                    for i, o in enumerate(offset)
-                )
-                terms[exps] = coeff
-            return LaurentPoly(n, terms)
-
-        a, b = operand(), operand()
-        assume(a and b)
-        # a generous fill lets the lattice path answer small products, whose
-        # boxes are large next to their few term pairs
-        got = lattice_terms(a, b, fill=256)
-        assume(got is not None)
-        assert got == loop_product(a, b)._terms
-        assert got == expanded(to_sympy(a) * to_sympy(b), n)._terms
-
-
-# -- support bitsets against the sets of exponent sums -------------------------
 
 
 def sums(factors):
@@ -713,7 +515,8 @@ def support_counts(products):
 
 class TestSupportLattice:
     def test_common_denominator_above_one(self):
-        # the inputs of TestLatticeProduct.test_common_denominator_above_one
+        # the differences span (2, 1, 0) and (0, 2, 1); their reduced echelon
+        # rows (4, 0, -1) and (0, 4, 2) share the pivot entry 4
         rng = random.Random(4)
         basis = [(2, 1, 0), (0, 2, 1)]
         a = on_lattice(rng, basis, (1, -1, 0), 70)

@@ -148,8 +148,20 @@ class TestGeometricChain:
     def test_peripheral_crossing_ceiling(self):
         assert max_peripheral_crossing(MarkedAnnulus(4, 2)) == 2
 
+    @pytest.mark.parametrize("p,q,distance,s10", [
+        (1, 4, 2, "1"),
+        (2, 4, 3, "x1*x2^-1 + x2^-1*x6"),
+        (1, 5, 3, "1"),
+    ], ids=["1-4", "2-4", "1-5"])
+    def test_four_points_on_the_inner_boundary(self, p, q, distance, s10):
+        report = run_report("case2-geometric", p=p, q=q)[0]
+        assert report.witness["crossing"] == "2"
+        assert report.context["found_at_flip_distance"] == distance
+        bindings = dict(item.split("=") for item in report.witness["side_bindings"].split(", "))
+        assert bindings["S10"] == s10
+
     def test_small_boundary_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter, match="outer or the inner boundary"):
             run_report("case2-geometric", p=2, q=1)
 
 
@@ -398,6 +410,36 @@ class TestBandRecurrence:
             counts[K] = len(calls)
         assert counts[4] == counts[8] > 0
 
+    def test_one_exchange_product_per_walk(self, setup, monkeypatch):
+        # the recurrence conserves x_{n+1} * x_{n-1} - x_n**2, so the walk
+        # forms the product of a new winding variable and the one it
+        # replaces once, at the first flip
+        gamma, state, slot1, slot4, cross_term, band = setup
+        products = []
+        original = LaurentPoly.__mul__
+
+        def recording(a, b):
+            products.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+        counts = {}
+        for K in range(4, 9):
+            products.clear()
+            z1_vals, z4_vals, _, _ = _winding_walk(state, slot1, slot4, cross_term, band, K)
+            counts[K] = len(products)
+            chain = [state.seed.cluster[slot4]]
+            for k in range(2, K + 1):
+                chain += [z1_vals[k], z4_vals[k]]
+            exchanges = [
+                (a, b) for a, b in products for new, old in zip(chain[2:], chain)
+                if {id(a), id(b)} == {id(new), id(old)}
+            ]
+            assert len(exchanges) == 1
+        # K + 1 adds two flips, each one band product and one product of
+        # the opposite pair's two sides
+        assert {counts[K + 1] - counts[K] for K in range(4, 8)} == {4}
+
 
 def full_residuals(values, z1_vals, z4_vals):
     """The residuals of the induction multiplied out in full, the slow path
@@ -583,6 +625,8 @@ class TestPreconditions:
         ("quiver-recovery", {"p": 1, "q": 2}),
         ("case2-geometric", {"p": 3}),
         ("induction", {"K": 2}),
+        ("case2-geometric", {"p": 3, "q": 3}),
+        ("case2-geometric", {"p": 1, "q": 3}),
     ])
     def test_bad_parameters_raise_invalid_parameter(self, name, params):
         with pytest.raises(InvalidParameter):
