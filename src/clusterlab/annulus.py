@@ -576,9 +576,9 @@ def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord
     return TriSeed(result.triangulation, new_seed), record
 
 
-def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None) -> TriSeed:
-    """Lockstep state reached from the fan by greedy flips until every arc
-    of want is in the triangulation.
+def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None, start: Optional[TriSeed] = None) -> TriSeed:
+    """Lockstep state reached by greedy flips from start (the fan, or a state
+    reached from it) until the triangulation holds every arc of want.
 
     Each step flips the arc outside want with the largest total crossing
     against want; ties go to the smallest arc, or to the supplied rng,
@@ -587,7 +587,7 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None) -> TriSeed:
     cannot exist), and the flip strictly shrinks the total crossing, so
     the cap is pure paranoia.
     """
-    state = initial_state(annulus)
+    state = start or initial_state(annulus)
     crossings = sum(crossing_number(a, w, annulus) for a in state.tri.arcs for w in want)
     cap = 4 * crossings + 8 * (annulus.p + annulus.q) + 16
     steps = 0
@@ -623,10 +623,10 @@ def variable_of_arc(
     return _descend(annulus, frozenset((arc,)), rng).variable(arc)
 
 
-def reach_state(annulus: MarkedAnnulus, target: Triangulation) -> TriSeed:
-    """Lockstep state of an arbitrary triangulation, found by greedy flips
-    from the fan and reordered to the target's positional order."""
-    state = _descend(annulus, target.arc_set)
+def reach_state(annulus: MarkedAnnulus, target: Triangulation, start: Optional[TriSeed] = None) -> TriSeed:
+    """Lockstep state of a triangulation, found by greedy flips from start
+    (default the fan) and reordered to the target's positional order."""
+    state = _descend(annulus, target.arc_set, start=start)
     perm = [state.tri.index_of(arc) for arc in target.arcs]
     seed = Seed(
         state.seed.quiver.permuted(perm),
@@ -700,10 +700,7 @@ def arc_variable_map(nodes: Mapping[frozenset[Arc], FlipNode]) -> dict[Arc, Laur
     out: dict[Arc, LaurentPoly] = {}
     for node in nodes.values():
         for arc, var in node.state.assignment.items():
-            existing = out.get(arc)
-            if existing is None:
-                out[arc] = var
-            elif existing != var:
+            if out.setdefault(arc, var) != var:
                 raise MalformedTriangulation(
                     f"arc {arc} received two distinct variables"
                 )

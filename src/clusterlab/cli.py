@@ -159,12 +159,8 @@ def variable_cmd(p: int, q: int, arc_path: str):
 
 
 @main.command("verify")
-@click.option(
-    "--report",
-    "report_name",
-    required=True,
-    type=click.Choice(verify_mod.REPORT_NAMES + ("all",)),
-)
+@click.option("--report", "report_name", required=True,
+              help=f"One of {', '.join(verify_mod.REPORT_NAMES)}, or all.")
 @click.option("--p", type=int, default=None)
 @click.option("--q", type=int, default=None)
 @click.option("--depth", type=int, default=None)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import engine, laurent
 from .annulus import (
@@ -100,10 +100,7 @@ SigmaSum = Sequence[Sequence[LaurentPoly]]  # sum of products of cluster variabl
 
 
 def _sigma_value(sigma: SigmaSum, arity: int) -> LaurentPoly:
-    total = LaurentPoly.zero(arity)
-    for product in sigma:
-        total = total + poly_prod(product, arity)
-    return total
+    return sum((poly_prod(product, arity) for product in sigma), LaurentPoly.zero(arity))
 
 
 def check_dichotomy(
@@ -172,12 +169,8 @@ _Z8 = laurent.default_names(8, "z")
 def _gens(n: int, ones: Iterable[int] = ()) -> list[LaurentPoly]:
     """1-based generator list; listed indices are specialized to 1."""
     ones = set(ones)
-    gens: list[LaurentPoly] = [None]  # type: ignore[list-item]
-    for i in range(1, n + 1):
-        gens.append(
-            LaurentPoly.one(n) if i in ones else LaurentPoly.variable(i - 1, n)
-        )
-    return gens
+    return [None] + [LaurentPoly.one(n) if i in ones else LaurentPoly.variable(i - 1, n)
+                     for i in range(1, n + 1)]
 
 
 # A chain is a table of exchange relations, one per flip.  A relation is
@@ -559,10 +552,7 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
 def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
     """Largest pairwise crossing number over all peripheral arcs."""
     peripherals = [a for a in candidate_arcs(ann) if classify_arc(a)[0] == "peripheral"]
-    best = 0
-    for a, b in itertools.combinations(peripherals, 2):
-        best = max(best, crossing_number(a, b, ann))
-    return best
+    return max((crossing_number(a, b, ann) for a, b in itertools.combinations(peripherals, 2)), default=0)
 
 
 def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityReport:
@@ -890,6 +880,26 @@ def _require_within(source: dict, target, reach: int, message: str) -> None:
             raise CounterexampleFound(message)
 
 
+def _compatible_cliques(ann: MarkedAnnulus, arcs: Sequence[Arc], size: int) -> Iterator[tuple[Arc, ...]]:
+    """The pairwise-compatible size-subsets of the sorted arcs, in the order
+    of itertools.combinations: cliques grown only by later arcs compatible
+    with every arc already chosen."""
+    later = [0] * len(arcs)  # bit j of later[i]: j > i and arcs[j] does not cross arcs[i]
+    for i, j in itertools.combinations(range(len(arcs)), 2):
+        if not crossing_number(arcs[i], arcs[j], ann):
+            later[i] |= 1 << j
+
+    def grow(chosen: tuple[Arc, ...], allowed: int) -> Iterator[tuple[Arc, ...]]:
+        if len(chosen) == size:
+            yield chosen
+        while 0 < size - len(chosen) <= allowed.bit_count():
+            i = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            yield from grow(chosen + (arcs[i],), allowed & later[i])
+
+    return grow((), (1 << len(arcs)) - 1)
+
+
 def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     """Desk-scale shadow of structure uniqueness.
 
@@ -900,8 +910,10 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     clusters is agreement of graphs.
 
     (ii) Adversarially, every pairwise-compatible full-size subset of the
-    enumerated variable pool must be an actual cluster; subsets beyond the
-    enumerated radius are certified by an explicit flip path.
+    enumerated variable pool, found as a clique of compatible arcs, must be
+    an actual cluster; one beyond the enumerated radius is certified by a
+    flip path from the fan through the enumerated triangulation sharing
+    the most arcs with it (the first in breadth-first order on a tie).
     """
     ann = MarkedAnnulus(p, q)
     rank = p + q
@@ -913,15 +925,9 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     var_depth = _nearest((v, d) for key, d in cluster_depth.items() for v in key)
 
     # (ii) compatible subsets
-    arcs = sorted(varmap)
-    crossing = {
-        (a, b): crossing_number(a, b, ann) for a, b in itertools.combinations(arcs, 2)
-    }
     compatible_subsets = 0
     witnessed_by_path = 0
-    for combo in itertools.combinations(arcs, rank):
-        if any(crossing[pair] for pair in itertools.combinations(combo, 2)):
-            continue
+    for combo in _compatible_cliques(ann, sorted(varmap), rank):
         compatible_subsets += 1
         expected = frozenset(varmap[a] for a in combo)
         if len(expected) != rank:
@@ -929,7 +935,8 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         if expected in cluster_depth:
             continue
         target = triangulation(ann, combo)
-        state = reach_state(ann, target)
+        nearest = max(nodes, key=lambda key: len(key.intersection(combo)))  # first on a tie
+        state = reach_state(ann, target, nodes[nearest].state)
         witnessed_by_path += 1
         if frozenset(state.seed.cluster) != expected:
             raise CounterexampleFound(
@@ -1079,7 +1086,7 @@ def run_report(
     runs every report at its defaults and takes none.
     """
     if name != "all" and name not in _REPORTS:
-        raise ValueError(f"unknown report {name!r}")
+        raise InvalidParameter(f"unknown report {name!r}; choose from {', '.join(REPORT_NAMES)}, all")
     given = {key: value for key, value in
              (("p", p), ("q", q), ("depth", depth), ("K", K), ("rng_seed", rng_seed))
              if value is not None}

@@ -122,8 +122,13 @@ def test_verify_passes(runner):
 
 
 def test_verify_rejects_unknown_report(runner):
+    # an unknown name is invalid input, reported in the JSON envelope
     result = runner.invoke(main, ["verify", "--report", "bogus"])
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    payload = json.loads(result.output)
+    assert payload["passed"] is False
+    assert payload["error"] == "InvalidParameter"
+    assert "bogus" in payload["detail"] and "unistructurality" in payload["detail"]
 
 
 def test_verify_reports_errors_as_failure(runner):

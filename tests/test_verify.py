@@ -5,16 +5,18 @@ import random
 
 import pytest
 
-from clusterlab import laurent, verify
+from clusterlab import annulus, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
+    arc_variable_map,
     classify_arc,
     crossing_number,
     flip,
     flip_bfs,
     flip_state,
     initial_state,
+    reach_state,
 )
 from clusterlab.engine import Seed, initial_seed, mutate_seed
 from clusterlab.errors import (
@@ -37,6 +39,7 @@ from clusterlab.verify import (
     _PERIPHERAL_STEPS,
     REPORT_NAMES,
     IdentityReport,
+    _compatible_cliques,
     _find_bridging_setup,
     _labeled_matches,
     _band,
@@ -670,6 +673,73 @@ class TestRecoveryAndUniqueness:
         assert report.passed
         assert int(report.witness["witnessed_by_flip_path"]) > 0
 
+    @pytest.mark.parametrize("p,q,depth", [(1, 1, 5), (2, 1, 4), (3, 1, 4), (2, 2, 4)])
+    def test_compatible_cliques_match_brute_force(self, p, q, depth):
+        # oracle: every full-size subset of the sorted pool, filtered by
+        # pairwise crossings; the cliques must be the same subsets in the
+        # same order
+        ann = MarkedAnnulus(p, q)
+        arcs = sorted(arc_variable_map(flip_bfs(ann, depth)))
+        crossing = {pair: crossing_number(*pair, ann) for pair in itertools.combinations(arcs, 2)}
+        oracle = [
+            combo for combo in itertools.combinations(arcs, p + q)
+            if not any(crossing[pair] for pair in itertools.combinations(combo, 2))
+        ]
+        assert oracle
+        assert list(_compatible_cliques(ann, arcs, p + q)) == oracle
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1)])
+    def test_certification_from_the_ball_matches_the_fan(self, p, q, monkeypatch):
+        # every subset the report certifies starts from an enumerated
+        # triangulation, and its cluster is the one the descent from the
+        # fan reaches
+        ann = MarkedAnnulus(p, q)
+        nodes = flip_bfs(ann, 4)
+        certified = []
+
+        def recording(ann, target, start=None):
+            state = reach_state(ann, target, start)
+            certified.append((target, start, state))
+            return state
+
+        monkeypatch.setattr(verify, "reach_state", recording)
+        report = report_unistructurality(p, q, 4)
+        assert len(certified) == int(report.witness["witnessed_by_flip_path"]) > 0
+        starts = [node.state for node in nodes.values()]
+        for target, start, state in certified:
+            assert start in starts
+            assert state.seed.cluster == reach_state(ann, target).seed.cluster
+
+    def test_certification_flip_count(self, monkeypatch):
+        # certifying the 12 subsets outside the ball of C(3,1) at depth 4
+        # takes 14 flips from the nearest enumerated triangulations; a
+        # descent from the fan for each would take 62
+        calls = []
+
+        def counting(state, target):
+            calls.append(target)
+            return flip_state(state, target)
+
+        monkeypatch.setattr(annulus, "flip_state", counting)
+        flip_bfs(MarkedAnnulus(3, 1), 4)
+        ball = len(calls)
+        calls.clear()
+        report = report_unistructurality(3, 1, 4)
+        assert report.witness["witnessed_by_flip_path"] == "12"
+        assert len(calls) - ball == 14
+
+    @pytest.mark.parametrize("p,q,depth,witness", [
+        (3, 1, 4, (53, 22, 65, 12)),
+        (3, 2, 5, (176, 37, 276, 100)),
+        (4, 2, 4, (192, 30, 289, 97)),
+        (4, 3, 4, (310, 35, 690, 380)),
+    ])
+    def test_unistructurality_scaling_points(self, p, q, depth, witness):
+        # measured with the brute-force subset filter and descents from the fan
+        report = report_unistructurality(p, q, depth)
+        fields = ("clusters", "variables", "compatible_subsets", "witnessed_by_flip_path")
+        assert tuple(int(report.witness[key]) for key in fields) == witness
+
 
 class TestCoverFlipReport:
     def test_small_sample(self):
@@ -705,8 +775,11 @@ class TestCoverFlipReport:
         assert checked == expected
 
     def test_unknown_report_name(self):
-        with pytest.raises(ValueError):
+        # InvalidParameter is a ValueError, and names every valid report
+        with pytest.raises(InvalidParameter, match="unknown report 'no-such-report'") as caught:
             run_report("no-such-report")
+        assert isinstance(caught.value, ValueError)
+        assert all(name in str(caught.value) for name in REPORT_NAMES + ("all",))
 
 
 # sha256 of each report's JSON at its defaults, encoded as `clusterlab verify`
