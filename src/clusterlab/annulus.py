@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import Seed, _mutate_with_sum, initial_seed
 from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
@@ -104,16 +104,13 @@ def deck_chord(chord: Chord, k: int, annulus: MarkedAnnulus) -> Chord:
     return (deck_endpoint(chord[0], k, annulus), deck_endpoint(chord[1], k, annulus))
 
 
-def _norm_chord(chord: Chord) -> Chord:
-    a, b = chord
-    return (a, b) if a <= b else (b, a)
-
-
 def _lifts(arcs: Iterable[Arc], ks: range, annulus: MarkedAnnulus) -> Iterator[Chord]:
-    """The deck translates k in ks of every arc, as normalized strip chords."""
+    """The deck translates k in ks of every arc, as strip chords."""
     for arc in arcs:
+        (b1, x1), (b2, x2) = arc.chord
+        s1, s2 = annulus.period(b1), annulus.period(b2)
         for k in ks:
-            yield _norm_chord(deck_chord(arc.chord, k, annulus))
+            yield ((b1, x1 + k * s1), (b2, x2 + k * s2))
 
 
 def _cut_key(point: Endpoint):
@@ -233,7 +230,7 @@ def quadrilateral_sides(
     if len(corners) != 4:
         raise ConstructionFailed("quadrilateral corners are not distinct")
     return [
-        _project_chord(annulus, _norm_chord((corners[i], corners[(i + 1) % 4])))
+        _project_chord(annulus, (corners[i], corners[(i + 1) % 4]))
         for i in range(4)
     ]
 
@@ -483,6 +480,8 @@ def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
     a1, the second holds v -> u and has apex a2; pairs is
     ((v-a1, u-a2), (a1-u, a2-v)).
     """
+    if isinstance(target, int) and not 0 <= target < len(tri.arcs):
+        raise InvalidParameter(f"arc index {target} is outside 0..{len(tri.arcs) - 1}")
     idx = target if isinstance(target, int) else tri.index_of(target)
     face = _face_walk(tri)
     u, v = tri.arcs[idx].chord
@@ -588,24 +587,26 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None, start: Opti
     the cap is pure paranoia.
     """
     state = start or initial_state(annulus)
-    crossings = sum(crossing_number(a, w, annulus) for a in state.tri.arcs for w in want)
+
+    @functools.cache  # each arc's total crossing against want, once per call
+    def total(arc: Arc) -> int:
+        return sum(crossing_number(arc, w, annulus) for w in want)
+
+    # the arcs of want cross none of want, so only the others add to the cap
+    crossings = sum(total(a) for a in state.tri.arcs if a not in want)
     cap = 4 * crossings + 8 * (annulus.p + annulus.q) + 16
     steps = 0
     while not want <= state.tri.arc_set:
         steps += 1
         if steps > cap:
             raise FlipSearchExceeded(f"no flip path to {sorted(want)} within {cap} steps")
-        totals = {
-            i: sum(crossing_number(a, w, annulus) for w in want)
-            for i, a in enumerate(state.tri.arcs)
-            if a not in want
-        }
+        totals = {i: total(a) for i, a in enumerate(state.tri.arcs) if a not in want}
         top = max(totals.values(), default=0)
         if top == 0:
             raise MalformedTriangulation(
                 "no arc outside the wanted set crosses it, yet it is incomplete"
             )
-        ties = [i for i, total in totals.items() if total == top]
+        ties = [i for i, t in totals.items() if t == top]
         if rng is not None and len(ties) > 1:
             pick = ties[rng.randrange(len(ties))]
         else:
@@ -731,80 +732,85 @@ def candidate_arcs(annulus: MarkedAnnulus, winding: int = 2) -> list[Arc]:
 
 
 class _Strip:
-    """A finite window of the universal cover with an explicit chord family.
+    """A finite window of the universal cover with an explicit chord family,
+    drawn as a polygon: its vertices are every integer boundary position
+    spanned by the chords, numbered along the boundary circle (line 0 left
+    to right, then line 1 right to left, as _cut_key orders them), and the
+    chords are its diagonals, stored as vertex pairs (i, j) with i < j.
+    The counterclockwise rotation at a vertex is its sorted neighbour list
+    read cyclically from just after it; faces are traced from it, interior
+    kept on the left."""
 
-    Vertices are every integer boundary position spanned by the chords;
-    edges are the chords plus unit boundary segments.  Faces are traced
-    from the vertex rotations, interior kept on the left.
-    """
-
-    def __init__(self, annulus: MarkedAnnulus, chords: Iterable[Chord]):
-        self.annulus = annulus
-        self.chords = {_norm_chord(c) for c in chords}
-        lo = {0: None, 1: None}
-        hi = {0: None, 1: None}
-        for c in self.chords:
-            for b, x in c:
-                lo[b] = x if lo[b] is None else min(lo[b], x)
-                hi[b] = x if hi[b] is None else max(hi[b], x)
-        if lo[0] is None or lo[1] is None:
+    def __init__(self, chords: Iterable[Chord]):
+        chords = list(chords)
+        ends = [end for c in chords for end in c]
+        xs = [[x for b, x in ends if b == line] for line in (0, 1)]
+        if not all(xs):
             raise MalformedTriangulation("chord family must touch both boundaries")
-        self.lo, self.hi = lo, hi
-        edges = set(self.chords)
-        for b in (0, 1):
-            for x in range(lo[b], hi[b]):
-                edges.add(((b, x), (b, x + 1)))
-        neighbors: dict[Endpoint, list[Endpoint]] = {}
-        for u, v in edges:
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-        for v, nbrs in neighbors.items():
-            nbrs.sort(key=lambda u: _rotation_key(v, u))
-        self.neighbors = neighbors
-        self._position = {
-            (v, u): i for v, nbrs in neighbors.items() for i, u in enumerate(nbrs)
+        self.lo, self.hi = [min(x) for x in xs], [max(x) for x in xs]
+        line0 = self.hi[0] - self.lo[0] + 1
+        self._base = (-self.lo[0], line0 + self.hi[1])
+        size = line0 + self.hi[1] - self.lo[1] + 1
+        # a vertex is joined to both neighbours along the circle, except
+        # across the gaps between the lines' ends
+        self.neighbors = [[i - 1, i + 1] for i in range(size)]
+        for i, j in ((0, -1), (line0 - 1, line0), (line0, line0 - 1), (size - 1, size)):
+            self.neighbors[i].remove(j)
+        self.chords = set(map(self.chord, chords))
+        for i, j in self.chords:
+            self.neighbors[i].append(j)
+            self.neighbors[j].append(i)
+        for nbrs in self.neighbors:
+            nbrs.sort()
+
+    def index(self, v: Endpoint) -> int:
+        """The number of a vertex inside the strip's extent."""
+        b, x = v
+        return self._base[0] + x if b == 0 else self._base[1] - x
+
+    def chord(self, c: Chord) -> tuple[int, int]:
+        i, j = self.index(c[0]), self.index(c[1])
+        return (i, j) if i < j else (j, i)
+
+    def numbers(self, lo: Sequence[int], hi: Sequence[int]) -> dict[Endpoint, int]:
+        """The numbers of the positions lo[b]..hi[b] on each line b, clipped
+        to the strip, where no position can take the other line's number."""
+        return {
+            (b, x): self.index((b, x))
+            for b in (0, 1)
+            for x in range(max(lo[b], self.lo[b]), min(hi[b], self.hi[b]) + 1)
         }
 
-    def _turn(self, u: Endpoint, v: Endpoint) -> Endpoint:
-        # the vertex after u -> v on the face to its left
+    def _turn(self, u: int, v: int) -> int:
+        # the vertex after u -> v on the face to its left: the cyclic
+        # predecessor of u in the rotation at v
         nbrs = self.neighbors[v]
-        return nbrs[self._position[(v, u)] - 1]
+        return nbrs[bisect.bisect_left(nbrs, u) - 1]
 
-    def _triangle_apex(self, u: Endpoint, v: Endpoint) -> Optional[Endpoint]:
+    def _triangle_apex(self, u: int, v: int) -> Optional[int]:
         """Apex of the face left of u -> v, or None when it is no triangle."""
         apex = self._turn(u, v)
         if self._turn(v, apex) != u or self._turn(apex, u) != v:
             return None
         return apex
 
-    def _reindex(self, v: Endpoint) -> None:
-        for i, u in enumerate(self.neighbors[v]):
-            self._position[(v, u)] = i
-
-    def flip(self, chord: Chord, trusted) -> bool:
-        """Flip one chord in place, updating only the four rotations it
-        touches.
-
-        Returns False without touching anything when the chord's
-        quadrilateral is not two triangles with every vertex trusted
-        (possible only near the ragged ends of the strip).
-        """
+    def flip(self, chord: tuple[int, int], trusted: Container[int]) -> bool:
+        """Flip one chord in place, True when done; False, touching nothing,
+        when its quadrilateral is not two triangles with every vertex
+        trusted (possible only near the ragged ends of the strip)."""
         u, v = chord
         apexes = (self._triangle_apex(u, v), self._triangle_apex(v, u))
-        if None in apexes or not all(trusted(w) for w in (u, v) + apexes):
+        if None in apexes or not all(w in trusted for w in (u, v) + apexes):
             return False
         if apexes[0] == apexes[1]:
             raise MalformedTriangulation("flip quadrilateral lost its apexes")
-        for a, b in ((u, v), (v, u)):
-            self.neighbors[a].remove(b)
-            del self._position[(a, b)]
-            self._reindex(a)
-        new = _norm_chord(apexes)
-        for a, b in (new, new[::-1]):
-            bisect.insort(self.neighbors[a], b, key=lambda w: _rotation_key(a, w))
-            self._reindex(a)
+        a, b = sorted(apexes)
+        for x, y in ((u, v), (v, u)):
+            self.neighbors[x].remove(y)
+        for x, y in ((a, b), (b, a)):
+            bisect.insort(self.neighbors[x], y)
         self.chords.remove(chord)
-        self.chords.add(new)
+        self.chords.add((a, b))
         return True
 
 
@@ -820,39 +826,31 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     reach the interior.
     """
     if window < 2:
-        raise ValueError("window must cover at least two deck periods")
+        raise InvalidParameter(f"window {window} must cover at least two deck periods")
+    flipped = flip(tri, index).triangulation  # rejects an index outside the arcs
     ann = tri.annulus
-    span = 1
-    for arc in tri.arcs:
-        for b, x in arc.chord:
-            span = max(span, -(-abs(x) // ann.period(b)))
+    periods = (ann.p, ann.q)
+    span = max(1, *(-(-abs(x) // periods[b]) for arc in tri.arcs for b, x in arc.chord))
     pad = 2 * span + 4
     ks = range(-pad, window + pad)
-    strip = _Strip(ann, _lifts(tri.arcs, ks, ann))
+    strip = _Strip(_lifts(tri.arcs, ks, ann))
 
-    lo = {b: -pad * ann.period(b) - span * ann.period(b) for b in (0, 1)}
-    hi = {
-        b: (window + pad) * ann.period(b) + span * ann.period(b) for b in (0, 1)
-    }
-    guard = {b: (span + 2) * ann.period(b) for b in (0, 1)}
-
-    def trusted(v: Endpoint) -> bool:
-        return lo[v[0]] + guard[v[0]] <= v[1] <= hi[v[0]] - guard[v[0]]
-
-    flipped_any = False
-    for chord in _lifts((tri.arcs[index],), ks, ann):
-        if strip.flip(chord, trusted):
-            flipped_any = True
-    if not flipped_any:
+    # the lifts reach span periods past ks on each line; a vertex is
+    # trusted when it lies span + 2 periods inside that reach
+    trusted = set(strip.numbers(
+        [(2 - pad) * period for period in periods],
+        [(window + pad - 2) * period for period in periods],
+    ).values())
+    flips = [strip.flip(strip.chord(c), trusted) for c in _lifts((tri.arcs[index],), ks, ann)]
+    if not any(flips):
         raise ValueError("window too small to flip any full fundamental domain")
 
-    expected = set(_lifts(flip(tri, index).triangulation.arcs, ks, ann))
-
-    def interior(chord: Chord) -> bool:
-        return all(0 <= x <= window * ann.period(b) for b, x in chord)
-
-    got_interior = {c for c in strip.chords if interior(c)}
-    want_interior = {c for c in expected if interior(c)}
+    inside = strip.numbers([0, 0], [window * period for period in periods])
+    interior = set(inside.values())
+    got_interior = {c for c in strip.chords if c[0] in interior and c[1] in interior}
+    want_interior = {
+        strip.chord(c) for c in _lifts(flipped.arcs, ks, ann) if c[0] in inside and c[1] in inside
+    }
     if len(want_interior) < len(tri.arcs):
         raise ValueError("window too small to compare a full fundamental domain")
     return got_interior == want_interior

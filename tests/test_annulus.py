@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
     _Strip,
+    _rotation_key,
     arc_check,
     arc_from_json,
     arc_to_json,
@@ -305,16 +307,23 @@ def _side(ann, a, b):
     return make_arc(ann, a, b)
 
 
+def _point(strip, i):
+    # the endpoint of vertex number i: line 0 left to right, then line 1
+    # right to left
+    line0 = strip.hi[0] - strip.lo[0] + 1
+    return (0, strip.lo[0] + i) if i < line0 else (1, strip.hi[1] - (i - line0))
+
+
 def _strip_reading(tri):
     """Every flip of tri, and its quiver, read off one strip drawing
     independently of the local face walk.
 
     Both apexes of each arc's canonical lift u -> v are
     _Strip._triangle_apex on a strip padded past every vertex of its
-    quadrilateral.  The face left of each of the two darts contributes the
-    arrow from the arc to the next side; each corner of every triangle
-    orbit is one such (dart, face) pair, so no orbit deduplication is
-    needed.
+    quadrilateral, decoded from the strip's vertex numbers.  The face left
+    of each of the two darts contributes the arrow from the arc to the
+    next side; each corner of every triangle orbit is one such (dart,
+    face) pair, so no orbit deduplication is needed.
     """
     ann = tri.annulus
     reach = max(abs(x) for arc in tri.arcs for _, x in arc.chord) + 1
@@ -322,14 +331,16 @@ def _strip_reading(tri):
     # and its rotation needs the translates of every arc up to reach beyond
     pad = reach * (2 * max(ann.p, ann.q) + 2) + 1
     ks = range(-pad, pad + 1)
-    strip = _Strip(ann, [deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+    strip = _Strip([deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
     index = {arc: i for i, arc in enumerate(tri.arcs)}
     b = [[0] * len(tri.arcs) for _ in tri.arcs]
     flips = []
     for idx, gamma in enumerate(tri.arcs):
         u, v = gamma.chord
-        apex1, apex2 = strip._triangle_apex(u, v), strip._triangle_apex(v, u)
+        i, j = strip.index(u), strip.index(v)
+        apex1, apex2 = strip._triangle_apex(i, j), strip._triangle_apex(j, i)
         assert None not in (apex1, apex2)
+        apex1, apex2 = _point(strip, apex1), _point(strip, apex2)
         for after in (_side(ann, v, apex1), _side(ann, u, apex2)):
             if after is not None and after != gamma:
                 b[idx][index[after]] += 1
@@ -544,6 +555,29 @@ class TestFlipLevels:
             flip_bfs(MarkedAnnulus(2, 1), depth, node_limit)
 
 
+class TestArcIndexRange:
+    # an index outside 0..p+q-1 is invalid input: -1 used to flip the last
+    # arc and p + q to die with an IndexError
+    @pytest.mark.parametrize("index", [-1, -3, 3, 7])
+    def test_flip_rejects_index_outside_the_arcs(self, ann21, index):
+        tri = initial_triangulation(ann21)
+        with pytest.raises(InvalidParameter):
+            flip(tri, index)
+        with pytest.raises(InvalidParameter):
+            flip_state(initial_state(ann21), index)
+        with pytest.raises(InvalidParameter):
+            verify_cover_flip(tri, index, 3)
+
+    @pytest.mark.parametrize("window", [1, 0, -2])
+    def test_cover_flip_rejects_a_window_below_two(self, ann21, window):
+        with pytest.raises(InvalidParameter):
+            verify_cover_flip(initial_triangulation(ann21), 0, window)
+
+    def test_every_index_in_range_flips(self, ann21):
+        tri = initial_triangulation(ann21)
+        assert [flip(tri, i).removed for i in range(3)] == list(tri.arcs)
+
+
 class TestLiftedTriangulations:
     def test_cover_flip_on_fan(self, ann32):
         tri = initial_triangulation(ann32)
@@ -561,37 +595,132 @@ class TestLiftedTriangulations:
 
 
 def _rotations(strip):
-    return {v: tuple(nbrs) for v, nbrs in strip.neighbors.items()}
+    """Each vertex's counterclockwise rotation, decoded to endpoints: its
+    sorted neighbour numbers read cyclically from just after it."""
+    out = {}
+    for v, nbrs in enumerate(strip.neighbors):
+        cut = bisect.bisect(nbrs, v)
+        out[_point(strip, v)] = tuple(_point(strip, u) for u in nbrs[cut:] + nbrs[:cut])
+    return out
+
+
+def _rotations_by_key(strip):
+    """The construction the vertex numbering replaced, kept as the oracle:
+    endpoint edges (the decoded chords plus the unit boundary segments),
+    each vertex's neighbours sorted by _rotation_key."""
+    edges = {(_point(strip, i), _point(strip, j)) for i, j in strip.chords}
+    for b in (0, 1):
+        edges.update(((b, x), (b, x + 1)) for x in range(strip.lo[b], strip.hi[b]))
+    neighbors = {}
+    for u, v in edges:
+        neighbors.setdefault(u, []).append(v)
+        neighbors.setdefault(v, []).append(u)
+    return {
+        v: tuple(sorted(nbrs, key=lambda u, v=v: _rotation_key(v, u)))
+        for v, nbrs in neighbors.items()
+    }
 
 
 class TestInPlaceStrip:
-    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
-    def test_matches_fresh_strip_after_every_chord_flip(self, p, q):
+    @staticmethod
+    def _flipped_strips(p, q):
+        """(strip, chord, trusted) before every chord flip of the strips
+        drawn for one seeded triangulation of C(p,q), one strip per arc."""
         ann = MarkedAnnulus(p, q)
         rng = random.Random(7 * p + q)
         tri = initial_triangulation(ann)
         for _ in range(6):
             tri = flip(tri, rng.randrange(p + q)).triangulation
         ks = range(-8, 12)
-
-        def trusted(v):
-            period = ann.period(v[0])
-            return -4 * period <= v[1] <= 8 * period
-
-        flipped = 0
         for idx in range(p + q):
-            strip = _Strip(ann, [deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+            strip = _Strip([deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+            trusted = set(strip.numbers(
+                [-4 * ann.p, -4 * ann.q], [8 * ann.p, 8 * ann.q]).values())
             for k in ks:
-                before = _rotations(strip)
-                chord = tuple(sorted(deck_chord(tri.arcs[idx].chord, k, ann)))
-                if strip.flip(chord, trusted):
-                    flipped += 1
-                    fresh = _Strip(ann, strip.chords)
-                    assert _rotations(strip) == _rotations(fresh)
-                    assert strip._position == fresh._position
-                else:
-                    assert _rotations(strip) == before
+                yield strip, strip.chord(deck_chord(tri.arcs[idx].chord, k, ann)), trusted
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_matches_fresh_strip_after_every_chord_flip(self, p, q):
+        flipped = 0
+        for strip, chord, trusted in self._flipped_strips(p, q):
+            before = _rotations(strip)
+            if strip.flip(chord, trusted):
+                flipped += 1
+                fresh = _Strip([(_point(strip, i), _point(strip, j)) for i, j in strip.chords])
+                assert _rotations(strip) == _rotations(fresh)
+            else:
+                assert _rotations(strip) == before
         assert flipped > 0
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_numbering_matches_rotation_key_order(self, p, q):
+        # before and after every chord flip, the cyclic int rotations decode
+        # to the neighbours sorted by _rotation_key
+        for strip, chord, trusted in self._flipped_strips(p, q):
+            assert _rotations(strip) == _rotations_by_key(strip)
+            strip.flip(chord, trusted)
+            assert _rotations(strip) == _rotations_by_key(strip)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_every_vertex_round_trips_on_its_own_line(self, p, q):
+        strip, _, _ = next(self._flipped_strips(p, q))
+        line0 = strip.hi[0] - strip.lo[0] + 1
+        assert len(strip.neighbors) == line0 + strip.hi[1] - strip.lo[1] + 1
+        for i in range(len(strip.neighbors)):
+            b, _ = _point(strip, i)
+            assert b == (0 if i < line0 else 1)
+            assert strip.index(_point(strip, i)) == i
+        for b in (0, 1):
+            for x in range(strip.lo[b], strip.hi[b] + 1):
+                assert _point(strip, strip.index((b, x))) == (b, x)
+
+    def test_numbers_are_clipped_to_the_strip(self):
+        # a range reaching past one line's end takes no number of the other
+        strip, _, _ = next(self._flipped_strips(2, 1))
+        reach = strip.numbers([strip.lo[0] - 50, strip.lo[1] - 50],
+                              [strip.hi[0] + 50, strip.hi[1] + 50])
+        assert set(reach.values()) == set(range(len(strip.neighbors)))
+        assert all(_point(strip, i) == v for v, i in reach.items())
+        assert strip.numbers([strip.hi[0] + 1, strip.hi[1] + 1], [strip.hi[0] + 50, 10**6]) == {}
+
+
+class TestCoverFlipOracle:
+    @staticmethod
+    def _judge(tri, index, window):
+        """The oracle's verdict, or None when it refuses the window: one
+        narrower than the lifts of wound arcs holds no full fundamental
+        domain, and that is refused, never judged."""
+        try:
+            return verify_cover_flip(tri, index, window)
+        except ValueError as error:
+            assert "window too small" in str(error)
+            return None
+
+    def test_accepts_every_flip_and_rejects_a_flip_of_another_arc(self, monkeypatch):
+        # on C(p,q) with p + q <= 5 and windows 2-4: the oracle accepts
+        # flip(tri, i), and a strip flipped at i fails against flip(tri, j)
+        rng = random.Random(18)
+        real_flip = annulus_mod.flip
+        judged = refused = caught = 0
+        for p, q in [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]:
+            for _ in range(3):
+                tri = initial_triangulation(MarkedAnnulus(p, q))
+                for _ in range(rng.randrange(4)):
+                    tri = flip(tri, rng.randrange(p + q)).triangulation
+                for window, index in itertools.product((2, 3, 4), range(p + q)):
+                    verdict = self._judge(tri, index, window)
+                    assert verdict in (True, None)
+                    other = (index + 1 + rng.randrange(p + q - 1)) % (p + q)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(annulus_mod, "flip", lambda t, i: real_flip(t, other))
+                        wrong = self._judge(tri, index, window)
+                    assert wrong in (False, None)
+                    judged += verdict is True
+                    refused += verdict is None
+                    caught += wrong is False
+        # every judged flip is accepted; of the 360 wrong ones, 358 are
+        # caught and the other 2 refused for the window, none accepted
+        assert (judged, refused, caught) == (356, 4, 358)
 
 
 class TestSerialization:

@@ -264,6 +264,11 @@ def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):
      {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
       "cluster": [{"arity": 2, "terms": []}, poly_to_json(coordinates(2)[1])]},
      "InvalidParameter"),
+    # an arc index outside 0..p+q-1 is neither reinterpreted nor an IndexError
+    (["annulus", "flip", "--arc", "-1", "--triangulation"],
+     triangulation_to_json(initial_triangulation(MarkedAnnulus(2, 1))), "InvalidParameter"),
+    (["annulus", "flip", "--arc", "5", "--triangulation"],
+     triangulation_to_json(initial_triangulation(MarkedAnnulus(2, 1))), "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

@@ -728,6 +728,22 @@ class TestRecoveryAndUniqueness:
         assert report.witness["witnessed_by_flip_path"] == "12"
         assert len(calls) - ball == 14
 
+    def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
+        # a descent computes each arc's total crossing against its target
+        # once, cap included: 12,761 crossing_number calls on C(4,3) at
+        # depth 4, where recomputing the totals on every step made 33,334
+        calls = []
+
+        def counting(a, b, ann):
+            calls.append((a, b))
+            return crossing_number(a, b, ann)
+
+        monkeypatch.setattr(annulus, "crossing_number", counting)
+        monkeypatch.setattr(verify, "crossing_number", counting)
+        report = report_unistructurality(4, 3, 4)
+        assert report.witness["witnessed_by_flip_path"] == "380"
+        assert len(calls) == 12761
+
     @pytest.mark.parametrize("p,q,depth,witness", [
         (3, 1, 4, (53, 22, 65, 12)),
         (3, 2, 5, (176, 37, 276, 100)),
