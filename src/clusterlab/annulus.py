@@ -31,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .engine import Seed, _mutate_with_sum, initial_seed
+from .engine import Seed, _mutate_with_terms, initial_seed
 from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
 from .errors import (
     ConstructionFailed,
@@ -499,15 +499,22 @@ def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
     )
 
 
-def _pair_products(
-    pairs, assignment: Mapping[Arc, LaurentPoly], arity: int
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """The two opposite side products of a flip, boundary sides contributing 1."""
+def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> int:
+    """Which of a flip's two side pairs holds the arrows-out exchange term.
 
-    def value(side: Side) -> LaurentPoly:
-        return LaurentPoly.one(arity) if side is None else assignment[side]
-
-    return tuple(value(a) * value(b) for a, b in pairs)
+    The arcs of the positive entries of the flipped arc's quiver row, with
+    multiplicity, must be one pair's sides and those of its negative
+    entries the other pair's, boundary sides dropped; anything else means
+    the quiver and the triangulation lost alignment.
+    """
+    out, into = (
+        sorted(arc for arc, m in zip(tri.arcs, row) for _ in range(sign * m)) for sign in (1, -1)
+    )
+    sides = [sorted(side for side in pair if side is not None) for pair in pairs]
+    for j in (0, 1):
+        if sides[j] == out and sides[1 - j] == into:
+            return j
+    raise MalformedTriangulation("the quiver disagrees with the flip quadrilateral")
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +540,9 @@ class TriSeed:
 
 @dataclass(frozen=True)
 class FlipRecord:
-    """One lockstep step: the exchange identity old * new == p1 + p2."""
+    """One lockstep step: the exchange identity old * new == p1 + p2, with
+    products[i] the product of pairs[i]'s side variables."""
 
-    index: int
-    removed: Arc
     new_arc: Arc
     old_var: LaurentPoly
     new_var: LaurentPoly
@@ -552,25 +558,18 @@ def initial_state(annulus: MarkedAnnulus) -> TriSeed:
 def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord]:
     """Flip an arc and mutate the seed at the matching direction.
 
-    The quadrilateral products are checked against the algebraic exchange
-    on every step; a mismatch would mean the geometric and algebraic layers
-    lost alignment and is raised immediately.
+    Before the mutation divides, the quiver row of the arc is matched to
+    the flip quadrilateral (``_out_pair``, MalformedTriangulation on a
+    mismatch).  Equal arc multisets give equal products, so the record's
+    products are the mutation's own exchange terms, in pair order.
     """
     idx = target if isinstance(target, int) else state.tri.index_of(target)
     result = flip(state.tri, idx)
-    new_seed, total = _mutate_with_sum(state.seed, idx)
-    products = _pair_products(result.pairs, state.assignment, state.seed.cluster[0].arity)
-    old_var = state.seed.cluster[idx]
-    new_var = new_seed.cluster[idx]
-    # the mutation returns new_var only when the exchange sum divided by
-    # old_var leaves no remainder, so old_var * new_var == total holds
-    # exactly and the sums can be compared without forming that product
-    if total != products[0] + products[1]:
-        raise MalformedTriangulation(
-            "exchange relation disagrees with the flip quadrilateral"
-        )
+    out = _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
+    new_seed, terms = _mutate_with_terms(state.seed, idx)
     record = FlipRecord(
-        idx, result.removed, result.new_arc, old_var, new_var, result.pairs, products
+        result.new_arc, state.seed.cluster[idx], new_seed.cluster[idx], result.pairs,
+        terms if out == 0 else terms[::-1],
     )
     return TriSeed(result.triangulation, new_seed), record
 
@@ -843,7 +842,7 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     ).values())
     flips = [strip.flip(strip.chord(c), trusted) for c in _lifts((tri.arcs[index],), ks, ann)]
     if not any(flips):
-        raise ValueError("window too small to flip any full fundamental domain")
+        raise InvalidParameter("window too small to flip any full fundamental domain")
 
     inside = strip.numbers([0, 0], [window * period for period in periods])
     interior = set(inside.values())
@@ -852,5 +851,5 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
         strip.chord(c) for c in _lifts(flipped.arcs, ks, ann) if c[0] in inside and c[1] in inside
     }
     if len(want_interior) < len(tri.arcs):
-        raise ValueError("window too small to compare a full fundamental domain")
+        raise InvalidParameter("window too small to compare a full fundamental domain")
     return got_interior == want_interior

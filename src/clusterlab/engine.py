@@ -56,16 +56,17 @@ def initial_seed(quiver: Quiver) -> Seed:
     return Seed(quiver, coordinates(quiver.n))
 
 
-def exchange_sum(seed: Seed, k: int) -> LaurentPoly:
-    """The two-term exchange sum at direction k: product over arrows out of
-    k plus product over arrows into k, empty products equal to 1."""
+def exchange_terms(seed: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The two terms of the exchange sum at direction k: the product over
+    arrows out of k and the product over arrows into k, empty products
+    equal to 1."""
     if not 0 <= k < seed.rank:
         raise InvalidParameter(f"direction {k} out of range")
     row = seed.quiver.b[k]
     arity = seed.cluster[0].arity
     plus = poly_prod((seed.cluster[j] ** m for j, m in enumerate(row) if m > 0), arity)
     minus = poly_prod((seed.cluster[j] ** -m for j, m in enumerate(row) if m < 0), arity)
-    return plus + minus
+    return plus, minus
 
 
 def mutate_seed(seed: Seed, k: int) -> Seed:
@@ -74,20 +75,20 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     The quotient is an exact Laurent division; inexactness would contradict
     the Laurent property and raises ExactDivisionFailed.
     """
-    return _mutate_with_sum(seed, k)[0]
+    return _mutate_with_terms(seed, k)[0]
 
 
-def _mutate_with_sum(seed: Seed, k: int) -> tuple[Seed, LaurentPoly]:
-    """mutate_seed, also handing back the exchange sum it divided."""
-    total = exchange_sum(seed, k)
-    new_var = laurent.try_div_exact(total, seed.cluster[k])
+def _mutate_with_terms(seed: Seed, k: int) -> tuple[Seed, tuple[LaurentPoly, LaurentPoly]]:
+    """mutate_seed, also handing back the two exchange terms it divided."""
+    terms = exchange_terms(seed, k)
+    new_var = laurent.try_div_exact(terms[0] + terms[1], seed.cluster[k])
     if new_var is None:
         raise ExactDivisionFailed(
             f"exchange sum at direction {k} is not divisible by the leaving variable"
         )
     cluster = list(seed.cluster)
     cluster[k] = new_var
-    return Seed(seed.quiver.mutate(k), tuple(cluster)), total
+    return Seed(seed.quiver.mutate(k), tuple(cluster)), terms
 
 
 def canonical_seed(seed: Seed) -> Seed:

@@ -30,6 +30,7 @@ from .annulus import (
     Side,
     Triangulation,
     TriSeed,
+    _out_pair,
     arc_variable_map,
     candidate_arcs,
     classify_arc,
@@ -57,7 +58,6 @@ from .errors import (
     HypothesisNotSatisfied,
     IdentityFailed,
     InvalidParameter,
-    MalformedTriangulation,
     SearchExhausted,
     ShapeMismatch,
     SideConditionViolated,
@@ -657,11 +657,11 @@ def _winding_flip(tri: Triangulation, quiver: Quiver, cluster, slot: int, other:
     triangulation, quiver and cluster.
 
     Shape: the other slot's arc twice against a pair whose product is c
-    (ShapeMismatch).  Quiver alignment: the arcs of the positive and of the
-    negative entries of the slot's row are the two pairs' arcs, boundary
-    sides dropped (MalformedTriangulation); the cluster is algebraically
-    independent, so the quiver's exchange sum is x_n**2 + c.  Exchange:
-    the recurrence conserves I_n = x_{n+1} * x_{n-1} - x_n**2, since
+    (ShapeMismatch).  Quiver alignment: the slot's row matches the flip
+    quadrilateral (``annulus._out_pair``, the check ``flip_state`` makes);
+    the cluster is algebraically independent, so the quiver's exchange sum
+    is x_n**2 + c (MalformedTriangulation otherwise).  Exchange: the
+    recurrence conserves I_n = x_{n+1} * x_{n-1} - x_n**2, since
     I_n = x_n * (L * x_{n-1} - x_n) - x_{n-1}**2 = I_{n-1}.  So once
     ``_winding_walk`` has checked I_1 == c, x_{n+1} * x_{n-1} == x_n**2 + c
     holds at every flip, and x_{n+1} is the exchanged variable, as the
@@ -672,14 +672,7 @@ def _winding_flip(tri: Triangulation, quiver: Quiver, cluster, slot: int, other:
     sides = [cluster[tri.index_of(side)] for side in opposite if side is not None]
     if poly_prod(sides, cross_term.arity) != cross_term:
         raise ShapeMismatch(f"{label} is not the recurrence")
-    row = quiver.b[slot]
-    arrows = sorted(
-        sorted(arc for arc, m in zip(tri.arcs, row) for _ in range(sign * m))
-        for sign in (1, -1)
-    )
-    pairs = sorted(sorted(side for side in pair if side is not None) for pair in result.pairs)
-    if arrows != pairs:
-        raise MalformedTriangulation(f"{label}: the quiver disagrees with the flip quadrilateral")
+    _out_pair(tri, quiver.b[slot], result.pairs)
     cluster = list(cluster)
     cluster[slot] = band * cluster[other] - cluster[slot]
     return result.triangulation, quiver.mutate(slot), cluster

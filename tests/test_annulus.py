@@ -5,6 +5,7 @@ import random
 import pytest
 
 from clusterlab import annulus as annulus_mod
+from clusterlab import laurent
 from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
@@ -35,12 +36,14 @@ from clusterlab.annulus import (
     variable_of_arc,
     verify_cover_flip,
 )
-from clusterlab.engine import denominator_vector, initial_seed, mutate_seed
+from clusterlab.engine import Seed, denominator_vector, initial_seed, mutate_seed
 from clusterlab.errors import (
+    ClusterLabError,
     InvalidArc,
     InvalidParameter,
     InvalidTriangulation,
     LimitExceeded,
+    MalformedTriangulation,
 )
 from clusterlab.laurent import LaurentPoly, coordinates
 from clusterlab.quiver import Quiver, canonical_form, classify_tilde_A, tilde_A_canonical
@@ -492,14 +495,57 @@ class TestLockstep:
         assert len(set(varmap.values())) == len(varmap)
 
     def test_flip_state_exchange_in_product_form(self):
-        # flip_state checks the exchange sum against the quadrilateral; the
-        # identity it stands for is old * new == the two products' sum
+        # a flip's record stands for the identity old * new == the sum of
+        # its two products
         rng = random.Random(41)
         for p, q in ((2, 2), (3, 1), (3, 2)):
             state = initial_state(MarkedAnnulus(p, q))
             for _ in range(30):
                 state, record = flip_state(state, rng.randrange(p + q))
                 assert record.old_var * record.new_var == record.products[0] + record.products[1]
+
+    def test_products_are_the_pair_side_products(self):
+        # flip_state takes the products from the mutation's exchange terms;
+        # the slow oracle multiplies each pair's side variables, boundary
+        # sides counting as 1.  On the fan's quiver the first pair holds the
+        # arrows-out term at every flip, on its opposite the second does
+        rng = random.Random(19)
+        for p, q in [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]:
+            fan = initial_state(MarkedAnnulus(p, q))
+            opposite = TriSeed(fan.tri, Seed(fan.seed.quiver.opposite(), fan.seed.cluster))
+            one = LaurentPoly.one(p + q)
+            for state in (fan, opposite):
+                for _ in range(12):
+                    variables = state.assignment
+                    state, record = flip_state(state, rng.randrange(p + q))
+                    assert record.products == tuple(
+                        (one if a is None else variables[a]) * (one if b is None else variables[b])
+                        for a, b in record.pairs
+                    )
+                    assert record.old_var * record.new_var == record.products[0] + record.products[1]
+
+    @pytest.mark.parametrize("p,q", [(3, 2), (1, 3)])
+    def test_a_quiver_out_of_step_raises_before_dividing(self, monkeypatch, p, q):
+        # the quiver mutated at a slot adjacent to the flipped one: its row
+        # no longer matches the flip quadrilateral, and nothing is divided
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        original = laurent.try_div_exact
+        monkeypatch.setattr(laurent, "try_div_exact", counting)
+        state = initial_state(MarkedAnnulus(p, q))
+        checked = 0
+        for idx, row in enumerate(state.seed.quiver.b):
+            for other in (j for j, m in enumerate(row) if m):
+                quiver = state.seed.quiver.mutate(other)
+                wrong = TriSeed(state.tri, Seed(quiver, state.seed.cluster))
+                with pytest.raises(MalformedTriangulation):
+                    flip_state(wrong, idx)
+                checked += 1
+        assert checked and not calls
 
     def test_reach_state_agrees_with_bfs(self, ann21):
         nodes = flip_bfs(ann21, 3)
@@ -721,6 +767,14 @@ class TestCoverFlipOracle:
         # every judged flip is accepted; of the 360 wrong ones, 358 are
         # caught and the other 2 refused for the window, none accepted
         assert (judged, refused, caught) == (356, 4, 358)
+
+    def test_a_narrow_window_is_an_invalid_parameter(self, ann11):
+        # these arcs wind too far for a window of two periods to hold a
+        # full fundamental domain of the flipped triangulation
+        arcs = [make_arc(ann11, (0, 0), (1, -2)), make_arc(ann11, (0, 0), (1, -1))]
+        with pytest.raises(InvalidParameter, match="window too small") as caught:
+            verify_cover_flip(triangulation(ann11, arcs), 1, 2)
+        assert isinstance(caught.value, ClusterLabError)
 
 
 class TestSerialization:

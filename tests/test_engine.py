@@ -12,7 +12,7 @@ from clusterlab.engine import (
     check_automorphism_candidate,
     denominator_vector,
     exchange_graph,
-    exchange_sum,
+    exchange_terms,
     infer_exchange_quiver,
     initial_seed,
     is_algebraically_independent,
@@ -101,7 +101,7 @@ class TestExchangeSum:
     @pytest.mark.parametrize("k", [-1, 2])
     def test_out_of_range_direction(self, kronecker, k):
         with pytest.raises(InvalidParameter):
-            exchange_sum(kronecker, k)
+            exchange_terms(kronecker, k)
         with pytest.raises(InvalidParameter):
             mutate_seed(kronecker, k)
 
