@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -310,82 +309,44 @@ def _split_two_monomials(product: LaurentPoly) -> tuple[tuple[int, ...], tuple[i
     return terms[0][0], terms[1][0]
 
 
-def infer_exchange_quiver(
-    reference: Sequence[LaurentPoly], pool: Iterable[LaurentPoly]
-) -> Quiver:
+def infer_exchange_quiver(reference: Sequence[LaurentPoly], pool: Iterable[LaurentPoly]) -> Quiver:
     """Recover the exchange quiver of a cluster from its exchange partners.
 
-    For each position i the unique pool variable with unit denominator e_i
-    is multiplied back by the reference variable; the two monomials of the
-    product carry the neighbor multiplicities.  Which monomial is the
-    arrows-out product is a per-position binary choice; 2-cycle freedom
-    forces all choices once one is fixed, so the result is well defined up
-    to one global opposite.
-
+    Times x_i, the pool's one variable with denominator vector e_i is two
+    monomials; row i is the first minus the second in lexicographic order.
+    Skew-symmetry (s_j*r_j[i] == -s_i*r_i[j]) fixes one sign per row breadth
+    first from row 0, so up to one global opposite; unreached rows keep +1.
     The reference cluster must be the coordinate frame of the pool.
     """
     n = len(reference)
     if list(reference) != list(coordinates(n)):
         raise ValueError("reference cluster must be the coordinate variables")
-    pool = list(pool)
-
-    monomial_pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    buckets: dict[tuple[int, ...], list[LaurentPoly]] = {}
+    for v in pool:
+        buckets.setdefault(denominator_vector(v), []).append(v)
+    rows = []
     for i in range(n):
-        unit = tuple(1 if j == i else 0 for j in range(n))
-        partners = [v for v in pool if denominator_vector(v) == unit]
-        if not partners:
-            raise NoPartnerFound(f"no pool variable has denominator vector e_{i + 1}")
-        if len(partners) > 1:
-            raise AmbiguousPartner(
-                f"{len(partners)} pool variables share denominator vector e_{i + 1}"
-            )
-        monomial_pairs.append(_split_two_monomials(partners[0] * reference[i]))
-
-    def consistent(i: int, ci: int, j: int, cj: int) -> bool:
-        out_i, in_i = monomial_pairs[i][ci], monomial_pairs[i][1 - ci]
-        out_j, in_j = monomial_pairs[j][cj], monomial_pairs[j][1 - cj]
-        return out_i[j] == in_j[i] and in_i[j] == out_j[i]
-
-    def interacting(i: int, j: int) -> bool:
-        return any(monomial_pairs[x][c][y] for x, y in ((i, j), (j, i)) for c in (0, 1))
-
-    # choice[i] selects which monomial of pair i is the arrows-out product;
-    # fixing position 0 and propagating pins everything up to a global opposite
-    choice: list[Optional[int]] = [None] * n
-    choice[0] = 0
-    pending = deque([0])
-    while pending:
-        i = pending.popleft()
-        for j in range(n):
-            if j == i or not interacting(i, j):
-                continue
-            fits = [cj for cj in (0, 1) if consistent(i, choice[i], j, cj)]
-            if choice[j] is None:
-                if not fits:
-                    raise InconsistentExchangePattern(
-                        f"positions {i + 1} and {j + 1} admit no consistent orientation"
-                    )
-                choice[j] = fits[0]
-                pending.append(j)
-            elif choice[j] not in fits:
+        found = buckets.get(tuple(int(j == i) for j in range(n)), [])
+        if len(found) != 1:
+            kind = AmbiguousPartner if found else NoPartnerFound
+            raise kind(f"{len(found)} pool variables have denominator vector e_{i + 1}")
+        pairs = [(0, 0) if j == i else pair
+                 for j, pair in enumerate(zip(*_split_two_monomials(found[0] * reference[i])))]
+        if any(a and b for a, b in pairs):
+            raise InconsistentExchangePattern(
+                f"both exchange monomials at position {i + 1} share a variable (a 2-cycle)")
+        rows.append([a - b for a, b in pairs])
+    signs, reached = [1] + [0] * (n - 1), [0]  # sign 0: row not reached yet
+    for i in reached:  # reached grows as it is walked: breadth first
+        for j in (j for j in range(n) if rows[i][j] or rows[j][i]):
+            fits = [s for s in (1, -1) if s * rows[j][i] == -signs[i] * rows[i][j]]
+            if not fits or signs[j] not in (0, fits[0]):
                 raise InconsistentExchangePattern(
-                    f"positions {i + 1} and {j + 1} admit no consistent orientation"
-                )
-    choice = [c or 0 for c in choice]  # None: no interaction with the fixed component; either works
-
-    b = [[0] * n for _ in range(n)]
-    for i in range(n):
-        out_m = monomial_pairs[i][choice[i]]
-        in_m = monomial_pairs[i][1 - choice[i]]
-        for j in range(n):
-            if i != j:
-                if out_m[j] and in_m[j]:
-                    raise InconsistentExchangePattern(
-                        f"both exchange monomials at position {i + 1} involve "
-                        f"position {j + 1}, contradicting 2-cycle freedom"
-                    )
-                b[i][j] = out_m[j] - in_m[j]
-    return Quiver(b)
+                    f"positions {i + 1} and {j + 1} admit no consistent orientation")
+            if not signs[j]:
+                signs[j] = fits[0]
+                reached.append(j)
+    return Quiver([[(s or 1) * r for r in row] for s, row in zip(signs, rows)])
 
 
 def check_automorphism_candidate(

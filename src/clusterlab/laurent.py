@@ -41,6 +41,7 @@ at formatting time only.
 from __future__ import annotations
 
 import functools
+import re
 import struct
 from collections.abc import Mapping
 from itertools import repeat
@@ -700,10 +701,15 @@ def poly_to_json(a: LaurentPoly) -> dict:
     }
 
 
+_DECIMAL = re.compile("-?[0-9]+")  # the coefficient strings poly_to_json writes
+
+
 def poly_from_json(data: Mapping) -> LaurentPoly:
     """Inverse of poly_to_json.  Exponents and the arity must be ints and a
-    coefficient an int or its decimal string; anything else, a repeated
-    exponent vector included, is an InvalidParameter, never rounded."""
+    coefficient an int or its string in ASCII digits, -?[0-9]+; anything
+    else, a repeated exponent vector included, is an InvalidParameter,
+    never rounded or reread ("+3", " 7", "1_000" and non-ASCII digits,
+    which int() reads, included)."""
     try:
         arity = data["arity"]
         items = [(item["e"], item["c"]) for item in data["terms"]]
@@ -718,10 +724,12 @@ def poly_from_json(data: Mapping) -> LaurentPoly:
         if not (isinstance(exps, list) and len(exps) == arity and all(map(_is_int, exps))):
             raise InvalidParameter(f"exponent vector {exps!r} is not {arity} ints")
         if isinstance(coeff, str):
+            if not _DECIMAL.fullmatch(coeff):
+                raise InvalidParameter(f"coefficient {coeff!r} is not an int in ASCII digits")
             try:
                 coeff = int(coeff)
-            except ValueError:
-                raise InvalidParameter(f"coefficient {coeff!r} is not an int") from None
+            except ValueError:  # more digits than int() converts
+                raise InvalidParameter(f"a coefficient of {len(coeff)} digits is too long") from None
         if tuple(exps) in terms:
             raise InvalidParameter(f"exponent vector {exps} appears twice")
         terms[tuple(exps)] = coeff

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -30,6 +31,7 @@ from .annulus import (
     Side,
     Triangulation,
     TriSeed,
+    _descend,
     _out_pair,
     arc_variable_map,
     candidate_arcs,
@@ -236,13 +238,14 @@ def _evaluate_chain(z: Sequence[LaurentPoly], patterns, steps) -> dict[str, Laur
 def _peripheral_chain(ones: Iterable[int] = ()) -> dict:
     """The five-relation chain for two peripheral arcs crossing twice,
     expanded over ten indeterminates (optionally specializing side
-    variables to 1).  Returns every intermediate value."""
+    variables to 1).  Returns every intermediate value, and sigma3 as its
+    products: sigma2 is its last four, sigma1 its last."""
     z = _gens(10, ones)
     values = _evaluate_chain(z, _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
     z1p, z2p, z3p, z4p, z5p = (values[token] for token, *_ in _PERIPHERAL_PATTERNS)
-    sigma1 = z2p * z[4] * z5p * z[8]
-    sigma2 = z1p * z[3] * z4p * z[6] + z3p * z[7] * z[8] * z[10] + z4p * z[6] * z[8] * z[10] + sigma1
-    sigma3 = z1p * z[4] * z[7] * z[8] + sigma2
+    sigma3_products = [[z1p, z[4], z[7], z[8]], [z1p, z[3], z4p, z[6]], [z3p, z[7], z[8], z[10]],
+                       [z4p, z[6], z[8], z[10]], [z2p, z[4], z5p, z[8]]]
+    sigma1, sigma2, sigma3 = (_sigma_value(sigma3_products[start:], 10) for start in (4, 1, 0))
     product = z[1] * z1p * z2p * z5p
     lines = {
         "regroup pairs": (z[2] * z2p) * (z[5] * z5p) + sigma1,
@@ -255,6 +258,7 @@ def _peripheral_chain(ones: Iterable[int] = ()) -> dict:
         "z": z,
         "primed": (z1p, z2p, z3p, z4p, z5p),
         "sigmas": (sigma1, sigma2, sigma3),
+        "sigma3 products": sigma3_products,
         "product": product,
         "lines": lines,
     }
@@ -359,8 +363,10 @@ def find_crossing_quadrilateral(
     want_loop: bool = False,
     want_boundary_sides: Optional[int] = None,
 ):
-    """First peripheral/bridging pair crossing once whose quadrilateral
-    extends to a triangulation, together with that triangulation.
+    """First peripheral/bridging pair crossing once whose peripheral
+    diagonal and quadrilateral sides are pairwise compatible, as
+    (peripheral, bridging, sides), a boundary side None.  Compatible arcs
+    always extend to a triangulation, which then holds the quadrilateral.
 
     Optionally insists that the peripheral diagonal is a loop (equal
     endpoints on the annulus) or that a given number of quadrilateral
@@ -389,18 +395,7 @@ def find_crossing_quadrilateral(
                 for a, b in itertools.combinations(sorted(base), 2)
             ):
                 continue
-            arcs = sorted(base)
-            for cand in pool:
-                if len(arcs) == ann.p + ann.q:
-                    break
-                if cand in base:
-                    continue
-                if all(crossing_number(cand, a, ann) == 0 for a in arcs):
-                    arcs.append(cand)
-            if len(arcs) != ann.p + ann.q:
-                continue
-            tri = triangulation(ann, sorted(arcs))
-            return gamma_i, gamma_j, sides, tri
+            return gamma_i, gamma_j, sides
     raise ConstructionFailed("no once-crossing peripheral/bridging pair found")
 
 
@@ -412,12 +407,12 @@ def report_crossing_quadrilateral(
     the algebraic mutation exactly, and forces one diagonal out of any
     cluster containing the other."""
     ann = MarkedAnnulus(p, q)
-    gamma_i, gamma_j, sides, tri = find_crossing_quadrilateral(
+    gamma_i, gamma_j, sides = find_crossing_quadrilateral(
         ann, want_loop=want_loop, want_boundary_sides=want_boundary_sides
     )
-    state = reach_state(ann, tri)
-    idx = tri.index_of(gamma_i)
-    new_state, record = flip_state(state, idx)
+    # a triangulation holding the diagonal and every interior side holds the quadrilateral
+    state = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
+    new_state, record = flip_state(state, gamma_i)
     if record.new_arc != gamma_j:
         raise ConstructionFailed(
             "the flip of the peripheral diagonal did not produce the bridging arc"
@@ -838,8 +833,8 @@ def report_quiver_recovery(p: int, q: int, depth: int) -> IdentityReport:
     seed = initial_seed(quiver)
     pool = variables_up_to_depth(seed, depth)
     n = quiver.n
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    partner_counts = [sum(denominator_vector(v) == unit for v in pool) for unit in units]
+    denominators = Counter(map(denominator_vector, pool))
+    partner_counts = [denominators[tuple(int(j == i) for j in range(n))] for i in range(n)]
     inferred = engine.infer_exchange_quiver(list(seed.cluster), pool)
     matches = "same" if inferred == quiver else (
         "opposite" if inferred == quiver.opposite() else "neither"
@@ -1020,17 +1015,9 @@ def report_dichotomy_instances() -> IdentityReport:
 
     data = _peripheral_chain()
     z = data["z"]
-    z1p, z2p, z3p, z4p, z5p = data["primed"]
-    sigma1 = [[z1p, z2p]]
-    sigma2 = [[z[7], z[9]]]
-    sigma3 = [
-        [z1p, z[4], z[7], z[8]],
-        [z1p, z[3], z4p, z[6]],
-        [z3p, z[7], z[8], z[10]],
-        [z4p, z[6], z[8], z[10]],
-        [z2p, z[4], z5p, z[8]],
-    ]
-    check_dichotomy(z[1], z5p, [sigma1, sigma2, sigma3], z[1:], "b")
+    z1p, z2p, *_, z5p = data["primed"]
+    sigmas = [[[z1p, z2p]], [[z[7], z[9]]], data["sigma3 products"]]
+    check_dichotomy(z[1], z5p, sigmas, z[1:], "b")
 
     report_crossing_quadrilateral(2, 1)
     return IdentityReport(

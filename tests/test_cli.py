@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,17 @@ def test_verify_passes(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload[0]["passed"] is True
+
+
+# sha256 of the stdout of `clusterlab verify --report all`: every report at
+# its defaults, the invariant a refactor must keep
+VERIFY_ALL_SHA256 = "bae82a2a029e65fce0e565e5c388dbadbf158f3be800d6b4f5eb476f1d1c233b"
+
+
+def test_verify_all_output_is_pinned(runner):
+    result = runner.invoke(main, ["verify", "--report", "all"])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_verify_rejects_unknown_report(runner):
@@ -269,6 +281,11 @@ def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):
      triangulation_to_json(initial_triangulation(MarkedAnnulus(2, 1))), "InvalidParameter"),
     (["annulus", "flip", "--arc", "5", "--triangulation"],
      triangulation_to_json(initial_triangulation(MarkedAnnulus(2, 1))), "InvalidParameter"),
+    # a coefficient string int() would read but poly_to_json never writes
+    (["mutate-seed", "--at", "0", "--seed"],
+     {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
+      "cluster": [{"arity": 2, "terms": [{"e": [1, 0], "c": "+1"}]},
+                  poly_to_json(coordinates(2)[1])]}, "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
     path = write(tmp_path, "input.json", payload)

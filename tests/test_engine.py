@@ -24,6 +24,7 @@ from clusterlab.engine import (
 )
 from clusterlab.errors import (
     AmbiguousPartner,
+    InconsistentExchangePattern,
     InvalidParameter,
     LimitExceeded,
     NoPartnerFound,
@@ -296,7 +297,65 @@ class TestPositivity:
         assert all(v.has_positive_coefficients() for v in variables_up_to_depth(kronecker, 0))
 
 
+def seeded_presentation(p, q, rng_seed, steps=6):
+    """The quiver a seeded walk of mutations reaches from Ã(p,q)."""
+    rng = random.Random(rng_seed)
+    quiver = tilde_A_canonical(p, q)
+    for _ in range(steps):
+        quiver = quiver.mutate(rng.randrange(quiver.n))
+    return quiver
+
+
+# acyclic seeded presentations of Ã(p,q), p + q <= 6, two distinct ones per
+# class where the walk finds them, with the exact quiver their depth-2
+# pools gave before the rows were read off the monomial differences
+RECOVERED_PRESENTATIONS = [
+    (1, 1, 0, [(1, 0), (1, 0)]),
+    (2, 1, 7, [(0, 2), (1, 0), (1, 2)]),
+    (2, 1, 12, [(1, 0), (1, 2), (2, 0)]),
+    (2, 2, 0, [(1, 0), (2, 1), (2, 3), (3, 0)]),
+    (2, 2, 3, [(0, 3), (1, 0), (1, 2), (2, 3)]),
+    (3, 1, 2, [(0, 3), (1, 2), (1, 3), (2, 0)]),
+    (3, 1, 11, [(1, 0), (2, 1), (3, 0), (3, 2)]),
+    (3, 2, 2, [(0, 4), (1, 2), (1, 3), (2, 0), (3, 4)]),
+    (3, 2, 5, [(1, 0), (1, 2), (3, 2), (3, 4), (4, 0)]),
+    (3, 3, 9, [(1, 0), (2, 1), (2, 3), (3, 4), (5, 0), (5, 4)]),
+    (3, 3, 10, [(1, 0), (2, 1), (3, 2), (3, 4), (4, 5), (5, 0)]),
+    (4, 1, 2, [(0, 4), (1, 2), (1, 3), (2, 0), (4, 3)]),
+    (4, 1, 10, [(0, 4), (1, 2), (1, 4), (2, 3), (3, 0)]),
+    (4, 2, 5, [(0, 5), (1, 0), (2, 1), (3, 2), (3, 4), (4, 5)]),
+    (4, 2, 6, [(1, 0), (2, 1), (2, 3), (3, 4), (4, 5), (5, 0)]),
+    (5, 1, 10, [(1, 0), (2, 1), (3, 2), (4, 3), (5, 0), (5, 4)]),
+    (5, 1, 14, [(0, 5), (1, 0), (1, 2), (3, 2), (4, 3), (5, 4)]),
+]
+
+
 class TestInferQuiver:
+    @pytest.mark.parametrize("p,q,rng_seed,arrows", RECOVERED_PRESENTATIONS)
+    def test_seeded_presentation(self, p, q, rng_seed, arrows):
+        presentation = seeded_presentation(p, q, rng_seed)
+        assert presentation.is_acyclic()
+        seed = initial_seed(presentation)
+        inferred = infer_exchange_quiver(list(seed.cluster), variables_up_to_depth(seed, 2))
+        assert inferred == Quiver.from_arrows(p + q, arrows)
+        assert inferred in (presentation, presentation.opposite())
+
+    def test_rows_of_unequal_size_are_inconsistent(self):
+        # x1*p1 = x2 + 1 and x2*p2 = x1^2 + 1: one arrow seen from x1, two
+        # from x2, so no sign makes the rows skew-symmetric
+        x1, x2 = coordinates(2)
+        pool = {(x2 + 1) * x1 ** -1, (x1 * x1 + 1) * x2 ** -1}
+        with pytest.raises(InconsistentExchangePattern):
+            infer_exchange_quiver([x1, x2], pool)
+
+    def test_monomials_sharing_a_variable_are_inconsistent(self):
+        # x1*p1 = x2^2 + x2 and x2*p2 = x1^2 + x1: the signs fit, but each
+        # row's two monomials both hold the other variable, a 2-cycle
+        x1, x2 = coordinates(2)
+        pool = {(x2 * x2 + x2) * x1 ** -1, (x1 * x1 + x1) * x2 ** -1}
+        with pytest.raises(InconsistentExchangePattern):
+            infer_exchange_quiver([x1, x2], pool)
+
     def test_kronecker(self, kronecker):
         pool = variables_up_to_depth(kronecker, 2)
         inferred = infer_exchange_quiver(list(kronecker.cluster), pool)

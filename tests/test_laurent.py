@@ -251,6 +251,10 @@ class TestSerialization:
         {"arity": 2.0, "terms": []},
         {"arity": 2, "terms": [{"e": [1, 0]}]},
         [1, 2],
+        # int() reads each of these coefficient strings; only the form
+        # poly_to_json writes, -?[0-9]+, is read
+        *({"arity": 1, "terms": [{"e": [1], "c": text}]}
+          for text in ("1_000", " 7 ", "+3", "\u0663", "7\n", "-\uff12")),
     ])
     def test_malformed_json_is_rejected(self, data):
         # never truncated, rounded or merged into some other polynomial
