@@ -12,10 +12,10 @@ position difference; no extra winding field exists.
 Chords between boundary points of the strip behave like chords of a disk
 whose boundary circle runs left to right along line 0 and right to left
 along line 1.  Two chords cross (in minimal position) exactly when their
-endpoints interleave in that cyclic order, so crossing numbers reduce to
-counting interleaving deck translates, and a triangulation drawn in the
-strip is a genuine planar triangulation whose faces can be walked
-combinatorially.
+endpoints interleave in that cyclic order, so a crossing number counts
+the interleaving deck translates, which form at most two intervals of
+shifts in closed form, and a triangulation drawn in the strip is a
+genuine planar triangulation whose faces can be walked combinatorially.
 
     line 1:   ... -2 -1  0  1  2 ...     (inner boundary, period q)
               ----o--o--o--o--o----
@@ -104,15 +104,6 @@ def deck_chord(chord: Chord, k: int, annulus: MarkedAnnulus) -> Chord:
     return (deck_endpoint(chord[0], k, annulus), deck_endpoint(chord[1], k, annulus))
 
 
-def _lifts(arcs: Iterable[Arc], ks: range, annulus: MarkedAnnulus) -> Iterator[Chord]:
-    """The deck translates k in ks of every arc, as strip chords."""
-    for arc in arcs:
-        (b1, x1), (b2, x2) = arc.chord
-        s1, s2 = annulus.period(b1), annulus.period(b2)
-        for k in ks:
-            yield ((b1, x1 + k * s1), (b2, x2 + k * s2))
-
-
 def _cut_key(point: Endpoint):
     # linear order along the strip boundary circle, cut at far left of line 0:
     # line 0 left to right, then line 1 right to left
@@ -120,57 +111,45 @@ def _cut_key(point: Endpoint):
     return (0, x) if b == 0 else (1, -x)
 
 
-def _chords_cross(c1: Chord, c2: Chord) -> bool:
-    """Strict interleaving of endpoints in the boundary cyclic order.
+def _crossing_shifts(c1: Chord, c2: Chord, annulus: MarkedAnnulus) -> list[range]:
+    """The deck shifts k whose translate of c2 crosses c1, as at most two
+    sorted ranges.  c1 splits the boundary circle into two open sides (a
+    bridging chord cuts each line at its endpoint; a peripheral one cuts
+    its line into its open span and the rest, the other line outside), and
+    a translate crosses c1 when its endpoints lie on opposite sides.  w + kP
+    lies past t exactly when k >= (t - w) // P + 1, and before t exactly
+    when k <= -((w - t) // P) - 1; an endpoint on c1 lies on neither, so
+    shared endpoints never cross and k = 0 never counts against c1 itself."""
+    (b1, x1), (b2, x2) = c1
+    periods = (annulus.p, annulus.q)
 
-    Chords sharing an endpoint never count as crossing; they can always be
-    pulled apart at the shared marked point.
-    """
-    a, b = c1
+    def past(end: Endpoint, t: int) -> int:
+        return (t - end[1]) // periods[end[0]] + 1
+
+    def before(end: Endpoint, t: int) -> int:
+        return -((end[1] - t) // periods[end[0]]) - 1
+
     u, v = c2
-    if a in (u, v) or b in (u, v):
-        return False
-    lo, hi = sorted((_cut_key(a), _cut_key(b)))
-    return (lo < _cut_key(u) < hi) != (lo < _cut_key(v) < hi)
-
-
-def _alignment_shifts(c1: Chord, c2: Chord, annulus: MarkedAnnulus) -> list[int]:
-    shifts = []
-    for ea in c1:
-        for eb in c2:
-            if ea[0] == eb[0]:
-                period = annulus.period(ea[0])
-                delta = ea[1] - eb[1]
-                shifts.append(delta // period)
-                shifts.append(-((-delta) // period))
-    return shifts
-
-
-def _crossing_translates(c1: Chord, c2: Chord, annulus: MarkedAnnulus,
-                         skip_zero: bool = False) -> list[Chord]:
-    """The deck translates of c2 that cross c1.
-
-    Only translates aligning some same-boundary endpoint pair can
-    interleave, so the scan runs over that finite shift range with a
-    safety margin.  Without any same-boundary endpoints (peripheral arcs of
-    opposite boundaries) no translate ever interleaves.
-    """
-    shifts = _alignment_shifts(c1, c2, annulus)
-    if not shifts:
-        return []
-    out = []
-    for k in range(min(shifts) - 2, max(shifts) + 3):
-        if skip_zero and k == 0:
-            continue
-        translate = deck_chord(c2, k, annulus)
-        if _chords_cross(c1, translate):
-            out.append(translate)
-    return out
+    if b1 != b2:
+        cut = {b1: x1, b2: x2}
+        cu, cv = cut[u[0]], cut[v[0]]  # one side is past both cuts
+        spans = [(past(u, cu), before(v, cv)), (past(v, cv), before(u, cu))]
+    else:
+        s, t = sorted((x1, x2))
+        spans = []
+        for inner, outer in ((u, v), (v, u)):
+            if inner[0] == b1:
+                lo, hi = past(inner, s), before(inner, t)
+                if outer[0] != b1:
+                    spans.append((lo, hi))
+                else:  # outer lies before s or past t
+                    spans += [(lo, min(hi, before(outer, s))), (max(lo, past(outer, t)), hi)]
+    return [range(lo, hi + 1) for lo, hi in sorted(spans) if lo <= hi]
 
 
 def self_crossing(chord: Chord, annulus: MarkedAnnulus) -> int:
     """Crossings of a chord with its own nonzero deck translates."""
-    return len(_crossing_translates(chord, chord, annulus, skip_zero=True))
+    return sum(map(len, _crossing_shifts(chord, chord, annulus)))
 
 
 def arc_check(annulus: MarkedAnnulus, e1: Endpoint, e2: Endpoint) -> tuple[bool, str]:
@@ -205,7 +184,7 @@ def make_arc(annulus: MarkedAnnulus, e1: Endpoint, e2: Endpoint) -> Arc:
 
 def crossing_number(a: Arc, b: Arc, annulus: MarkedAnnulus) -> int:
     """Minimal intersection count of two arcs, summed over deck translates."""
-    return len(_crossing_translates(a.chord, b.chord, annulus))
+    return sum(map(len, _crossing_shifts(a.chord, b.chord, annulus)))
 
 
 def _project_chord(annulus: MarkedAnnulus, chord: Chord) -> Optional[Arc]:
@@ -223,10 +202,10 @@ def quadrilateral_sides(
     diagonals are the two given arcs crossing exactly once (None for a
     boundary segment)."""
     ci = gamma_i.chord
-    crossing = _crossing_translates(ci, gamma_j.chord, annulus)
-    if len(crossing) != 1:
+    shifts = _crossing_shifts(ci, gamma_j.chord, annulus)
+    if sum(map(len, shifts)) != 1:
         raise ConstructionFailed("arcs do not cross exactly once")
-    corners = sorted(set(ci) | set(crossing[0]), key=_cut_key)
+    corners = sorted(set(ci) | set(deck_chord(gamma_j.chord, shifts[0].start, annulus)), key=_cut_key)
     if len(corners) != 4:
         raise ConstructionFailed("quadrilateral corners are not distinct")
     return [
@@ -344,21 +323,19 @@ def _rotation_key(v: Endpoint, u: Endpoint):
 Side = Optional[Arc]  # None stands for a boundary segment
 
 
-def _rotation(tri: Triangulation, v: Endpoint) -> list[tuple[Endpoint, Side]]:
+def _rotation(ends: Mapping, annulus: MarkedAnnulus, v: Endpoint) -> list[tuple[Endpoint, Side]]:
     """Neighbours of a vertex of the lifted triangulation, counterclockwise,
     each with the side along the edge to it (None for a boundary segment).
 
     Besides its two boundary neighbours, v meets one translate of an arc
-    for every endpoint of that arc in v's deck orbit.
+    for every endpoint of that arc in v's deck orbit; ends lists those
+    endpoints by (line, position mod period) as (position, far end, arc).
     """
-    ann = tri.annulus
     b, x = v
-    period = ann.period(b)
+    period = annulus.period(b)
     out: list[tuple[Endpoint, Side]] = [((b, x - 1), None), ((b, x + 1), None)]
-    for arc in tri.arcs:
-        for here, there in (arc.chord, arc.chord[::-1]):
-            if here[0] == b and (x - here[1]) % period == 0:
-                out.append((deck_endpoint(there, (x - here[1]) // period, ann), arc))
+    for here, there, arc in ends.get((b, x % period), ()):
+        out.append((deck_endpoint(there, (x - here) // period, annulus), arc))
     out.sort(key=lambda item: _rotation_key(v, item[0]))
     return out
 
@@ -371,12 +348,17 @@ def _face_walk(tri: Triangulation):
     b-apex and apex-a.  Rotations are computed once per vertex the walk
     reaches, so a face costs the same however far its arcs wind.
     """
+    ann = tri.annulus
+    ends: dict[Endpoint, list[tuple[int, Endpoint, Arc]]] = {}
+    for arc in tri.arcs:
+        for (b, x), there in (arc.chord, arc.chord[::-1]):
+            ends.setdefault((b, x % ann.period(b)), []).append((x, there, arc))
     rotations: dict[Endpoint, list[tuple[Endpoint, Side]]] = {}
 
     def turn(a: Endpoint, b: Endpoint) -> tuple[Endpoint, Side]:
         # the edge after a -> b on the face to its left, with its side
         if b not in rotations:
-            rotations[b] = _rotation(tri, b)
+            rotations[b] = _rotation(ends, ann, b)
         rot = rotations[b]
         for i, (w, _) in enumerate(rot):
             if w == a:
@@ -731,22 +713,24 @@ def candidate_arcs(annulus: MarkedAnnulus, winding: int = 2) -> list[Arc]:
 
 
 class _Strip:
-    """A finite window of the universal cover with an explicit chord family,
+    """The deck translates k in ks (consecutive shifts) of a chord family,
     drawn as a polygon: its vertices are every integer boundary position
-    spanned by the chords, numbered along the boundary circle (line 0 left
-    to right, then line 1 right to left, as _cut_key orders them), and the
-    chords are its diagonals, stored as vertex pairs (i, j) with i < j.
-    The counterclockwise rotation at a vertex is its sorted neighbour list
-    read cyclically from just after it; faces are traced from it, interior
-    kept on the left."""
+    spanned by the translates, numbered along the boundary circle (line 0
+    left to right, then line 1 right to left, as _cut_key orders them), and
+    the translates are its diagonals, stored as vertex pairs (i, j) with
+    i < j.  A deck shift adds p to a line-0 number and -q to a line-1 one,
+    so the translates of an endpoint are an arithmetic progression of
+    numbers.  The counterclockwise rotation at a vertex is its sorted
+    neighbour list read cyclically from just after it; faces are traced
+    from it, interior kept on the left."""
 
-    def __init__(self, chords: Iterable[Chord]):
-        chords = list(chords)
-        ends = [end for c in chords for end in c]
-        xs = [[x for b, x in ends if b == line] for line in (0, 1)]
+    def __init__(self, chords: Sequence[Chord], ks: range, annulus: MarkedAnnulus):
+        xs = [[x for c in chords for b, x in c if b == line] for line in (0, 1)]
         if not all(xs):
             raise MalformedTriangulation("chord family must touch both boundaries")
-        self.lo, self.hi = [min(x) for x in xs], [max(x) for x in xs]
+        self.steps = (annulus.p, -annulus.q)
+        self.lo = [min(x) + ks[0] * annulus.period(b) for b, x in enumerate(xs)]
+        self.hi = [max(x) + ks[-1] * annulus.period(b) for b, x in enumerate(xs)]
         line0 = self.hi[0] - self.lo[0] + 1
         self._base = (-self.lo[0], line0 + self.hi[1])
         size = line0 + self.hi[1] - self.lo[1] + 1
@@ -755,7 +739,7 @@ class _Strip:
         self.neighbors = [[i - 1, i + 1] for i in range(size)]
         for i, j in ((0, -1), (line0 - 1, line0), (line0, line0 - 1), (size - 1, size)):
             self.neighbors[i].remove(j)
-        self.chords = set(map(self.chord, chords))
+        self.chords = set().union(*(self.lifts(chord, ks) for chord in chords))
         for i, j in self.chords:
             self.neighbors[i].append(j)
             self.neighbors[j].append(i)
@@ -767,18 +751,23 @@ class _Strip:
         b, x = v
         return self._base[0] + x if b == 0 else self._base[1] - x
 
-    def chord(self, c: Chord) -> tuple[int, int]:
-        i, j = self.index(c[0]), self.index(c[1])
-        return (i, j) if i < j else (j, i)
+    def progression(self, end: Endpoint, ks: range) -> range:
+        """The numbers of the translates k in ks of one endpoint."""
+        step = self.steps[end[0]]
+        first = self.index(end) + ks[0] * step
+        return range(first, first + len(ks) * step, step)
 
-    def numbers(self, lo: Sequence[int], hi: Sequence[int]) -> dict[Endpoint, int]:
+    def lifts(self, chord: Chord, ks: range) -> Iterator[tuple[int, int]]:
+        """The translates k in ks of a chord, as vertex pairs (i, j) with
+        i < j: its endpoints in boundary order, which deck shifts keep."""
+        return zip(*(self.progression(end, ks) for end in sorted(chord, key=_cut_key)))
+
+    def numbers(self, lo: Sequence[int], hi: Sequence[int]) -> tuple[range, range]:
         """The numbers of the positions lo[b]..hi[b] on each line b, clipped
         to the strip, where no position can take the other line's number."""
-        return {
-            (b, x): self.index((b, x))
-            for b in (0, 1)
-            for x in range(max(lo[b], self.lo[b]), min(hi[b], self.hi[b]) + 1)
-        }
+        (lo0, lo1), (hi0, hi1) = (map(max, lo, self.lo), map(min, hi, self.hi))
+        return (range(self._base[0] + lo0, self._base[0] + hi0 + 1),
+                range(self._base[1] - hi1, self._base[1] - lo1 + 1))
 
     def _turn(self, u: int, v: int) -> int:
         # the vertex after u -> v on the face to its left: the cyclic
@@ -832,23 +821,26 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     span = max(1, *(-(-abs(x) // periods[b]) for arc in tri.arcs for b, x in arc.chord))
     pad = 2 * span + 4
     ks = range(-pad, window + pad)
-    strip = _Strip(_lifts(tri.arcs, ks, ann))
+    strip = _Strip([arc.chord for arc in tri.arcs], ks, ann)
 
     # the lifts reach span periods past ks on each line; a vertex is
     # trusted when it lies span + 2 periods inside that reach
-    trusted = set(strip.numbers(
+    trusted = set().union(*strip.numbers(
         [(2 - pad) * period for period in periods],
         [(window + pad - 2) * period for period in periods],
-    ).values())
-    flips = [strip.flip(strip.chord(c), trusted) for c in _lifts((tri.arcs[index],), ks, ann)]
+    ))
+    flips = [strip.flip(c, trusted) for c in strip.lifts(tri.arcs[index].chord, ks)]
     if not any(flips):
         raise InvalidParameter("window too small to flip any full fundamental domain")
 
     inside = strip.numbers([0, 0], [window * period for period in periods])
-    interior = set(inside.values())
+    interior = set().union(*inside)
     got_interior = {c for c in strip.chords if c[0] in interior and c[1] in interior}
+    # numbers past the strip's ends alias the other line's, so each
+    # endpoint is kept to its own line (an arc lists line 0 first)
     want_interior = {
-        strip.chord(c) for c in _lifts(flipped.arcs, ks, ann) if c[0] in inside and c[1] in inside
+        (i, j) for arc in flipped.arcs for i, j in strip.lifts(arc.chord, ks)
+        if i in inside[arc.e1[0]] and j in inside[arc.e2[0]]
     }
     if len(want_interior) < len(tri.arcs):
         raise InvalidParameter("window too small to compare a full fundamental domain")

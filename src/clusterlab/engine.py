@@ -315,7 +315,8 @@ def infer_exchange_quiver(reference: Sequence[LaurentPoly], pool: Iterable[Laure
     Times x_i, the pool's one variable with denominator vector e_i is two
     monomials; row i is the first minus the second in lexicographic order.
     Skew-symmetry (s_j*r_j[i] == -s_i*r_i[j]) fixes one sign per row breadth
-    first from row 0, so up to one global opposite; unreached rows keep +1.
+    first from the first row of each connected component, so each component
+    comes back as itself or its opposite.
     The reference cluster must be the coordinate frame of the pool.
     """
     n = len(reference)
@@ -336,17 +337,19 @@ def infer_exchange_quiver(reference: Sequence[LaurentPoly], pool: Iterable[Laure
             raise InconsistentExchangePattern(
                 f"both exchange monomials at position {i + 1} share a variable (a 2-cycle)")
         rows.append([a - b for a, b in pairs])
-    signs, reached = [1] + [0] * (n - 1), [0]  # sign 0: row not reached yet
-    for i in reached:  # reached grows as it is walked: breadth first
-        for j in (j for j in range(n) if rows[i][j] or rows[j][i]):
-            fits = [s for s in (1, -1) if s * rows[j][i] == -signs[i] * rows[i][j]]
-            if not fits or signs[j] not in (0, fits[0]):
-                raise InconsistentExchangePattern(
-                    f"positions {i + 1} and {j + 1} admit no consistent orientation")
-            if not signs[j]:
-                signs[j] = fits[0]
-                reached.append(j)
-    return Quiver([[(s or 1) * r for r in row] for s, row in zip(signs, rows)])
+    signs = [0] * n  # sign 0: row not reached yet
+    for start in (i for i in range(n) if not signs[i]):
+        signs[start], reached = 1, [start]
+        for i in reached:  # reached grows as it is walked: breadth first
+            for j in (j for j in range(n) if rows[i][j] or rows[j][i]):
+                fits = [s for s in (1, -1) if s * rows[j][i] == -signs[i] * rows[i][j]]
+                if not fits or signs[j] not in (0, fits[0]):
+                    raise InconsistentExchangePattern(
+                        f"positions {i + 1} and {j + 1} admit no consistent orientation")
+                if not signs[j]:
+                    signs[j] = fits[0]
+                    reached.append(j)
+    return Quiver([[s * r for r in row] for s, row in zip(signs, rows)])
 
 
 def check_automorphism_candidate(

@@ -34,8 +34,9 @@ formatting and JSON.
 Terms are ordered lexicographically by exponent vector.  That single
 order drives serialization, the deterministic ordering of whole
 polynomials (``sort_key``), and the reduction order inside exact
-division.  Variable names are not stored per term; they are supplied
-at formatting time only.
+division (a monomial divisor needs one shifting pass, no reduction).
+Variable names are not stored per term; they are supplied at formatting
+time only.
 """
 
 from __future__ import annotations
@@ -551,25 +552,42 @@ class SupportLattice:
 
 
 def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
-    """Return q with q * b == a over integer coefficients, or None.
-
-    Reduction against the lexicographic leading term.  Minimum and maximum
-    exponents per variable are additive under multiplication, so every
-    monomial of a quotient q lies in the box [min_a - min_b, max_a - max_b]
-    per variable, and the remainder stays inside a's own exponent box.  A
-    leading-term quotient outside the box proves that no quotient exists;
-    above the box's lower corner the remainder lives in a translate of the
-    nonnegative orthant, where lexicographic order is a well-order, so the
-    reduction terminates.  It fails fast at the first out-of-box leading
-    monomial or non-dividing leading coefficient.
-    """
+    """Return q with q * b == a over integer coefficients, or None: one
+    pass for a monomial b whose exponent bound keeps every field in range,
+    the reduction ``_reduce`` for any other b."""
     if a.arity != b.arity:
         raise ValueError("arity mismatch")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return LaurentPoly.zero(a.arity)
+    bound = a._bound + b._bound
+    if len(b._terms) > 1 or bound > MAX_EXPONENT:
+        return _reduce(a, b)
+    ((key_b, coeff_b),) = b._terms.items()
+    shift = a._layout.zero - key_b
+    quot = {}
+    for key, coeff in a._terms.items():
+        if coeff % coeff_b:
+            return None
+        quot[key + shift] = coeff // coeff_b
+    return _build(a._layout, quot, bound)
 
+
+def _reduce(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
+    """try_div_exact of nonzero a and b, by reduction against the
+    lexicographic leading term.
+
+    Minimum and maximum exponents per variable are additive under
+    multiplication, so every monomial of a quotient q lies in the box
+    [min_a - min_b, max_a - max_b] per variable, and the remainder stays
+    inside a's own exponent box.  A leading-term quotient outside the box
+    proves that no quotient exists; above the box's lower corner the
+    remainder lives in a translate of the nonnegative orthant, where
+    lexicographic order is a well-order, so the reduction terminates.  It
+    fails fast at the first out-of-box leading monomial or non-dividing
+    leading coefficient.
+    """
     layout = a._layout
     box = [(lo_a - lo_b, hi_a - hi_b)
            for (lo_a, hi_a), (lo_b, hi_b) in zip(_ranges(a), _ranges(b))]

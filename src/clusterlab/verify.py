@@ -888,6 +888,22 @@ def _compatible_cliques(ann: MarkedAnnulus, arcs: Sequence[Arc], size: int) -> I
     return grow((), (1 << len(arcs)) - 1)
 
 
+def _most_hits(masks: Sequence[int]) -> int:
+    """The lowest bit position set in the most masks: their bitwise sum has
+    one int per binary digit, and the top digits pick the largest count."""
+    digits: list[int] = []
+    for carry in masks:
+        for i, digit in enumerate(digits):
+            digits[i], carry = digit ^ carry, digit & carry
+        if carry:
+            digits.append(carry)
+    best = -1  # every position
+    for digit in reversed(digits):
+        if best & digit:
+            best &= digit
+    return (best & -best).bit_length() - 1
+
+
 def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     """Desk-scale shadow of structure uniqueness.
 
@@ -911,6 +927,11 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         (frozenset(node.state.seed.cluster), node.depth) for node in nodes.values()
     )
     var_depth = _nearest((v, d) for key, d in cluster_depth.items() for v in key)
+    ball = list(nodes.values())
+    holders: dict[Arc, int] = {}  # bit i: the i-th ball node holds the arc
+    for number, key in enumerate(nodes):
+        for arc in key:
+            holders[arc] = holders.get(arc, 0) | 1 << number
 
     # (ii) compatible subsets
     compatible_subsets = 0
@@ -923,8 +944,8 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         if expected in cluster_depth:
             continue
         target = triangulation(ann, combo)
-        nearest = max(nodes, key=lambda key: len(key.intersection(combo)))  # first on a tie
-        state = reach_state(ann, target, nodes[nearest].state)
+        nearest = _most_hits([holders[arc] for arc in combo])
+        state = reach_state(ann, target, ball[nearest].state)
         witnessed_by_path += 1
         if frozenset(state.seed.cluster) != expected:
             raise CounterexampleFound(
@@ -982,13 +1003,17 @@ def report_cover_flip(
     rng = random.Random(rng_seed)
     checked = 0
     done: set[tuple] = set()  # a repeated (triangulation, index) sample is checked once
+    walked: dict[tuple, Triangulation] = {}  # each walk step's flip, made once
     for p, q in cases:
         ann = MarkedAnnulus(p, q)
         fan = initial_triangulation(ann)
         for _ in range(samples):
             tri = fan
             for _ in range(rng.randrange(4)):
-                tri = flip(tri, rng.randrange(p + q)).triangulation
+                step = (tri, rng.randrange(p + q))
+                if step not in walked:
+                    walked[step] = flip(*step).triangulation
+                tri = walked[step]
             index = rng.randrange(p + q)
             if (tri, index) not in done:
                 done.add((tri, index))

@@ -10,6 +10,7 @@ from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
     _Strip,
+    _crossing_shifts,
     _rotation_key,
     arc_check,
     arc_from_json,
@@ -29,6 +30,7 @@ from clusterlab.annulus import (
     make_arc,
     quiver_of,
     reach_state,
+    self_crossing,
     triangles,
     triangulation,
     triangulation_from_json,
@@ -139,6 +141,73 @@ class TestCrossingNumbers:
         for w in range(2, 6):
             far = make_arc(ann11, (0, 0), (1, w))
             assert crossing_number(base, far, ann11) == w - 1
+
+
+def _interleave(c1, c2):
+    """Strict interleaving of endpoints in the boundary circle's order
+    (line 0 left to right, then line 1 right to left); chords sharing an
+    endpoint never cross."""
+    def at(point):
+        return (0, point[1]) if point[0] == 0 else (1, -point[1])
+
+    if set(c1) & set(c2):
+        return False
+    lo, hi = sorted(map(at, c1))
+    return (lo < at(c2[0]) < hi) != (lo < at(c2[1]) < hi)
+
+
+def _scan_translates(c1, c2, ann, skip_zero=False):
+    """The deck-translate scan the closed form replaced, kept as the
+    oracle: only translates aligning some same-line endpoint pair can
+    interleave, so it tries that shift range with a margin of two."""
+    shifts = []
+    for ea in c1:
+        for eb in c2:
+            if ea[0] == eb[0]:
+                delta, period = ea[1] - eb[1], ann.period(ea[0])
+                shifts += [delta // period, -((-delta) // period)]
+    if not shifts:
+        return []
+    translates = (deck_chord(c2, k, ann) for k in range(min(shifts) - 2, max(shifts) + 3)
+                  if not (skip_zero and k == 0))
+    return [t for t in translates if _interleave(c1, t)]
+
+
+SMALL_ANNULI = [(p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6]
+
+
+class TestCrossingShiftsAgainstScan:
+    @pytest.mark.parametrize("p,q", SMALL_ANNULI)
+    def test_translates_of_every_candidate_pair(self, p, q):
+        ann = MarkedAnnulus(p, q)
+        pool = candidate_arcs(ann, 3)
+        for a, b in itertools.product(pool, repeat=2):
+            shifts = _crossing_shifts(a.chord, b.chord, ann)
+            assert len(shifts) <= 2
+            got = [deck_chord(b.chord, k, ann) for r in shifts for k in r]
+            assert got == _scan_translates(a.chord, b.chord, ann)
+            assert crossing_number(a, b, ann) == len(got)
+
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 3), (2, 1), (2, 3), (3, 2), (4, 1)])
+    def test_self_crossing_and_arc_check_on_raw_pairs(self, p, q):
+        # every endpoint pair in a box: boundary segments, loops, wound
+        # peripheral pairs and bridging pairs of any winding
+        ann = MarkedAnnulus(p, q)
+        box = [(b, x) for b in (0, 1) for x in range(-9, 10)]
+        accepted = 0
+        for e1, e2 in itertools.product(box, repeat=2):
+            want = len(_scan_translates((e1, e2), (e1, e2), ann, skip_zero=True))
+            assert self_crossing((e1, e2), ann) == want
+            gap = abs(e1[1] - e2[1]) if e1[0] == e2[0] else None
+            ok = gap not in (0, 1) and want == 0
+            assert arc_check(ann, e1, e2)[0] == ok
+            if ok:
+                make_arc(ann, e1, e2)
+                accepted += 1
+            else:
+                with pytest.raises(InvalidArc):
+                    make_arc(ann, e1, e2)
+        assert 0 < accepted < len(box) ** 2
 
 
 class TestClassifyArc:
@@ -334,7 +403,7 @@ def _strip_reading(tri):
     # and its rotation needs the translates of every arc up to reach beyond
     pad = reach * (2 * max(ann.p, ann.q) + 2) + 1
     ks = range(-pad, pad + 1)
-    strip = _Strip([deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
+    strip = _Strip([a.chord for a in tri.arcs], ks, ann)
     index = {arc: i for i, arc in enumerate(tri.arcs)}
     b = [[0] * len(tri.arcs) for _ in tri.arcs]
     flips = []
@@ -679,11 +748,10 @@ class TestInPlaceStrip:
             tri = flip(tri, rng.randrange(p + q)).triangulation
         ks = range(-8, 12)
         for idx in range(p + q):
-            strip = _Strip([deck_chord(a.chord, k, ann) for a in tri.arcs for k in ks])
-            trusted = set(strip.numbers(
-                [-4 * ann.p, -4 * ann.q], [8 * ann.p, 8 * ann.q]).values())
-            for k in ks:
-                yield strip, strip.chord(deck_chord(tri.arcs[idx].chord, k, ann)), trusted
+            strip = _Strip([a.chord for a in tri.arcs], ks, ann)
+            trusted = set().union(*strip.numbers([-4 * ann.p, -4 * ann.q], [8 * ann.p, 8 * ann.q]))
+            for chord in strip.lifts(tri.arcs[idx].chord, ks):
+                yield strip, chord, trusted
 
     @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_matches_fresh_strip_after_every_chord_flip(self, p, q):
@@ -692,7 +760,8 @@ class TestInPlaceStrip:
             before = _rotations(strip)
             if strip.flip(chord, trusted):
                 flipped += 1
-                fresh = _Strip([(_point(strip, i), _point(strip, j)) for i, j in strip.chords])
+                chords = [(_point(strip, i), _point(strip, j)) for i, j in strip.chords]
+                fresh = _Strip(chords, range(1), MarkedAnnulus(p, q))
                 assert _rotations(strip) == _rotations(fresh)
             else:
                 assert _rotations(strip) == before
@@ -725,9 +794,14 @@ class TestInPlaceStrip:
         strip, _, _ = next(self._flipped_strips(2, 1))
         reach = strip.numbers([strip.lo[0] - 50, strip.lo[1] - 50],
                               [strip.hi[0] + 50, strip.hi[1] + 50])
-        assert set(reach.values()) == set(range(len(strip.neighbors)))
-        assert all(_point(strip, i) == v for v, i in reach.items())
-        assert strip.numbers([strip.hi[0] + 1, strip.hi[1] + 1], [strip.hi[0] + 50, 10**6]) == {}
+        assert sorted(itertools.chain(*reach)) == list(range(len(strip.neighbors)))
+        assert all(_point(strip, i)[0] == b for b in (0, 1) for i in reach[b])
+        beyond = strip.numbers([strip.hi[0] + 1, strip.hi[1] + 1], [strip.hi[0] + 50, 10**6])
+        assert [list(r) for r in beyond] == [[], []]
+        # a range inside the strip takes exactly its own positions' numbers
+        part = strip.numbers([strip.lo[0] + 1, strip.lo[1] + 2], [strip.hi[0] - 3, strip.hi[1]])
+        assert [sorted(_point(strip, i)[1] for i in r) for r in part] == [
+            list(range(strip.lo[0] + 1, strip.hi[0] - 2)), list(range(strip.lo[1] + 2, strip.hi[1] + 1))]
 
 
 class TestCoverFlipOracle:

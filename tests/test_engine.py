@@ -340,6 +340,16 @@ class TestInferQuiver:
         assert inferred == Quiver.from_arrows(p + q, arrows)
         assert inferred in (presentation, presentation.opposite())
 
+    def test_disconnected_quiver_recovers_each_component(self):
+        # 0 -> 1 and 2 -> 3: each component comes back as itself or its
+        # opposite, independently of the other
+        seed = initial_seed(Quiver.from_arrows(4, [(0, 1), (2, 3)]))
+        inferred = infer_exchange_quiver(list(seed.cluster), variables_up_to_depth(seed, 1))
+        assert inferred in [
+            Quiver.from_arrows(4, [first, second])
+            for first in ((0, 1), (1, 0)) for second in ((2, 3), (3, 2))
+        ]
+
     def test_rows_of_unequal_size_are_inconsistent(self):
         # x1*p1 = x2 + 1 and x2*p2 = x1^2 + 1: one arrow seen from x1, two
         # from x2, so no sign makes the rows skew-symmetric

@@ -434,6 +434,59 @@ class TestAgainstSympy:
         assert sorted(values) == by_tuples
 
 
+class TestMonomialDivision:
+    """The one-pass division by a monomial, pinned to the general reduction
+    and to sympy on seeded random inputs."""
+
+    @staticmethod
+    def _random_poly(rng, n, size):
+        return LaurentPoly(n, {
+            tuple(rng.randint(-3, 3) for _ in range(n)): rng.randint(-6, 6) for _ in range(size)
+        })
+
+    def test_matches_the_reduction_and_sympy(self):
+        rng = random.Random(21)
+        divided = refused = 0
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            b = LaurentPoly(n, {tuple(rng.randint(-3, 3) for _ in range(n)): rng.choice((-3, -2, -1, 1, 2, 3))})
+            for a in (self._random_poly(rng, n, rng.randint(0, 5)) * b, self._random_poly(rng, n, 4)):
+                got = try_div_exact(a, b)
+                assert got == laurent._reduce(a, b)
+                assert got == laurent_or_none(to_sympy(a) / to_sympy(b), n)
+                divided += got is not None
+                refused += got is None
+        assert divided > 200 and refused > 50
+
+    def test_a_coefficient_that_does_not_divide(self, xy):
+        x1, x2 = xy
+        a, b = 4 * x1 * x2 + 3 * x2, LaurentPoly.monomial((1, 0), 2)
+        assert try_div_exact(a, b) is None
+        assert laurent._reduce(a, b) is None
+        assert try_div_exact(4 * x1 * x2 + 6 * x2, b) == 2 * x2 + 3 * x1**-1 * x2
+
+    def test_a_zero_dividend(self):
+        b = LaurentPoly.monomial((2, -1, 0), -3)
+        assert try_div_exact(LaurentPoly.zero(3), b) == LaurentPoly.zero(3)
+
+    @pytest.mark.parametrize("a_exp,b_exp", [
+        (MIN_EXPONENT, 1), (MAX_EXPONENT, -1), (MIN_EXPONENT + 1, 1), (MAX_EXPONENT - 1, -1),
+        (MAX_EXPONENT, 1), (MIN_EXPONENT, -1), (MAX_EXPONENT, MAX_EXPONENT), (-MAX_EXPONENT, -MAX_EXPONENT),
+    ])
+    def test_at_the_field_limit_as_the_reduction(self, a_exp, b_exp):
+        # the quotient exponent a_exp - b_exp raises ExponentOverflow exactly
+        # when it leaves the field, on both paths
+        a = LaurentPoly(2, {(a_exp, 0): 3, (0, 1): 6})
+        b = LaurentPoly.monomial((b_exp, 0), 3)
+        if MIN_EXPONENT <= a_exp - b_exp <= MAX_EXPONENT:
+            want = LaurentPoly(2, {(a_exp - b_exp, 0): 1, (-b_exp, 1): 2})
+            assert try_div_exact(a, b) == laurent._reduce(a, b) == want
+        else:
+            for divide in (try_div_exact, laurent._reduce):
+                with pytest.raises(ExponentOverflow):
+                    divide(a, b)
+
+
 class TestExponentOverflow:
     def test_is_a_package_error(self):
         assert issubclass(ExponentOverflow, ClusterLabError)

@@ -688,6 +688,14 @@ class TestRecoveryAndUniqueness:
         assert oracle
         assert list(_compatible_cliques(ann, arcs, p + q)) == oracle
 
+    def test_most_hits_is_the_first_position_of_the_largest_count(self):
+        rng = random.Random(8)
+        for _ in range(500):
+            width, count = rng.randint(1, 70), rng.randint(0, 12)
+            masks = [rng.getrandbits(width) for _ in range(count)]
+            hits = [sum(mask >> i & 1 for mask in masks) for i in range(width)]
+            assert verify._most_hits(masks) == hits.index(max(hits))
+
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 1)])
     def test_certification_from_the_ball_matches_the_fan(self, p, q, monkeypatch):
         # every subset the report certifies starts from an enumerated
@@ -705,9 +713,10 @@ class TestRecoveryAndUniqueness:
         monkeypatch.setattr(verify, "reach_state", recording)
         report = report_unistructurality(p, q, 4)
         assert len(certified) == int(report.witness["witnessed_by_flip_path"]) > 0
-        starts = [node.state for node in nodes.values()]
         for target, start, state in certified:
-            assert start in starts
+            # the node sharing the most arcs with the target, first on a tie
+            nearest = max(nodes, key=lambda key: len(key & target.arc_set))
+            assert start == nodes[nearest].state
             assert state.seed.cluster == reach_state(ann, target).seed.cluster
 
     def test_certification_flip_count(self, monkeypatch):
@@ -749,6 +758,8 @@ class TestRecoveryAndUniqueness:
         (3, 2, 5, (176, 37, 276, 100)),
         (4, 2, 4, (192, 30, 289, 97)),
         (4, 3, 4, (310, 35, 690, 380)),
+        (4, 4, 4, (473, 40, 1627, 1154)),
+        (5, 4, 4, (691, 45, 4031, 3340)),
     ])
     def test_unistructurality_scaling_points(self, p, q, depth, witness):
         # measured with the brute-force subset filter and descents from the fan
@@ -789,6 +800,18 @@ class TestCoverFlipReport:
                     state, _ = flip_state(state, rng.randrange(p + q))
                 expected.append((state.tri, rng.randrange(p + q), 3))
         assert checked == expected
+
+    def test_walks_flip_each_step_once(self, monkeypatch):
+        # a walk step repeated within one report reuses its first flip
+        flipped = []
+
+        def recording(tri, index):
+            flipped.append((tri, index))
+            return flip(tri, index)
+
+        monkeypatch.setattr(verify, "flip", recording)
+        assert verify.report_cover_flip(rng_seed=0).passed
+        assert flipped and len(flipped) == len(set(flipped))
 
     def test_unknown_report_name(self):
         # InvalidParameter is a ValueError, and names every valid report
