@@ -454,17 +454,16 @@ class FlipResult:
     pairs: tuple[tuple[Side, Side], tuple[Side, Side]]
 
 
-def flip(tri: Triangulation, target: "Arc | int") -> FlipResult:
-    """Replace one arc by the opposite diagonal of its quadrilateral.
+def flip(tri: Triangulation, idx: int) -> FlipResult:
+    """Replace the arc at a slot by the opposite diagonal of its quadrilateral.
 
     The two faces on the canonical lift u -> v of the arc come from the
     local face walk.  The first face holds the dart u -> v and has apex
     a1, the second holds v -> u and has apex a2; pairs is
     ((v-a1, u-a2), (a1-u, a2-v)).
     """
-    if isinstance(target, int) and not 0 <= target < len(tri.arcs):
-        raise InvalidParameter(f"arc index {target} is outside 0..{len(tri.arcs) - 1}")
-    idx = target if isinstance(target, int) else tri.index_of(target)
+    if not 0 <= idx < len(tri.arcs):
+        raise InvalidParameter(f"arc index {idx} is outside 0..{len(tri.arcs) - 1}")
     face = _face_walk(tri)
     u, v = tri.arcs[idx].chord
     apex1, v_apex1, apex1_u = face(u, v)
@@ -537,15 +536,14 @@ def initial_state(annulus: MarkedAnnulus) -> TriSeed:
     return TriSeed(tri, initial_seed(quiver_of(tri)))
 
 
-def flip_state(state: TriSeed, target: "Arc | int") -> tuple[TriSeed, FlipRecord]:
-    """Flip an arc and mutate the seed at the matching direction.
+def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipRecord]:
+    """Flip the arc at a slot and mutate the seed in that direction.
 
     Before the mutation divides, the quiver row of the arc is matched to
     the flip quadrilateral (``_out_pair``, MalformedTriangulation on a
     mismatch).  Equal arc multisets give equal products, so the record's
     products are the mutation's own exchange terms, in pair order.
     """
-    idx = target if isinstance(target, int) else state.tri.index_of(target)
     result = flip(state.tri, idx)
     out = _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
     new_seed, terms = _mutate_with_terms(state.seed, idx)
@@ -603,18 +601,6 @@ def variable_of_arc(
     reached by greedy flips (ties broken by smallest canonical form, or by
     the supplied rng, which must not change the answer)."""
     return _descend(annulus, frozenset((arc,)), rng).variable(arc)
-
-
-def reach_state(annulus: MarkedAnnulus, target: Triangulation, start: Optional[TriSeed] = None) -> TriSeed:
-    """Lockstep state of a triangulation, found by greedy flips from start
-    (default the fan) and reordered to the target's positional order."""
-    state = _descend(annulus, target.arc_set, start=start)
-    perm = [state.tri.index_of(arc) for arc in target.arcs]
-    seed = Seed(
-        state.seed.quiver.permuted(perm),
-        tuple(state.seed.cluster[i] for i in perm),
-    )
-    return TriSeed(target, seed)
 
 
 @dataclass
@@ -676,17 +662,6 @@ def flip_bfs(
         for level in flip_levels(annulus, depth, node_limit)
         for node in level
     }
-
-
-def arc_variable_map(nodes: Mapping[frozenset[Arc], FlipNode]) -> dict[Arc, LaurentPoly]:
-    out: dict[Arc, LaurentPoly] = {}
-    for node in nodes.values():
-        for arc, var in node.state.assignment.items():
-            if out.setdefault(arc, var) != var:
-                raise MalformedTriangulation(
-                    f"arc {arc} received two distinct variables"
-                )
-    return out
 
 
 def candidate_arcs(annulus: MarkedAnnulus, winding: int = 2) -> list[Arc]:

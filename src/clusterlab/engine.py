@@ -357,14 +357,17 @@ def check_automorphism_candidate(
     images: Sequence[LaurentPoly],
     depth: int,
     node_limit: int = DEFAULT_NODE_LIMIT,
-) -> bool:
+) -> Optional[bool]:
     """Bounded test of the two cluster-automorphism conditions.
 
     The map sends seed variable i to images[i] and extends to arbitrary
     variables as a substitution.  Checked to the given depth: the image of
     the cluster must be an enumerated cluster, and the map must commute
     with mutation wherever both sides stay inside the enumerated radius.
-    False is conclusive; True means no violation was found to this depth.
+    False is conclusive: an image that is not Laurent, or a failed
+    commutation.  None means undecided: the image of the cluster is no
+    cluster within the radius, which may lie beyond it.  True means no
+    violation was found to this depth.
     """
     if len(images) != seed.rank:
         raise ValueError("need one image per cluster variable")
@@ -380,8 +383,11 @@ def check_automorphism_candidate(
         mapped = [image(i) for i in graph.clusters[a]]
         return None if any(v is None for v in mapped) else numbers.get(frozenset(mapped), -1)
 
-    if image_node(0) in (None, -1):
+    start = image_node(0)
+    if start is None:
         return False
+    if start < 0:
+        return None
     for a, cluster in enumerate(graph.clusters):
         if graph.depths[a] >= depth:
             break  # nodes come in breadth-first order

@@ -33,7 +33,6 @@ from .annulus import (
     TriSeed,
     _descend,
     _out_pair,
-    arc_variable_map,
     candidate_arcs,
     classify_arc,
     crossing_number,
@@ -43,8 +42,6 @@ from .annulus import (
     flip_state,
     initial_triangulation,
     quadrilateral_sides,
-    reach_state,
-    triangulation,
     verify_cover_flip,
 )
 from .engine import (
@@ -207,11 +204,6 @@ _BRIDGING_PATTERNS = [
 
 _BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)
 
-# the formal bridging chain runs one relation past the geometric setup:
-# the first step of the induction's recurrence
-_BRIDGING_FORMAL = _BRIDGING_PATTERNS + [("z4''", (("z1''", "z1''"), ()), (("z2'", "z3''"), ()))]
-_BRIDGING_FORMAL_STEPS = _BRIDGING_STEPS + (3,)
-
 
 def _evaluate_chain(z: Sequence[LaurentPoly], patterns, steps) -> dict[str, LaurentPoly]:
     """Run a chain table over the 1-based generator list z.
@@ -314,7 +306,10 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
     if n not in (2, 3, 4):
         raise InvalidParameter("n must be 2, 3 or 4")
     z = _gens(8)
-    v = _evaluate_chain(z, _BRIDGING_FORMAL, _BRIDGING_FORMAL_STEPS)
+    # the formal chain runs one relation past the geometric setup: the
+    # first step of the induction's recurrence
+    patterns = _BRIDGING_PATTERNS + [("z4''", (("z1''", "z1''"), ()), (("z2'", "z3''"), ()))]
+    v = _evaluate_chain(z, patterns, _BRIDGING_STEPS + (3,))
     report = IdentityReport(name=f"case3-n{n}", context={"n": n})
 
     def require(label: str, lhs: LaurentPoly, rhs: LaurentPoly):
@@ -412,7 +407,7 @@ def report_crossing_quadrilateral(
     )
     # a triangulation holding the diagonal and every interior side holds the quadrilateral
     state = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
-    new_state, record = flip_state(state, gamma_i)
+    new_state, record = flip_state(state, state.tri.index_of(gamma_i))
     if record.new_arc != gamma_j:
         raise ConstructionFailed(
             "the flip of the peripheral diagonal did not produce the bridging arc"
@@ -908,25 +903,29 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     """Desk-scale shadow of structure uniqueness.
 
     (i) Re-root the enumeration at several non-root seeds and check that
-    cluster sets and variable pools agree wherever both enumerations are
-    guaranteed to reach.  Cluster sets determine the exchange edges
-    (adjacency is symmetric difference of size two), so agreement of
-    clusters is agreement of graphs.
+    cluster sets agree wherever both enumerations are guaranteed to reach.
+    Cluster sets determine the exchange edges (adjacency is symmetric
+    difference of size two), so agreement of clusters is agreement of
+    graphs.  The variable pools then agree too: a variable at depth at
+    most the reach lies in a cluster at depth at most the reach, which the
+    two cluster checks place on the other side.
 
     (ii) Adversarially, every pairwise-compatible full-size subset of the
     enumerated variable pool, found as a clique of compatible arcs, must be
     an actual cluster; one beyond the enumerated radius is certified by a
     flip path from the fan through the enumerated triangulation sharing
-    the most arcs with it (the first in breadth-first order on a tie).
+    the most arcs with it (the first in breadth-first order on a tie).  A
+    clique of p + q compatible arcs is a triangulation, so the descent to
+    it needs no other check; flip_levels has already checked that each arc
+    of the ball keeps one variable.
     """
     ann = MarkedAnnulus(p, q)
     rank = p + q
     nodes = flip_bfs(ann, depth)
-    varmap = arc_variable_map(nodes)
+    varmap = {arc: var for node in nodes.values() for arc, var in node.state.assignment.items()}
     cluster_depth = _nearest(
         (frozenset(node.state.seed.cluster), node.depth) for node in nodes.values()
     )
-    var_depth = _nearest((v, d) for key, d in cluster_depth.items() for v in key)
     ball = list(nodes.values())
     holders: dict[Arc, int] = {}  # bit i: the i-th ball node holds the arc
     for number, key in enumerate(nodes):
@@ -943,9 +942,8 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
             raise CounterexampleFound("distinct compatible arcs share a variable")
         if expected in cluster_depth:
             continue
-        target = triangulation(ann, combo)
         nearest = _most_hits([holders[arc] for arc in combo])
-        state = reach_state(ann, target, ball[nearest].state)
+        state = _descend(ann, frozenset(combo), start=ball[nearest].state)
         witnessed_by_path += 1
         if frozenset(state.seed.cluster) != expected:
             raise CounterexampleFound(
@@ -968,23 +966,18 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         translated = _nearest(
             (frozenset(image_of[i] for i in cluster), d) for cluster, d in zip(fresh.clusters, fresh.depths)
         )
-        mapped_vars = _nearest((v, d) for key, d in translated.items() for v in key)
         reach = depth - pick.depth
         _require_within(translated, cluster_depth, reach,
                         "re-rooted enumeration found a cluster the root missed")
         _require_within(cluster_depth, translated, reach,
                         "root enumeration found a cluster the re-rooted one missed")
-        _require_within(mapped_vars, var_depth, reach,
-                        "re-rooted pool variable missing from root pool")
-        _require_within(var_depth, mapped_vars, reach,
-                        "root pool variable missing from re-rooted pool")
         rerooted += 1
 
     return IdentityReport(
         name="unistructurality",
         witness={
             "clusters": str(len(cluster_depth)),
-            "variables": str(len(var_depth)),
+            "variables": str(len(set(varmap.values()))),
             "compatible_subsets": str(compatible_subsets),
             "witnessed_by_flip_path": str(witnessed_by_path),
         },

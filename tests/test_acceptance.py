@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from clusterlab import verify
 from clusterlab.annulus import (
     MarkedAnnulus,
-    arc_variable_map,
     classify_arc,
     crossing_number,
     flip,
@@ -133,7 +132,9 @@ def test_unistructurality_experiment():
 def test_compatibility_oracle_equivalence():
     with criterion("compatibility oracle: crossing 0 iff a common enumerated cluster, C(2,1)"):
         ann = MarkedAnnulus(2, 1)
-        pool = arc_variable_map(flip_bfs(ann, 4))
+        pool = {
+            arc: var for node in flip_bfs(ann, 4).values() for arc, var in node.state.assignment.items()
+        }
         # clusters containing both arcs of a deep compatible pair can sit just
         # beyond the pool radius; enumerating witnesses two levels deeper
         # closes the equivalence exactly

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import itertools
 import random
 
@@ -11,11 +12,11 @@ from clusterlab.annulus import (
     TriSeed,
     _Strip,
     _crossing_shifts,
+    _descend,
     _rotation_key,
     arc_check,
     arc_from_json,
     arc_to_json,
-    arc_variable_map,
     candidate_arcs,
     classify_arc,
     crossing_number,
@@ -29,7 +30,6 @@ from clusterlab.annulus import (
     initial_triangulation,
     make_arc,
     quiver_of,
-    reach_state,
     self_crossing,
     triangles,
     triangulation,
@@ -542,7 +542,7 @@ class TestVariableOfArc:
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::3]
         for key in sample:
             tri = nodes[key].state.tri
-            reached = reach_state(ann, tri)
+            reached = _descend(ann, tri.arc_set)
             for arc in tri.arcs:
                 assert variable_of_arc(ann, arc) == reached.variable(arc)
 
@@ -559,9 +559,20 @@ class TestVariableOfArc:
 
 class TestLockstep:
     def test_flip_bfs_correspondence_is_single_valued(self, ann21):
+        # every arc of the ball has one variable, and distinct arcs distinct ones
         nodes = flip_bfs(ann21, 3)
-        varmap = arc_variable_map(nodes)
-        assert len(set(varmap.values())) == len(varmap)
+        pairs = {(arc, var) for node in nodes.values() for arc, var in node.state.assignment.items()}
+        assert len({arc for arc, _ in pairs}) == len({var for _, var in pairs}) == len(pairs)
+
+    def test_flip_levels_rejects_a_second_variable_for_a_known_arc(self, monkeypatch):
+        # a flip that hands an arc already in the ball another variable
+        def tampered(state, idx):
+            new_state, record = flip_state(state, idx)
+            return new_state, dataclasses.replace(record, new_var=record.new_var + record.new_var)
+
+        monkeypatch.setattr(annulus_mod, "flip_state", tampered)
+        with pytest.raises(MalformedTriangulation, match="received two distinct variables"):
+            flip_bfs(MarkedAnnulus(2, 1), 2)
 
     def test_flip_state_exchange_in_product_form(self):
         # a flip's record stands for the identity old * new == the sum of
@@ -617,12 +628,13 @@ class TestLockstep:
         assert checked and not calls
 
     def test_reach_state_agrees_with_bfs(self, ann21):
+        # a descent from the fan to a triangulation of the ball reaches its cluster
         nodes = flip_bfs(ann21, 3)
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::5]
         for key in sample:
             node = nodes[key]
-            reached = reach_state(ann21, node.state.tri)
-            assert reached.tri == node.state.tri
+            reached = _descend(ann21, key)
+            assert reached.tri.arc_set == key
             assert set(reached.seed.cluster) == set(node.state.seed.cluster)
 
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from clusterlab import engine
+from clusterlab.annulus import MarkedAnnulus, initial_state, make_arc, variable_of_arc
 from clusterlab.engine import (
     Seed,
     canonical_seed,
@@ -428,8 +429,20 @@ class TestAutomorphismCandidates:
         assert check_automorphism_candidate(kronecker, [x2, x1], 3)
 
     def test_non_cluster_image_rejected(self, kronecker):
+        # {x1, x1'} is no enumerated cluster: undecided, not a conclusive False
         x1, _ = coordinates(2)
-        assert not check_automorphism_candidate(kronecker, [x1, X1_PRIME], 3)
+        assert check_automorphism_candidate(kronecker, [x1, X1_PRIME], 3) is None
+
+    @pytest.mark.parametrize("p,q,undecided,decided", [(2, 2, (3,), 4), (3, 2, (3, 4), 5)])
+    def test_image_beyond_the_radius_is_undecided(self, p, q, undecided, decided):
+        # the Dehn twist, shifting each fan arc's inner end by q, is a
+        # cluster automorphism whose image cluster lies beyond small radii
+        ann = MarkedAnnulus(p, q)
+        fan = initial_state(ann)
+        images = [variable_of_arc(ann, make_arc(ann, a.e1, (1, a.e2[1] + q))) for a in fan.tri.arcs]
+        for depth in undecided:
+            assert check_automorphism_candidate(fan.seed, images, depth) is None
+        assert check_automorphism_candidate(fan.seed, images, decided) is True
 
     @pytest.mark.parametrize("p,q,depth,passing,total", [
         (1, 1, 4, 10, 10), (2, 1, 4, 10, 60), (2, 2, 3, 4, 120),

@@ -9,14 +9,12 @@ from clusterlab import annulus, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
-    arc_variable_map,
     classify_arc,
     crossing_number,
     flip,
     flip_bfs,
     flip_state,
     initial_state,
-    reach_state,
 )
 from clusterlab.engine import Seed, initial_seed, mutate_seed
 from clusterlab.errors import (
@@ -571,25 +569,44 @@ class TestInductionFactorProof:
 
 # the induction at K = 3 on the annuli where a side token binds to an arc
 # variable: S7 on C(3,2), S6 on C(2,3); on C(2,2) every side token is 1.
-# Only S8 -> S5 in z4' or z3'' changes none of the three reports.
+# S8 -> S5 in z4' or z3'' changes none of these three induction reports,
+# as S5 and S8 both bind to 1; it breaks the formal chains instead.
 SIDE_TOKEN_ANNULI = {
     (3, 2): ("{8: 11508, 9: 41646}", "S5=1, S6=1, S7=x1*x2^-1 + x2^-1*x3, S8=1"),
     (2, 3): ("{8: 12310, 9: 43970}", "S5=1, S6=x1*x4^-1 + x3*x4^-1, S7=1, S8=1"),
 }
 
 
+def single_substitutions():
+    """(row, side, position, old, new): each side token occurrence in the
+    bridging patterns and another of S5-S8 to put there, 24 in all."""
+    for name, *sides in _BRIDGING_PATTERNS:
+        for side, (_, tokens) in enumerate(sides):
+            for position, old in enumerate(tokens):
+                for new in ("S5", "S6", "S7", "S8"):
+                    if new != old:
+                        yield name, side, position, old, new
+
+
 def side_token_substitutions():
-    """(p, q, row, side, position, new): each side token occurrence in the
-    bridging patterns and a token to put there, where the old or the new
-    token is the one that binds to an arc variable on C(p,q)."""
+    """(p, q, row, side, position, new): the single substitutions where the
+    old or the new token is the one that binds to an arc variable on C(p,q)."""
     bound = {(3, 2): "S7", (2, 3): "S6"}
     for (p, q), arc_token in bound.items():
-        for name, *sides in _BRIDGING_PATTERNS:
-            for side, (_, tokens) in enumerate(sides):
-                for position, old in enumerate(tokens):
-                    for new in ("S5", "S6", "S7", "S8"):
-                        if new != old and arc_token in (old, new):
-                            yield p, q, name, side, position, new
+        for name, side, position, old, new in single_substitutions():
+            if arc_token in (old, new):
+                yield p, q, name, side, position, new
+
+
+def substituted(name, side, position, new):
+    """The bridging patterns with one side token replaced."""
+    patterns = []
+    for token, *sides in _BRIDGING_PATTERNS:
+        if token == name:
+            keys, tokens = sides[side]
+            sides[side] = (keys, tokens[:position] + (new,) + tokens[position + 1:])
+        patterns.append((token, *sides))
+    return patterns
 
 
 class TestSideTokens:
@@ -608,19 +625,31 @@ class TestSideTokens:
     def test_a_substituted_side_token_changes_the_report(
         self, monkeypatch, reports, p, q, name, side, position, new
     ):
-        patterns = []
-        for token, *sides in _BRIDGING_PATTERNS:
-            if token == name:
-                keys, tokens = sides[side]
-                tokens = tokens[:position] + (new,) + tokens[position + 1:]
-                sides[side] = (keys, tokens)
-            patterns.append((token, *sides))
-        monkeypatch.setattr(verify, "_BRIDGING_PATTERNS", patterns)
+        monkeypatch.setattr(verify, "_BRIDGING_PATTERNS", substituted(name, side, position, new))
         try:
             got = report_winding_induction(p, q, 3).to_json()
         except ClusterLabError:
             return
         assert got != reports[p, q]
+
+    @pytest.mark.parametrize("name,side,position,old,new", list(single_substitutions()))
+    def test_a_substituted_side_token_breaks_the_formal_chains(
+        self, monkeypatch, name, side, position, old, new
+    ):
+        # the formal chains read the bridging table when they run, so every
+        # substitution must break or change case3-n2, -n3 and -n4 together.
+        # All but three break them with an inexact division.  S5 is z5, which
+        # no other relation reads, so S5 -> S6, S7 or S8 in the z2' row is a
+        # specialization of the free chain: every identity still holds and
+        # only the witnesses move (case3-n4's lone term count stays 390
+        # under S5 -> S7 and S5 -> S8)
+        golden = [report_bridging_chain_formal(n).to_json() for n in (2, 3, 4)]
+        monkeypatch.setattr(verify, "_BRIDGING_PATTERNS", substituted(name, side, position, new))
+        try:
+            got = [report_bridging_chain_formal(n).to_json() for n in (2, 3, 4)]
+        except ClusterLabError:
+            return
+        assert (name, old) == ("z2'", "S5") and got != golden
 
 
 class TestPreconditions:
@@ -679,7 +708,7 @@ class TestRecoveryAndUniqueness:
         # pairwise crossings; the cliques must be the same subsets in the
         # same order
         ann = MarkedAnnulus(p, q)
-        arcs = sorted(arc_variable_map(flip_bfs(ann, depth)))
+        arcs = sorted({arc for node in flip_bfs(ann, depth).values() for arc in node.state.tri.arcs})
         crossing = {pair: crossing_number(*pair, ann) for pair in itertools.combinations(arcs, 2)}
         oracle = [
             combo for combo in itertools.combinations(arcs, p + q)
@@ -699,25 +728,26 @@ class TestRecoveryAndUniqueness:
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 1)])
     def test_certification_from_the_ball_matches_the_fan(self, p, q, monkeypatch):
         # every subset the report certifies starts from an enumerated
-        # triangulation, and its cluster is the one the descent from the
-        # fan reaches
+        # triangulation, and each of its arcs gets the variable the descent
+        # from the fan gives it
         ann = MarkedAnnulus(p, q)
         nodes = flip_bfs(ann, 4)
         certified = []
 
-        def recording(ann, target, start=None):
-            state = reach_state(ann, target, start)
-            certified.append((target, start, state))
+        def recording(ann, want, rng=None, start=None):
+            state = annulus._descend(ann, want, rng, start)
+            certified.append((want, start, state))
             return state
 
-        monkeypatch.setattr(verify, "reach_state", recording)
+        monkeypatch.setattr(verify, "_descend", recording)
         report = report_unistructurality(p, q, 4)
         assert len(certified) == int(report.witness["witnessed_by_flip_path"]) > 0
-        for target, start, state in certified:
+        for want, start, state in certified:
             # the node sharing the most arcs with the target, first on a tie
-            nearest = max(nodes, key=lambda key: len(key & target.arc_set))
+            nearest = max(nodes, key=lambda key: len(key & want))
             assert start == nodes[nearest].state
-            assert state.seed.cluster == reach_state(ann, target).seed.cluster
+            assert state.tri.arc_set == want
+            assert state.assignment == annulus._descend(ann, want).assignment
 
     def test_certification_flip_count(self, monkeypatch):
         # certifying the 12 subsets outside the ball of C(3,1) at depth 4
@@ -739,8 +769,8 @@ class TestRecoveryAndUniqueness:
 
     def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
         # a descent computes each arc's total crossing against its target
-        # once, cap included: 12,761 crossing_number calls on C(4,3) at
-        # depth 4, where recomputing the totals on every step made 33,334
+        # once, cap included, and a certified clique is not re-checked as a
+        # triangulation: 4,781 crossing_number calls on C(4,3) at depth 4
         calls = []
 
         def counting(a, b, ann):
@@ -751,7 +781,7 @@ class TestRecoveryAndUniqueness:
         monkeypatch.setattr(verify, "crossing_number", counting)
         report = report_unistructurality(4, 3, 4)
         assert report.witness["witnessed_by_flip_path"] == "380"
-        assert len(calls) == 12761
+        assert len(calls) == 4781
 
     @pytest.mark.parametrize("p,q,depth,witness", [
         (3, 1, 4, (53, 22, 65, 12)),
