@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .engine import Seed, _mutate_with_terms, initial_seed
@@ -506,10 +506,12 @@ def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> int:
 @dataclass(frozen=True)
 class TriSeed:
     """A triangulation with its cluster attached positionally: the variable
-    of arcs[i] is cluster[i], always in the frame of the initial seed."""
+    of arcs[i] is cluster[i], always in the frame of the initial seed.  The
+    memo of flip_state, shared from the root on, is not compared or shown."""
 
     tri: Triangulation
     seed: Seed
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def assignment(self) -> dict[Arc, LaurentPoly]:
@@ -542,16 +544,24 @@ def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipRecord]:
     Before the mutation divides, the quiver row of the arc is matched to
     the flip quadrilateral (``_out_pair``, MalformedTriangulation on a
     mismatch).  Equal arc multisets give equal products, so the record's
-    products are the mutation's own exchange terms, in pair order.
+    products are the mutation's own exchange terms, in pair order.  A flip
+    is a pure function of (triangulation, seed, slot), made once per root:
+    the memo the returned state shares keeps its triangulation, seed and
+    record (never a TriSeed, so no reference cycle), unless it raised.
     """
-    result = flip(state.tri, idx)
-    out = _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
-    new_seed, terms = _mutate_with_terms(state.seed, idx)
-    record = FlipRecord(
-        result.new_arc, state.seed.cluster[idx], new_seed.cluster[idx], result.pairs,
-        terms if out == 0 else terms[::-1],
-    )
-    return TriSeed(result.triangulation, new_seed), record
+    key = (state.tri, state.seed, idx)
+    made = state.memo.get(key)
+    if made is None:
+        result = flip(state.tri, idx)
+        out = _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
+        new_seed, terms = _mutate_with_terms(state.seed, idx)
+        record = FlipRecord(
+            result.new_arc, state.seed.cluster[idx], new_seed.cluster[idx], result.pairs,
+            terms if out == 0 else terms[::-1],
+        )
+        made = state.memo[key] = (result.triangulation, new_seed, record)
+    tri, seed, record = made
+    return TriSeed(tri, seed, state.memo), record
 
 
 def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None, start: Optional[TriSeed] = None) -> TriSeed:

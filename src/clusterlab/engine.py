@@ -258,7 +258,7 @@ def variables_up_to_depth(
 def denominator_vector(variable: LaurentPoly) -> tuple[int, ...]:
     """Reduced-form denominator exponents with respect to the ambient frame."""
     if variable.is_zero():
-        raise ValueError("zero polynomial has no denominator vector")
+        raise InvalidParameter("zero polynomial has no denominator vector")
     _, denom = variable.reduced_form()
     return denom
 
@@ -271,12 +271,12 @@ def jacobian_determinant(variables: Sequence[LaurentPoly]) -> LaurentPoly:
     """
     n = len(variables)
     if n == 0:
-        raise ValueError("need at least one variable")
+        raise InvalidParameter("need at least one variable")
     arity = variables[0].arity
     if any(v.arity != arity for v in variables):
-        raise ValueError("variables must share one arity")
+        raise InvalidParameter("variables must share one arity")
     if n != arity:
-        raise ValueError("need exactly one variable per ambient coordinate")
+        raise InvalidParameter("need exactly one variable per ambient coordinate")
     rows = [[variables[i].derivative(j) for j in range(n)] for i in range(n)]
 
     @functools.cache
@@ -321,7 +321,7 @@ def infer_exchange_quiver(reference: Sequence[LaurentPoly], pool: Iterable[Laure
     """
     n = len(reference)
     if list(reference) != list(coordinates(n)):
-        raise ValueError("reference cluster must be the coordinate variables")
+        raise InvalidParameter("reference cluster must be the coordinate variables")
     buckets: dict[tuple[int, ...], list[LaurentPoly]] = {}
     for v in pool:
         buckets.setdefault(denominator_vector(v), []).append(v)
@@ -370,9 +370,9 @@ def check_automorphism_candidate(
     violation was found to this depth.
     """
     if len(images) != seed.rank:
-        raise ValueError("need one image per cluster variable")
+        raise InvalidParameter("need one image per cluster variable")
     if list(seed.cluster) != list(coordinates(seed.rank)):
-        raise ValueError("candidate checking is rooted at a coordinate seed")
+        raise InvalidParameter("candidate checking is rooted at a coordinate seed")
     graph = exchange_graph(seed, depth, node_limit)
     numbers = {frozenset(graph.cluster(a)): a for a in range(graph.node_count())}
     image = functools.cache(lambda i: laurent.substitute(graph.variables[i], images))

@@ -123,9 +123,9 @@ def check_dichotomy(
     arity = x1.arity
     expected = {"a": 1, "b": 3}.get(variant)
     if expected is None:
-        raise ValueError("variant must be 'a' or 'b'")
+        raise InvalidParameter("variant must be 'a' or 'b'")
     if len(sigmas) != expected:
-        raise ValueError(f"variant {variant!r} needs {expected} sums")
+        raise InvalidParameter(f"variant {variant!r} needs {expected} sums")
     target = x1 * x2
     for sigma in sigmas:
         if len(sigma) == 1 and poly_prod(sigma[0], arity) == target:
@@ -468,27 +468,19 @@ def _match_product(
     return extended
 
 
-def _run_pattern_sequence(
-    state: TriSeed, slots: Sequence[int], patterns, values, bindings, flips: dict
-):
+def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values, bindings):
     """Flip the given slots in order, unifying each exchange relation with
     its pattern.
 
     A pattern is a chain table entry (see the formal chains): the new
     variable is stored under its token, and the two products of the
-    relation must match the two sides in either order.  Every flip goes
-    through flips, keyed on (state, slot), so a flip the caller's search
-    already made is looked up, not made again.
+    relation must match the two sides in either order.
     Returns the final state, the value table and the bindings, or None.
     """
     if not patterns:
         return state, values, bindings
     (token, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
-    key = (state, slots[0])
-    flipped = flips.get(key)
-    if flipped is None:
-        flipped = flips[key] = flip_state(state, slots[0])
-    next_state, record = flipped
+    next_state, record = flip_state(state, slots[0])
     p1, p2 = record.products
     for first, second in ((p1, p2), (p2, p1)):
         step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
@@ -499,7 +491,7 @@ def _run_pattern_sequence(
             continue
         extended = dict(values)
         extended[token] = record.new_var
-        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2, flips)
+        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2)
         if outcome is not None:
             return outcome
     return None
@@ -515,12 +507,11 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
     its first match never builds the levels beyond it.  A labeling is a
     tuple of 1 + max(steps) distinct slots whose first slot holds an arc
     of the given kind ("peripheral" or "bridging"); zi is the variable at
-    labeling[i - 1], and step j flips labeling[steps[j]].  Each distinct
-    (state, slot) flip is made once per call, however many labelings
-    share it.  Yields (start state, labeling, end state, values, bindings,
-    flip distance).
+    labeling[i - 1], and step j flips labeling[steps[j]].  Every state
+    shares the fan's flip memo (``flip_state``), so each distinct flip is
+    made once, however many labelings share it.  Yields (start state,
+    labeling, end state, values, bindings, flip distance).
     """
-    flips: dict = {}
     for level in flip_levels(ann, depth):
         for node in sorted(level, key=lambda node: tuple(sorted(node.state.tri.arcs))):
             start = node.state
@@ -534,9 +525,21 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
                         f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)
                     }
                     slots = [labeling[s] for s in steps]
-                    outcome = _run_pattern_sequence(start, slots, patterns, values, {}, flips)
+                    outcome = _run_pattern_sequence(start, slots, patterns, values, {})
                     if outcome is not None:
                         yield (start, labeling, *outcome, node.depth)
+
+
+def _check_cover_flips(visited: Iterable[Triangulation], slot: int) -> None:
+    """Check the searched slot's cover flip on each visited triangulation."""
+    for tri in visited:
+        if not verify_cover_flip(tri, slot, 3):
+            raise CounterexampleFound("cover flip fails on a triangulation visited by the search")
+
+
+def _format_bindings(bindings: dict[str, LaurentPoly]) -> str:
+    """The side-token bindings of a geometric search, sorted, as text."""
+    return ", ".join(f"{k}={format_poly(v)}" for k, v in sorted(bindings.items()))
 
 
 def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
@@ -582,20 +585,14 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
         for name, *_ in _PERIPHERAL_PATTERNS:
             if substitute(formal[name], images) != values[name]:
                 raise IdentityFailed(f"formal and geometric values of {name} disagree")
-        for visited in (st.tri, end_state.tri):
-            if not verify_cover_flip(visited, labeling[0], 3):
-                raise CounterexampleFound(
-                    "cover flip fails on a triangulation visited by the search"
-                )
+        _check_cover_flips((st.tri, end_state.tri), labeling[0])
         return IdentityReport(
             name="case2-geometric",
             witness={
                 "peripheral_start": str(gamma_i),
                 "peripheral_end": str(gamma_j),
                 "crossing": str(crossing_number(gamma_i, gamma_j, ann)),
-                "side_bindings": ", ".join(
-                    f"{k}={format_poly(v)}" for k, v in sorted(bindings.items())
-                ),
+                "side_bindings": _format_bindings(bindings),
             },
             context={
                 "p": p,
@@ -725,11 +722,7 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     ann = MarkedAnnulus(p, q)
     setup, labeling, state, values, bindings, found_at = _find_bridging_setup(ann)
     gamma_i = setup.tri.arcs[labeling[0]]
-    for visited in (setup.tri, state.tri):
-        if not verify_cover_flip(visited, labeling[0], 3):
-            raise CounterexampleFound(
-                "cover flip fails on a triangulation visited by the search"
-            )
+    _check_cover_flips((setup.tri, state.tri), labeling[0])
     cross_term = values["z2'"] * values["z3''"]
     slot1, slot4 = labeling[0], labeling[3]
     band = _band(state.seed.cluster[slot4], state.seed.cluster[slot1], cross_term)
@@ -749,9 +742,7 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
             "bridging_arc": str(gamma_i),
             "cross_term": format_poly(cross_term),
             "residual_term_counts": str(_residual_term_counts(values, z1_vals, z4_vals)),
-            "side_bindings": ", ".join(
-                f"{k}={format_poly(v)}" for k, v in sorted(bindings.items())
-            ),
+            "side_bindings": _format_bindings(bindings),
         },
         context={"p": p, "q": q, "K": K, "setup_flip_distance": found_at},
     )
@@ -821,7 +812,9 @@ def report_quiver_recovery(p: int, q: int, depth: int) -> IdentityReport:
     """Enumerate variables around the acyclic seed, check that each
     coordinate has a unique unit-denominator partner, and read the quiver
     back off the partners; the result must be the seed's quiver or its
-    opposite."""
+    opposite.  The partners lie at depth 1, so depth must be at least 1."""
+    if depth < 1:
+        raise InvalidParameter(f"depth {depth} holds no exchange partner; it must be at least 1")
     quiver = tilde_A_canonical(p, q)
     if not quiver.is_acyclic():
         raise ConstructionFailed("reference quiver must be acyclic")
@@ -883,22 +876,6 @@ def _compatible_cliques(ann: MarkedAnnulus, arcs: Sequence[Arc], size: int) -> I
     return grow((), (1 << len(arcs)) - 1)
 
 
-def _most_hits(masks: Sequence[int]) -> int:
-    """The lowest bit position set in the most masks: their bitwise sum has
-    one int per binary digit, and the top digits pick the largest count."""
-    digits: list[int] = []
-    for carry in masks:
-        for i, digit in enumerate(digits):
-            digits[i], carry = digit ^ carry, digit & carry
-        if carry:
-            digits.append(carry)
-    best = -1  # every position
-    for digit in reversed(digits):
-        if best & digit:
-            best &= digit
-    return (best & -best).bit_length() - 1
-
-
 def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     """Desk-scale shadow of structure uniqueness.
 
@@ -927,10 +904,8 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         (frozenset(node.state.seed.cluster), node.depth) for node in nodes.values()
     )
     ball = list(nodes.values())
-    holders: dict[Arc, int] = {}  # bit i: the i-th ball node holds the arc
-    for number, key in enumerate(nodes):
-        for arc in key:
-            holders[arc] = holders.get(arc, 0) | 1 << number
+    bit = {arc: 1 << i for i, arc in enumerate(varmap)}  # one bit per pool arc
+    masks = [sum(map(bit.__getitem__, key)) for key in nodes]
 
     # (ii) compatible subsets
     compatible_subsets = 0
@@ -942,7 +917,9 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
             raise CounterexampleFound("distinct compatible arcs share a variable")
         if expected in cluster_depth:
             continue
-        nearest = _most_hits([holders[arc] for arc in combo])
+        want = sum(map(bit.__getitem__, combo))
+        shared = [(mask & want).bit_count() for mask in masks]
+        nearest = shared.index(max(shared))  # the first node on a tie
         state = _descend(ann, frozenset(combo), start=ball[nearest].state)
         witnessed_by_path += 1
         if frozenset(state.seed.cluster) != expected:

@@ -627,6 +627,25 @@ class TestLockstep:
                 checked += 1
         assert checked and not calls
 
+    def test_the_flip_memo_is_shared_and_invisible(self):
+        # a flipped state equals, hashes and prints as the same pair built
+        # afresh; it shares its root's memo, which keeps no TriSeed (so no
+        # reference cycle) and no flip that raised
+        root = initial_state(MarkedAnnulus(3, 2))
+        state, record = flip_state(root, 0)
+        state, _ = flip_state(state, 2)
+        plain = TriSeed(state.tri, state.seed)
+        assert state == plain and hash(state) == hash(plain) and repr(state) == repr(plain)
+        assert state.memo is root.memo and plain.memo == {} and len(root.memo) == 2
+        assert not any(isinstance(item, TriSeed) for made in root.memo.values() for item in made)
+        assert flip_state(root, 0)[1] is record
+        with pytest.raises(InvalidParameter):
+            flip_state(root, 5)
+        wrong = TriSeed(root.tri, Seed(root.seed.quiver.mutate(1), root.seed.cluster))
+        with pytest.raises(MalformedTriangulation):
+            flip_state(wrong, 0)
+        assert len(root.memo) == 2 and wrong.memo == {}
+
     def test_reach_state_agrees_with_bfs(self, ann21):
         # a descent from the fan to a triangulation of the ball reaches its cluster
         nodes = flip_bfs(ann21, 3)

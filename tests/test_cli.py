@@ -286,10 +286,15 @@ def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):
      {"quiver": quiver_to_json(tilde_A_canonical(1, 1)),
       "cluster": [{"arity": 2, "terms": [{"e": [1, 0], "c": "+1"}]},
                   poly_to_json(coordinates(2)[1])]}, "InvalidParameter"),
+    # a depth-0 pool holds no exchange partner: invalid input, not a failed check
+    (["verify", "--report", "quiver-recovery", "--p", "2", "--q", "1", "--depth", "0"],
+     None, "InvalidParameter"),
 ])
 def test_every_command_reports_errors_in_the_envelope(runner, tmp_path, command, payload, error):
-    path = write(tmp_path, "input.json", payload)
-    result = runner.invoke(main, [*command, path])
+    # payload None: the command reads no input file
+    if payload is not None:
+        command = [*command, write(tmp_path, "input.json", payload)]
+    result = runner.invoke(main, command)
     # a typed error becomes the JSON envelope, not a traceback; invalid
     # input exits 2, any other package error 1
     assert result.exit_code == (2 if error in INVALID_INPUT else 1)

@@ -33,6 +33,7 @@ from clusterlab.errors import (
 )
 from clusterlab.laurent import LaurentPoly, coordinates, substitute
 from clusterlab.quiver import Quiver, tilde_A_canonical
+from clusterlab.verify import check_dichotomy
 
 
 def exchange_key(seed, k):
@@ -489,6 +490,27 @@ class TestAutomorphismCandidates:
             else:
                 assert calls["check"] <= checked
         assert passed == passing
+
+
+_X = coordinates(2)
+_KRONECKER = Seed(Quiver([[0, 2], [-2, 0]]), _X)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: check_dichotomy(_X[0], _X[1], [[[_X[0]]]], _X, "c"), "variant must be"),
+    (lambda: check_dichotomy(_X[0], _X[1], [[[_X[0]]]] * 2, _X, "a"), "needs 1 sums"),
+    (lambda: denominator_vector(LaurentPoly.zero(2)), "zero polynomial"),
+    (lambda: jacobian_determinant([]), "at least one variable"),
+    (lambda: jacobian_determinant([_X[0], coordinates(3)[1]]), "share one arity"),
+    (lambda: jacobian_determinant(coordinates(3)[:2]), "one variable per ambient coordinate"),
+    (lambda: infer_exchange_quiver(_X[::-1], [_X[0]]), "coordinate variables"),
+    (lambda: check_automorphism_candidate(_KRONECKER, _X[:1], 1), "one image per"),
+    (lambda: check_automorphism_candidate(Seed(_KRONECKER.quiver, _X[::-1]), _X, 1), "coordinate seed"),
+])
+def test_bad_arguments_raise_invalid_parameter(call, message):
+    # a typed rejection, still a ValueError for callers that catch that
+    with pytest.raises(InvalidParameter, match=message):
+        call()
 
 
 class TestSerialization:

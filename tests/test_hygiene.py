@@ -219,3 +219,33 @@ def test_the_check_sees_an_unreached_definition(tmp_path):
     assert _unreached_public_definitions([module], [("sample", "entry")]) == [
         "sample.py:20: orphan", "sample.py:24: Gone",
     ]
+
+
+def _bare_value_errors(path: Path) -> list[str]:
+    """Lines that raise the builtin ValueError, called or not."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name) and exc.id == "ValueError"
+    )
+    return [f"{path.name}:{line}" for line in lines]
+
+
+def test_verify_and_engine_raise_typed_errors():
+    # a rejection there is InvalidParameter or another package error, which
+    # the CLI turns into its JSON envelope; a bare ValueError is neither
+    found = [line for module in ("verify", "engine") for line in _bare_value_errors(PACKAGE / f"{module}.py")]
+    assert found == []
+
+
+def test_the_check_sees_a_bare_value_error(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from errors import InvalidParameter\n\n\ndef check(x):\n    if x < 0:\n"
+        "        raise ValueError('negative')\n    if x > 9:\n        raise InvalidParameter('large')\n"
+        "    try:\n        return 1 / x\n    except ZeroDivisionError:\n        raise\n"
+        "    raise ValueError\n"
+    )
+    assert _bare_value_errors(module) == ["sample.py:6", "sample.py:13"]

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from clusterlab import annulus, laurent, verify
+from clusterlab import annulus, engine, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
@@ -217,7 +217,7 @@ class TestMatchProduct:
 def _exhaustive_matches(ann, depth, kind, patterns, steps):
     """The slow oracle for _labeled_matches: the whole flip ball first,
     sorted by (depth, sorted arcs), and every labeling flipped afresh (a
-    new flip table per labeling, so nothing is shared between them)."""
+    new flip memo per labeling, so nothing is shared between them)."""
     nodes = sorted(
         flip_bfs(ann, depth).values(),
         key=lambda node: (node.depth, tuple(sorted(node.state.tri.arcs))),
@@ -232,9 +232,23 @@ def _exhaustive_matches(ann, depth, kind, patterns, steps):
                 labeling = (first,) + rest
                 values = {f"z{i + 1}": start.seed.cluster[s] for i, s in enumerate(labeling)}
                 slots = [labeling[s] for s in steps]
-                outcome = _run_pattern_sequence(start, slots, patterns, values, {}, {})
+                fresh = TriSeed(start.tri, start.seed)
+                outcome = _run_pattern_sequence(fresh, slots, patterns, values, {})
                 if outcome is not None:
                     yield (start, labeling, *outcome, node.depth)
+
+
+def _recorded_divisions(monkeypatch) -> list:
+    """Every exchange division lockstep flips make from here on, keyed by
+    (arc set, slot); the cluster names the arc set."""
+    divisions = []
+
+    def recording(seed, k):
+        divisions.append((frozenset(seed.cluster), k))
+        return engine._mutate_with_terms(seed, k)
+
+    monkeypatch.setattr(annulus, "_mutate_with_terms", recording)
+    return divisions
 
 
 def _comparable(match):
@@ -275,15 +289,10 @@ class TestLazyLabeledSearch:
         lambda: _find_bridging_setup(MarkedAnnulus(2, 2)),
     ], ids=["case2-geometric", "bridging-setup-C22"])
     def test_each_flip_is_made_once(self, monkeypatch, search):
-        flips = []
-
-        def recording(state, target):
-            flips.append((state.tri.arc_set, target))
-            return flip_state(state, target)
-
-        monkeypatch.setattr(verify, "flip_state", recording)
+        # every exchange division of the search, the flip ball's included
+        divisions = _recorded_divisions(monkeypatch)
         search()
-        assert flips and len(flips) == len(set(flips))
+        assert divisions and len(divisions) == len(set(divisions))
 
 
 class TestInduction:
@@ -717,14 +726,6 @@ class TestRecoveryAndUniqueness:
         assert oracle
         assert list(_compatible_cliques(ann, arcs, p + q)) == oracle
 
-    def test_most_hits_is_the_first_position_of_the_largest_count(self):
-        rng = random.Random(8)
-        for _ in range(500):
-            width, count = rng.randint(1, 70), rng.randint(0, 12)
-            masks = [rng.getrandbits(width) for _ in range(count)]
-            hits = [sum(mask >> i & 1 for mask in masks) for i in range(width)]
-            assert verify._most_hits(masks) == hits.index(max(hits))
-
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 1)])
     def test_certification_from_the_ball_matches_the_fan(self, p, q, monkeypatch):
         # every subset the report certifies starts from an enumerated
@@ -766,6 +767,14 @@ class TestRecoveryAndUniqueness:
         report = report_unistructurality(3, 1, 4)
         assert report.witness["witnessed_by_flip_path"] == "12"
         assert len(calls) - ball == 14
+
+    def test_each_certification_flip_is_divided_once(self, monkeypatch):
+        # the descents share the ball's flip memo, so the report makes one
+        # exchange division per distinct flip: 1,222 on C(4,3) at depth 4,
+        # where the descents used to divide again (1,421)
+        divisions = _recorded_divisions(monkeypatch)
+        report_unistructurality(4, 3, 4)
+        assert len(divisions) == len(set(divisions)) == 1222
 
     def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
         # a descent computes each arc's total crossing against its target
