@@ -68,7 +68,7 @@ class MarkedAnnulus:
             return self.p
         if boundary == 1:
             return self.q
-        raise ValueError("boundary must be 0 or 1")
+        raise InvalidParameter(f"boundary {boundary} must be 0 or 1")
 
 
 @dataclass(frozen=True, order=True)
@@ -102,6 +102,14 @@ def deck_endpoint(point: Endpoint, k: int, annulus: MarkedAnnulus) -> Endpoint:
 
 def deck_chord(chord: Chord, k: int, annulus: MarkedAnnulus) -> Chord:
     return (deck_endpoint(chord[0], k, annulus), deck_endpoint(chord[1], k, annulus))
+
+
+def _anchored(annulus: MarkedAnnulus, points: Iterable[Endpoint]) -> tuple[Endpoint, ...]:
+    """The window normal form of a point set: sorted, its least point
+    deck-shifted into the fundamental window (a deck shift keeps order)."""
+    points = sorted(points)
+    shift = -(points[0][1] // annulus.period(points[0][0]))
+    return tuple(deck_endpoint(point, shift, annulus) for point in points)
 
 
 def _cut_key(point: Endpoint):
@@ -173,13 +181,7 @@ def make_arc(annulus: MarkedAnnulus, e1: Endpoint, e2: Endpoint) -> Arc:
     ok, reason = arc_check(annulus, e1, e2)
     if not ok:
         raise InvalidArc(f"({e1}, {e2}): {reason}")
-    anchor = min(e1, e2)
-    shift = -(anchor[1] // annulus.period(anchor[0]))
-    p1 = deck_endpoint(e1, shift, annulus)
-    p2 = deck_endpoint(e2, shift, annulus)
-    if p2 < p1:
-        p1, p2 = p2, p1
-    return Arc(p1, p2)
+    return Arc(*_anchored(annulus, (e1, e2)))
 
 
 def crossing_number(a: Arc, b: Arc, annulus: MarkedAnnulus) -> int:
@@ -306,26 +308,13 @@ def triangulation_from_json(data: Mapping) -> Triangulation:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_key(v: Endpoint, u: Endpoint):
-    # order of edges around v, counterclockwise, given by the position of the
-    # far endpoint along the boundary circle starting just after v
-    vb, vx = v
-    ub, ux = u
-    if vb == 0:
-        if ub == 0:
-            return (0, ux - vx) if ux > vx else (2, ux)
-        return (1, -ux)
-    if ub == 1:
-        return (0, vx - ux) if ux < vx else (2, -ux)
-    return (1, ux)
-
-
 Side = Optional[Arc]  # None stands for a boundary segment
 
 
 def _rotation(ends: Mapping, annulus: MarkedAnnulus, v: Endpoint) -> list[tuple[Endpoint, Side]]:
-    """Neighbours of a vertex of the lifted triangulation, counterclockwise,
-    each with the side along the edge to it (None for a boundary segment).
+    """The counterclockwise rotation at a vertex of the lifted triangulation:
+    its neighbours in boundary-circle order (_cut_key), read cyclically as in
+    _Strip, each with the side along its edge (None for a boundary segment).
 
     Besides its two boundary neighbours, v meets one translate of an arc
     for every endpoint of that arc in v's deck orbit; ends lists those
@@ -336,7 +325,7 @@ def _rotation(ends: Mapping, annulus: MarkedAnnulus, v: Endpoint) -> list[tuple[
     out: list[tuple[Endpoint, Side]] = [((b, x - 1), None), ((b, x + 1), None)]
     for here, there, arc in ends.get((b, x % period), ()):
         out.append((deck_endpoint(there, (x - here) // period, annulus), arc))
-    out.sort(key=lambda item: _rotation_key(v, item[0]))
+    out.sort(key=lambda item: _cut_key(item[0]))
     return out
 
 
@@ -389,13 +378,6 @@ class Triangle:
     sides: tuple[Side, Side, Side]
 
 
-def _face_orbit_key(annulus: MarkedAnnulus, vertices: Iterable[Endpoint]) -> tuple:
-    vertices = sorted(vertices)
-    anchor = vertices[0]
-    shift = -(anchor[1] // annulus.period(anchor[0]))
-    return tuple(deck_endpoint(v, shift, annulus) for v in vertices)
-
-
 @functools.lru_cache(maxsize=8192)
 def triangles(tri: Triangulation) -> tuple[Triangle, ...]:
     """One representative triangle per deck orbit; always p + q of them.
@@ -411,7 +393,7 @@ def triangles(tri: Triangulation) -> tuple[Triangle, ...]:
         u, v = arc.chord
         for a, b in ((u, v), (v, u)):
             apex, side_b, side_a = face(a, b)
-            key = _face_orbit_key(ann, (a, b, apex))
+            key = _anchored(ann, (a, b, apex))
             if key not in reps:
                 reps[key] = Triangle((a, b, apex), (arc, side_b, side_a))
     expected = ann.p + ann.q
@@ -564,16 +546,15 @@ def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipRecord]:
     return TriSeed(tri, seed, state.memo), record
 
 
-def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None, start: Optional[TriSeed] = None) -> TriSeed:
+def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], start: Optional[TriSeed] = None) -> TriSeed:
     """Lockstep state reached by greedy flips from start (the fan, or a state
     reached from it) until the triangulation holds every arc of want.
 
     Each step flips the arc outside want with the largest total crossing
-    against want; ties go to the smallest arc, or to the supplied rng,
-    which must not change the answer.  While an arc of want is missing,
-    some arc outside want crosses it (p + q + 1 pairwise compatible arcs
-    cannot exist), and the flip strictly shrinks the total crossing, so
-    the cap is pure paranoia.
+    against want; ties go to the smallest arc.  While an arc of want is
+    missing, some arc outside want crosses it (p + q + 1 pairwise
+    compatible arcs cannot exist), and the flip strictly shrinks the total
+    crossing, so the cap is pure paranoia.
     """
     state = start or initial_state(annulus)
 
@@ -595,22 +576,15 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], rng=None, start: Opti
             raise MalformedTriangulation(
                 "no arc outside the wanted set crosses it, yet it is incomplete"
             )
-        ties = [i for i, t in totals.items() if t == top]
-        if rng is not None and len(ties) > 1:
-            pick = ties[rng.randrange(len(ties))]
-        else:
-            pick = min(ties, key=lambda i: state.tri.arcs[i])
+        pick = min((i for i, t in totals.items() if t == top), key=lambda i: state.tri.arcs[i])
         state, _ = flip_state(state, pick)
     return state
 
 
-def variable_of_arc(
-    annulus: MarkedAnnulus, arc: Arc, rng=None
-) -> LaurentPoly:
+def variable_of_arc(annulus: MarkedAnnulus, arc: Arc) -> LaurentPoly:
     """Cluster variable of an arc, rooted at the fan triangulation and
-    reached by greedy flips (ties broken by smallest canonical form, or by
-    the supplied rng, which must not change the answer)."""
-    return _descend(annulus, frozenset((arc,)), rng).variable(arc)
+    reached by greedy flips (_descend)."""
+    return _descend(annulus, frozenset((arc,))).variable(arc)
 
 
 @dataclass

@@ -108,7 +108,7 @@ class LaurentPoly:
 
     def __init__(self, arity: int, terms: Mapping[Exponents, int]):
         if arity < 0:
-            raise ValueError("arity must be nonnegative")
+            raise InvalidParameter("arity must be nonnegative")
         layout = _layout(arity)
         packed = {}
         bound = 0
@@ -119,7 +119,7 @@ class LaurentPoly:
                 continue
             exps = tuple(exps)
             if len(exps) != arity:
-                raise ValueError(f"exponent vector {exps} does not have arity {arity}")
+                raise InvalidParameter(f"exponent vector {exps} does not have arity {arity}")
             packed[layout.pack(exps)] = coeff
             bound = max(bound, max(map(abs, exps), default=0))
         _init(self, layout, packed, bound)
@@ -144,7 +144,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, index: int, arity: int) -> "LaurentPoly":
         if not 0 <= index < arity:
-            raise ValueError(f"variable index {index} out of range for arity {arity}")
+            raise InvalidParameter(f"variable index {index} out of range for arity {arity}")
         exps = [0] * arity
         exps[index] = 1
         return cls(arity, {tuple(exps): 1})
@@ -175,7 +175,7 @@ class LaurentPoly:
     def min_exponent(self, index: int) -> int:
         """Smallest exponent of variable ``index`` over all terms (poly must be nonzero)."""
         if not self._terms:
-            raise ValueError("zero polynomial has no exponents")
+            raise InvalidParameter("zero polynomial has no exponents")
         shift = self._layout.shifts[index]
         return min(key >> shift & _MASK for key in self._terms) - _BIAS
 
@@ -197,7 +197,7 @@ class LaurentPoly:
     def _coerce(self, other) -> Optional["LaurentPoly"]:
         if isinstance(other, LaurentPoly):
             if other.arity != self.arity:
-                raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
+                raise InvalidParameter(f"arity mismatch: {self.arity} vs {other.arity}")
             return other
         if _is_int(other):
             return LaurentPoly.constant(other, self.arity)
@@ -261,10 +261,10 @@ class LaurentPoly:
         if power < 0:
             # only monomials with unit coefficient are invertible over Z
             if not self.is_monomial():
-                raise ValueError("negative powers require a monomial")
+                raise InvalidParameter("negative powers require a monomial")
             ((exps, coeff),) = _items(self)
             if coeff not in (1, -1):
-                raise ValueError("negative powers require a unit coefficient")
+                raise InvalidParameter("negative powers require a unit coefficient")
             inv = LaurentPoly(self.arity, {tuple(-e for e in exps): coeff})
             return inv ** (-power)
         if power == 0:
@@ -312,7 +312,7 @@ class LaurentPoly:
     def derivative(self, index: int) -> "LaurentPoly":
         """Formal partial derivative in variable ``index`` (any integer exponents)."""
         if not 0 <= index < self.arity:
-            raise ValueError(f"variable index {index} out of range")
+            raise InvalidParameter(f"variable index {index} out of range")
         out: dict[Exponents, int] = {}
         for exps, coeff in _items(self):
             k = exps[index]
@@ -331,7 +331,7 @@ class LaurentPoly:
         numerator / prod(x_i ** d_i).
         """
         if not self._terms:
-            raise ValueError("zero polynomial has no reduced form")
+            raise InvalidParameter("zero polynomial has no reduced form")
         denom = tuple(max(0, -self.min_exponent(i)) for i in range(self.arity))
         num = {
             tuple(e + d for e, d in zip(exps, denom)): coeff
@@ -346,7 +346,7 @@ class LaurentPoly:
         this is also positivity of the reduced numerator.
         """
         if not self._terms:
-            raise ValueError("zero polynomial has no coefficient sign")
+            raise InvalidParameter("zero polynomial has no coefficient sign")
         return all(c > 0 for c in self._terms.values())
 
     # -- formatting ----------------------------------------------------------
@@ -556,7 +556,7 @@ def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
     pass for a monomial b whose exponent bound keeps every field in range,
     the reduction ``_reduce`` for any other b."""
     if a.arity != b.arity:
-        raise ValueError("arity mismatch")
+        raise InvalidParameter("arity mismatch")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
@@ -640,12 +640,12 @@ def substitute(a: LaurentPoly, images: Sequence[LaurentPoly]) -> Optional[Lauren
     not an error.
     """
     if len(images) != a.arity:
-        raise ValueError("need one image per variable")
+        raise InvalidParameter("need one image per variable")
     if a.arity == 0:
-        raise ValueError("cannot substitute into an arity-0 polynomial")
+        raise InvalidParameter("cannot substitute into an arity-0 polynomial")
     target = images[0].arity
     if any(img.arity != target for img in images):
-        raise ValueError("images must share one arity")
+        raise InvalidParameter("images must share one arity")
     if a.is_zero():
         return LaurentPoly.zero(target)
 

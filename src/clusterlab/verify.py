@@ -173,43 +173,39 @@ def _gens(n: int, ones: Iterable[int] = ()) -> list[LaurentPoly]:
 
 
 # A chain is a table of exchange relations, one per flip.  A relation is
-# (token, side one, side two): the flip's new variable is stored under
-# token, and its exchange relation is old * new == side one + side two.
-# A side is (value keys, side tokens), both tuples, standing for the
-# product of the named values and side tokens; ("z4",), ("S8",) is
-# z4 * S8 and (), ("S8", "S10") is S8 * S10.  Step j of a chain flips
-# slot steps[j]; zi is the variable the labeling puts at slot i - 1.  The
-# formal chains read each side token Si as the free indeterminate zi; the
-# geometric searches unify the side tokens with boundary contributions (1)
-# or arc variables on a concrete annulus.
+# (token, slot, side one, side two): flipping the slot stores the new
+# variable under token, with old * new == side one + side two as its
+# exchange relation.  A side is (value keys, side tokens), both tuples,
+# standing for the product of the named values and side tokens;
+# ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.  zi is
+# the variable the labeling puts at slot i - 1.  The formal chains read
+# each side token Si as the free indeterminate zi; the geometric searches
+# unify the side tokens with boundary contributions (1) or arc variables
+# on a concrete annulus.
 
 _PERIPHERAL_PATTERNS = [
-    ("z1'", (("z2", "z5"), ()), (("z4",), ("S8",))),
-    ("z2'", (("z1'", "z3"), ()), ((), ("S8", "S10"))),
-    ("z3'", (("z2'",), ("S9",)), (("z4",), ("S8",))),
-    ("z4'", (("z1'", "z3'"), ()), (("z2'", "z5"), ())),
-    ("z5'", (("z3'",), ("S7",)), (("z4'",), ("S6",))),
+    ("z1'", 0, (("z2", "z5"), ()), (("z4",), ("S8",))),
+    ("z2'", 1, (("z1'", "z3"), ()), ((), ("S8", "S10"))),
+    ("z3'", 2, (("z2'",), ("S9",)), (("z4",), ("S8",))),
+    ("z4'", 3, (("z1'", "z3'"), ()), (("z2'", "z5"), ())),
+    ("z5'", 4, (("z3'",), ("S7",)), (("z4'",), ("S6",))),
 ]
-
-_PERIPHERAL_STEPS = (0, 1, 2, 3, 4)
 
 _BRIDGING_PATTERNS = [
-    ("z1'", (("z2", "z3"), ()), (("z4",), ("S6",))),
-    ("z2'", (("z1'",), ("S5",)), (("z3",), ("S6",))),
-    ("z3'", (("z1'", "z1'"), ()), (("z2'", "z4"), ())),
-    ("z4'", (("z1'",), ("S8",)), (("z3'",), ("S7",))),
-    ("z1''", (("z2'",), ("S7",)), (("z3'", "z4'"), ())),
-    ("z3''", (("z1''",), ("S8",)), (("z4'",), ("S7",))),
+    ("z1'", 0, (("z2", "z3"), ()), (("z4",), ("S6",))),
+    ("z2'", 1, (("z1'",), ("S5",)), (("z3",), ("S6",))),
+    ("z3'", 2, (("z1'", "z1'"), ()), (("z2'", "z4"), ())),
+    ("z4'", 3, (("z1'",), ("S8",)), (("z3'",), ("S7",))),
+    ("z1''", 0, (("z2'",), ("S7",)), (("z3'", "z4'"), ())),
+    ("z3''", 2, (("z1''",), ("S8",)), (("z4'",), ("S7",))),
 ]
 
-_BRIDGING_STEPS = (0, 1, 2, 3, 0, 2)
 
-
-def _evaluate_chain(z: Sequence[LaurentPoly], patterns, steps) -> dict[str, LaurentPoly]:
+def _evaluate_chain(z: Sequence[LaurentPoly], patterns) -> dict[str, LaurentPoly]:
     """Run a chain table over the 1-based generator list z.
 
     Each relation's sides are multiplied out with Si read as zi, and their
-    sum is divided exactly by the value the flipped slot holds: z(step+1)
+    sum is divided exactly by the value the flipped slot holds: z(slot+1)
     until the slot is first flipped, its last new value after that.
     Returns every value by name, z1, ..., zn included; an inexact quotient
     raises ExactDivisionFailed.
@@ -217,13 +213,13 @@ def _evaluate_chain(z: Sequence[LaurentPoly], patterns, steps) -> dict[str, Laur
     arity = len(z) - 1
     values = {f"z{i}": z[i] for i in range(1, arity + 1)}
     held = list(values)  # the name of the value each slot holds
-    for (token, *sides), step in zip(patterns, steps):
+    for token, slot, *sides in patterns:
         first, second = (
             poly_prod([*(values[key] for key in keys), *(z[int(t[1:])] for t in tokens)], arity)
             for keys, tokens in sides
         )
-        values[token] = div_exact(first + second, values[held[step]])
-        held[step] = token
+        values[token] = div_exact(first + second, values[held[slot]])
+        held[slot] = token
     return values
 
 
@@ -233,7 +229,7 @@ def _peripheral_chain(ones: Iterable[int] = ()) -> dict:
     variables to 1).  Returns every intermediate value, and sigma3 as its
     products: sigma2 is its last four, sigma1 its last."""
     z = _gens(10, ones)
-    values = _evaluate_chain(z, _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+    values = _evaluate_chain(z, _PERIPHERAL_PATTERNS)
     z1p, z2p, z3p, z4p, z5p = (values[token] for token, *_ in _PERIPHERAL_PATTERNS)
     sigma3_products = [[z1p, z[4], z[7], z[8]], [z1p, z[3], z4p, z[6]], [z3p, z[7], z[8], z[10]],
                        [z4p, z[6], z[8], z[10]], [z2p, z[4], z5p, z[8]]]
@@ -308,8 +304,8 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
     z = _gens(8)
     # the formal chain runs one relation past the geometric setup: the
     # first step of the induction's recurrence
-    patterns = _BRIDGING_PATTERNS + [("z4''", (("z1''", "z1''"), ()), (("z2'", "z3''"), ()))]
-    v = _evaluate_chain(z, patterns, _BRIDGING_STEPS + (3,))
+    patterns = _BRIDGING_PATTERNS + [("z4''", 3, (("z1''", "z1''"), ()), (("z2'", "z3''"), ()))]
+    v = _evaluate_chain(z, patterns)
     report = IdentityReport(name=f"case3-n{n}", context={"n": n})
 
     def require(label: str, lhs: LaurentPoly, rhs: LaurentPoly):
@@ -468,9 +464,9 @@ def _match_product(
     return extended
 
 
-def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values, bindings):
-    """Flip the given slots in order, unifying each exchange relation with
-    its pattern.
+def _run_pattern_sequence(state: TriSeed, labeling: Sequence[int], patterns, values, bindings):
+    """Flip labeling[slot] for each pattern's slot in turn, unifying each
+    exchange relation with its pattern.
 
     A pattern is a chain table entry (see the formal chains): the new
     variable is stored under its token, and the two products of the
@@ -479,8 +475,8 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
     """
     if not patterns:
         return state, values, bindings
-    (token, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
-    next_state, record = flip_state(state, slots[0])
+    (token, slot, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
+    next_state, record = flip_state(state, labeling[slot])
     p1, p2 = record.products
     for first, second in ((p1, p2), (p2, p1)):
         step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
@@ -491,13 +487,13 @@ def _run_pattern_sequence(state: TriSeed, slots: Sequence[int], patterns, values
             continue
         extended = dict(values)
         extended[token] = record.new_var
-        outcome = _run_pattern_sequence(next_state, slots[1:], rest, extended, step2)
+        outcome = _run_pattern_sequence(next_state, labeling, rest, extended, step2)
         if outcome is not None:
             return outcome
     return None
 
 
-def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps: Sequence[int]):
+def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
     """Every labeled triangulation within the given flip distance of the
     fan whose flip sequence realizes the patterns.
 
@@ -505,9 +501,9 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
     flip ball grows one level at a time (flip_levels), as the caller
     consumes matches, so depth is an upper bound: a caller that stops at
     its first match never builds the levels beyond it.  A labeling is a
-    tuple of 1 + max(steps) distinct slots whose first slot holds an arc
+    tuple of 1 + (largest row slot) distinct slots whose first holds an arc
     of the given kind ("peripheral" or "bridging"); zi is the variable at
-    labeling[i - 1], and step j flips labeling[steps[j]].  Every state
+    labeling[i - 1], and a row of slot s flips labeling[s].  Every state
     shares the fan's flip memo (``flip_state``), so each distinct flip is
     made once, however many labelings share it.  Yields (start state,
     labeling, end state, values, bindings, flip distance).
@@ -519,13 +515,12 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns, steps:
                 if classify_arc(arc)[0] != kind:
                     continue
                 others = [j for j in range(len(start.tri.arcs)) if j != first]
-                for rest in itertools.permutations(others, max(steps)):
+                for rest in itertools.permutations(others, max(slot for _, slot, *_ in patterns)):
                     labeling = (first,) + rest
                     values = {
                         f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)
                     }
-                    slots = [labeling[s] for s in steps]
-                    outcome = _run_pattern_sequence(start, slots, patterns, values, {})
+                    outcome = _run_pattern_sequence(start, labeling, patterns, values, {})
                     if outcome is not None:
                         yield (start, labeling, *outcome, node.depth)
 
@@ -568,7 +563,7 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
             f"peripheral arcs crossing {ceiling} times exist on C({p},{q})"
         )
 
-    matches = _labeled_matches(ann, depth, "peripheral", _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+    matches = _labeled_matches(ann, depth, "peripheral", _PERIPHERAL_PATTERNS)
     for st, labeling, end_state, values, bindings, d in matches:
         gamma_i = st.tri.arcs[labeling[0]]
         gamma_j = end_state.tri.arcs[labeling[4]]
@@ -581,7 +576,7 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
             bindings.get(f"S{i}", LaurentPoly.one(images[0].arity))
             for i in (6, 7, 8, 9, 10)
         ]
-        formal = _evaluate_chain(_gens(10), _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS)
+        formal = _evaluate_chain(_gens(10), _PERIPHERAL_PATTERNS)
         for name, *_ in _PERIPHERAL_PATTERNS:
             if substitute(formal[name], images) != values[name]:
                 raise IdentityFailed(f"formal and geometric values of {name} disagree")
@@ -615,7 +610,7 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
 def _find_bridging_setup(ann: MarkedAnnulus):
     """The first labeled triangulation within flip distance 5 of the fan
     whose setup flips realize the bridging patterns."""
-    for match in _labeled_matches(ann, 5, "bridging", _BRIDGING_PATTERNS, _BRIDGING_STEPS):
+    for match in _labeled_matches(ann, 5, "bridging", _BRIDGING_PATTERNS):
         return match
     raise SearchExhausted(f"no winding-induction setup found on C({ann.p},{ann.q})")
 

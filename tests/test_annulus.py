@@ -11,9 +11,9 @@ from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
     _Strip,
+    _anchored,
     _crossing_shifts,
     _descend,
-    _rotation_key,
     arc_check,
     arc_from_json,
     arc_to_json,
@@ -99,6 +99,20 @@ class TestArcValidity:
         b = make_arc(ann32, (0, 0), (1, 0))
         assert a == b
         assert 0 <= a.e1[1] < 3
+
+    def test_anchored_is_one_normal_form_per_deck_orbit(self, ann32):
+        # every translate and every ordering of a point set has the same
+        # normal form: sorted, its least point in the window
+        points = [(1, 4), (0, -2), (0, 7)]
+        form = _anchored(ann32, points)
+        assert form == ((0, 1), (0, 10), (1, 6))
+        for k in range(-3, 4):
+            for order in itertools.permutations(points):
+                assert _anchored(ann32, [deck_endpoint(v, k, ann32) for v in order]) == form
+
+    def test_period_of_a_third_boundary_is_an_invalid_parameter(self, ann32):
+        with pytest.raises(InvalidParameter, match="must be 0 or 1"):
+            ann32.period(2)
 
 
 class TestCrossingNumbers:
@@ -331,7 +345,46 @@ def _assert_flips_commute_with_mutation(tri):
         assert quiver_of(flip(tri, i).triangulation) == quiver.mutate(i)
 
 
+def _rotation_key(v, u):
+    """The oracle for the counterclockwise order of the edges at v: the
+    position of the far endpoint u along the boundary circle, started just
+    after v, case by case."""
+    vb, vx = v
+    ub, ux = u
+    if vb == 0:
+        if ub == 0:
+            return (0, ux - vx) if ux > vx else (2, ux)
+        return (1, -ux)
+    if ub == 1:
+        return (0, vx - ux) if ux < vx else (2, -ux)
+    return (1, ux)
+
+
 class TestFlip:
+    def test_rotations_are_the_oracle_order_up_to_a_cyclic_shift(self, monkeypatch):
+        # the face walk sorts neighbours in boundary-circle order; turning
+        # takes the cyclic predecessor, so a cyclic shift of the oracle's
+        # order walks the same faces
+        balls = [flip_bfs(MarkedAnnulus(p, q), 2) for p, q in [(1, 1), (2, 1), (2, 2), (3, 2)]]
+        real = annulus_mod._rotation
+        recorded = []
+
+        def recording(ends, ann, v):
+            rotation = real(ends, ann, v)
+            recorded.append((v, [w for w, _ in rotation]))
+            return rotation
+
+        monkeypatch.setattr(annulus_mod, "_rotation", recording)
+        for ball in balls:
+            for node in ball.values():
+                for idx in range(len(node.state.tri.arcs)):
+                    flip(node.state.tri, idx)
+        assert recorded
+        for v, got in recorded:
+            want = sorted(got, key=lambda u: _rotation_key(v, u))
+            cut = got.index(want[0])
+            assert got[cut:] + got[:cut] == want
+
     def test_involution(self, ann32):
         tri = initial_triangulation(ann32)
         for i in range(len(tri.arcs)):
@@ -525,13 +578,18 @@ class TestVariableOfArc:
         value = variable_of_arc(ann11, make_arc(ann11, (0, 0), (1, 1)))
         assert value == LaurentPoly(2, {(2, -1): 1, (0, -1): 1})
 
-    def test_tiebreak_invariance(self, ann21):
-        rng = random.Random(31)
-        arcs = [a for a in candidate_arcs(ann21, winding=2)][:10]
-        for arc in arcs:
+    def test_the_variable_does_not_depend_on_the_start(self, ann21):
+        # descents to one arc from many ball nodes take many flip paths,
+        # and all of them must give the variable the fan's descent gives
+        nodes = list(flip_bfs(ann21, 3).values())[::4]
+        descents = 0
+        for arc in candidate_arcs(ann21, winding=2)[:10]:
             baseline = variable_of_arc(ann21, arc)
-            for _ in range(3):
-                assert variable_of_arc(ann21, arc, rng=rng) == baseline
+            for node in nodes:
+                if arc not in node.state.tri.arc_set:
+                    descents += 1
+                    assert _descend(ann21, frozenset({arc}), start=node.state).variable(arc) == baseline
+        assert descents == 32
 
     @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 2)])
     def test_agrees_with_reach_state(self, p, q):

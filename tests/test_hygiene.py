@@ -233,10 +233,10 @@ def _bare_value_errors(path: Path) -> list[str]:
     return [f"{path.name}:{line}" for line in lines]
 
 
-def test_verify_and_engine_raise_typed_errors():
-    # a rejection there is InvalidParameter or another package error, which
-    # the CLI turns into its JSON envelope; a bare ValueError is neither
-    found = [line for module in ("verify", "engine") for line in _bare_value_errors(PACKAGE / f"{module}.py")]
+def test_every_module_raises_typed_errors():
+    # a rejection is InvalidParameter or another package error, which the
+    # CLI turns into its JSON envelope; a bare ValueError is neither
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _bare_value_errors(path)]
     assert found == []
 
 

@@ -70,6 +70,31 @@ class TestCoefficientType:
             True * x1
 
 
+_X2 = coordinates(2)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LaurentPoly(-1, {}), "arity must be nonnegative"),
+    (lambda: LaurentPoly(2, {(1,): 1}), "does not have arity 2"),
+    (lambda: LaurentPoly.variable(2, 2), "out of range for arity 2"),
+    (lambda: LaurentPoly.zero(2).min_exponent(0), "no exponents"),
+    (lambda: _X2[0] * LaurentPoly.one(3), "arity mismatch"),
+    (lambda: (_X2[0] + 1) ** -1, "require a monomial"),
+    (lambda: (2 * _X2[0]) ** -1, "require a unit coefficient"),
+    (lambda: _X2[0].derivative(2), "out of range"),
+    (lambda: LaurentPoly.zero(2).reduced_form(), "no reduced form"),
+    (lambda: LaurentPoly.zero(2).has_positive_coefficients(), "no coefficient sign"),
+    (lambda: try_div_exact(_X2[0], LaurentPoly.one(3)), "arity mismatch"),
+    (lambda: substitute(_X2[0], _X2[:1]), "one image per variable"),
+    (lambda: substitute(LaurentPoly.one(0), []), "arity-0"),
+    (lambda: substitute(_X2[0], [_X2[0], LaurentPoly.one(3)]), "share one arity"),
+])
+def test_bad_arguments_raise_invalid_parameter(call, message):
+    # a typed rejection, still a ValueError for callers that catch that
+    with pytest.raises(InvalidParameter, match=message):
+        call()
+
+
 class TestMul:
     def test_inverse_monomial(self, xy):
         x1, _ = xy

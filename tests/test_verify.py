@@ -32,9 +32,7 @@ from clusterlab.laurent import LaurentPoly, coordinates, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
     _BRIDGING_PATTERNS,
-    _BRIDGING_STEPS,
     _PERIPHERAL_PATTERNS,
-    _PERIPHERAL_STEPS,
     REPORT_NAMES,
     IdentityReport,
     _compatible_cliques,
@@ -193,9 +191,7 @@ class TestMatchProduct:
     def test_coupled_tokens_on_the_peripheral_search(self):
         # the second relation of the five-flip chain is z1'*z3 + S8*S10;
         # on C(5,1) the search meets an S8 that is an arc variable
-        matches = _labeled_matches(
-            MarkedAnnulus(5, 1), 3, "peripheral", _PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS
-        )
+        matches = _labeled_matches(MarkedAnnulus(5, 1), 3, "peripheral", _PERIPHERAL_PATTERNS)
         for start, labeling, _, values, bindings, _ in matches:
             if bindings["S8"] != bindings["S10"]:
                 break
@@ -214,7 +210,7 @@ class TestMatchProduct:
         assert _match_product(second, [], ("S8", "S10"), {"S8": s8, "S10": s10 + s10}) is None
 
 
-def _exhaustive_matches(ann, depth, kind, patterns, steps):
+def _exhaustive_matches(ann, depth, kind, patterns):
     """The slow oracle for _labeled_matches: the whole flip ball first,
     sorted by (depth, sorted arcs), and every labeling flipped afresh (a
     new flip memo per labeling, so nothing is shared between them)."""
@@ -228,12 +224,11 @@ def _exhaustive_matches(ann, depth, kind, patterns, steps):
             if classify_arc(arc)[0] != kind:
                 continue
             others = [j for j in range(len(start.tri.arcs)) if j != first]
-            for rest in itertools.permutations(others, max(steps)):
+            for rest in itertools.permutations(others, max(slot for _, slot, *_ in patterns)):
                 labeling = (first,) + rest
                 values = {f"z{i + 1}": start.seed.cluster[s] for i, s in enumerate(labeling)}
-                slots = [labeling[s] for s in steps]
                 fresh = TriSeed(start.tri, start.seed)
-                outcome = _run_pattern_sequence(fresh, slots, patterns, values, {})
+                outcome = _run_pattern_sequence(fresh, labeling, patterns, values, {})
                 if outcome is not None:
                     yield (start, labeling, *outcome, node.depth)
 
@@ -265,14 +260,11 @@ class TestLazyLabeledSearch:
         (3, 2, 4, "bridging", 3),
     ])
     def test_same_matches_as_the_exhaustive_walk(self, p, q, depth, kind, count):
-        patterns, steps = {
-            "peripheral": (_PERIPHERAL_PATTERNS, _PERIPHERAL_STEPS),
-            "bridging": (_BRIDGING_PATTERNS, _BRIDGING_STEPS),
-        }[kind]
+        patterns = {"peripheral": _PERIPHERAL_PATTERNS, "bridging": _BRIDGING_PATTERNS}[kind]
         # count 0: no match lies within depth, so both searches run dry
         ann = MarkedAnnulus(p, q)
-        lazy = itertools.islice(_labeled_matches(ann, depth, kind, patterns, steps), count or None)
-        slow = itertools.islice(_exhaustive_matches(ann, depth, kind, patterns, steps), count or None)
+        lazy = itertools.islice(_labeled_matches(ann, depth, kind, patterns), count or None)
+        slow = itertools.islice(_exhaustive_matches(ann, depth, kind, patterns), count or None)
         lazy = [_comparable(m) for m in lazy]
         assert len(lazy) == count
         assert lazy == [_comparable(m) for m in slow]
@@ -589,7 +581,7 @@ SIDE_TOKEN_ANNULI = {
 def single_substitutions():
     """(row, side, position, old, new): each side token occurrence in the
     bridging patterns and another of S5-S8 to put there, 24 in all."""
-    for name, *sides in _BRIDGING_PATTERNS:
+    for name, _, *sides in _BRIDGING_PATTERNS:
         for side, (_, tokens) in enumerate(sides):
             for position, old in enumerate(tokens):
                 for new in ("S5", "S6", "S7", "S8"):
@@ -610,11 +602,11 @@ def side_token_substitutions():
 def substituted(name, side, position, new):
     """The bridging patterns with one side token replaced."""
     patterns = []
-    for token, *sides in _BRIDGING_PATTERNS:
+    for token, slot, *sides in _BRIDGING_PATTERNS:
         if token == name:
             keys, tokens = sides[side]
             sides[side] = (keys, tokens[:position] + (new,) + tokens[position + 1:])
-        patterns.append((token, *sides))
+        patterns.append((token, slot, *sides))
     return patterns
 
 
@@ -735,8 +727,8 @@ class TestRecoveryAndUniqueness:
         nodes = flip_bfs(ann, 4)
         certified = []
 
-        def recording(ann, want, rng=None, start=None):
-            state = annulus._descend(ann, want, rng, start)
+        def recording(ann, want, start=None):
+            state = annulus._descend(ann, want, start)
             certified.append((want, start, state))
             return state
 
