@@ -4,11 +4,13 @@ exchange-quiver recovery, and the cluster-structure uniqueness experiment.
 Two layers cooperate, driven by the same relation tables.  The formal
 layer evaluates each table over free Laurent indeterminates and verifies
 the displayed identity chains exactly: every claimed equality must leave
-a literally zero difference polynomial.  The
-geometric layer works on a concrete annulus, finds configurations by
-bounded search (the relation patterns themselves drive the search), runs
-flips and seed mutations in lockstep, and checks relation shapes,
-crossing counts, and residual positivity in the cluster algebra.
+a literally zero difference polynomial.  The geometric layer works on a
+concrete annulus, finds configurations by bounded search, runs flips and
+seed mutations in lockstep, and checks relation shapes, crossing counts,
+and residual positivity in the cluster algebra.  Its search matches the
+relation tables on the flips' quadrilateral sides, deriving each
+labeling from the rows as it goes; the exchange relations themselves
+come from the lockstep flips, so the search does no algebra of its own.
 
 Reports are plain data so the command line can serialize them; any
 outcome that would falsify a theorem is raised as a hard error rather
@@ -69,7 +71,6 @@ from .laurent import (
     format_poly,
     poly_prod,
     substitute,
-    try_div_exact,
 )
 from .quiver import Quiver, tilde_A_canonical
 
@@ -180,8 +181,8 @@ def _gens(n: int, ones: Iterable[int] = ()) -> list[LaurentPoly]:
 # ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.  zi is
 # the variable the labeling puts at slot i - 1.  The formal chains read
 # each side token Si as the free indeterminate zi; the geometric searches
-# unify the side tokens with boundary contributions (1) or arc variables
-# on a concrete annulus.
+# bind the side tokens to quadrilateral sides on a concrete annulus, a
+# boundary segment (value 1) or an arc (its variable).
 
 _PERIPHERAL_PATTERNS = [
     ("z1'", 0, (("z2", "z5"), ()), (("z4",), ("S8",))),
@@ -435,94 +436,90 @@ def report_crossing_quadrilateral(
 # ---------------------------------------------------------------------------
 
 
-def _match_product(
-    actual: LaurentPoly,
-    known: Sequence[LaurentPoly],
-    tokens: tuple[str, ...],
-    bindings: dict[str, LaurentPoly],
-) -> Optional[dict[str, LaurentPoly]]:
-    """Match actual == prod(known) * prod(value of each side token).
-
-    Every token but the last must already be bound; the last is compared
-    with the exact quotient of actual by everything else, or bound to it
-    on first use.  Returns the extended bindings or None.
-    """
-    if not tokens:
-        return dict(bindings) if actual == poly_prod(known, actual.arity) else None
-    *inner, last = tokens
-    if any(token not in bindings for token in inner):
-        return None
-    base = poly_prod([*known, *(bindings[token] for token in inner)], actual.arity)
-    quotient = try_div_exact(actual, base)
-    if quotient is None:
-        return None
-    bound = bindings.get(last)
-    if bound is not None:
-        return dict(bindings) if bound == quotient else None
-    extended = dict(bindings)
-    extended[last] = quotient
-    return extended
+def _match_side(row_side, pair, keys: dict[str, Arc], tokens: dict[str, Side], start_arcs):
+    """The extensions of (keys, tokens) under which a row side's entries,
+    keys then tokens, are a flip pair's two sides in either order (one
+    extension when both orders agree).  A bound entry must equal its
+    side; a fresh token binds only as the last entry, and a fresh key only
+    to an arc of start_arcs no key holds yet (an unused start slot)."""
+    names, side_tokens = row_side
+    last = len(names) + len(side_tokens) - 1
+    out = []
+    for sides in dict.fromkeys((pair, pair[::-1])):
+        k, t = dict(keys), dict(tokens)
+        for position, (entry, side) in enumerate(zip(names + side_tokens, sides, strict=True)):
+            bound = k if position < len(names) else t
+            if entry in bound:
+                fits = bound[entry] == side
+            elif bound is t:
+                fits = position == last
+            else:
+                fits = side in start_arcs and side not in k.values()
+            if not fits:
+                break
+            bound[entry] = side
+        else:
+            out.append((k, t))
+    return out
 
 
-def _run_pattern_sequence(state: TriSeed, labeling: Sequence[int], patterns, values, bindings):
-    """Flip labeling[slot] for each pattern's slot in turn, unifying each
-    exchange relation with its pattern.
-
-    A pattern is a chain table entry (see the formal chains): the new
-    variable is stored under its token, and the two products of the
-    relation must match the two sides in either order.
-    Returns the final state, the value table and the bindings, or None.
-    """
-    if not patterns:
-        return state, values, bindings
-    (token, slot, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
-    next_state, record = flip_state(state, labeling[slot])
-    p1, p2 = record.products
-    for first, second in ((p1, p2), (p2, p1)):
-        step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
-        if step1 is None:
-            continue
-        step2 = _match_product(second, [values[k] for k in keys2], side2, step1)
-        if step2 is None:
-            continue
-        extended = dict(values)
-        extended[token] = record.new_var
-        outcome = _run_pattern_sequence(next_state, labeling, rest, extended, step2)
-        if outcome is not None:
-            return outcome
-    return None
+def _run_rows(state: TriSeed, start_tri: Triangulation, rows, keys, tokens, records=()):
+    """Every way, depth first, that the rows match the flips from state; a
+    row flips the start slot of z(slot + 1), trying pairs (p1, p2) before
+    (p2, p1).  Yields (end state, keys, tokens, the rows' flip records)."""
+    if not rows:
+        yield state, keys, tokens, records
+        return
+    (token, slot, side_one, side_two), rest = rows[0], rows[1:]
+    next_state, record = flip_state(state, start_tri.index_of(keys[f"z{slot + 1}"]))
+    for first, second in (record.pairs, record.pairs[::-1]):
+        for k1, t1 in _match_side(side_one, first, keys, tokens, start_tri.arc_set):
+            for k2, t2 in _match_side(side_two, second, k1, t1, start_tri.arc_set):
+                k2[token] = record.new_arc
+                yield from _run_rows(next_state, start_tri, rest, k2, t2, records + (record,))
 
 
 def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
     """Every labeled triangulation within the given flip distance of the
-    fan whose flip sequence realizes the patterns.
-
-    Triangulations come nearest first, ties broken by sorted arc set.  The
-    flip ball grows one level at a time (flip_levels), as the caller
-    consumes matches, so depth is an upper bound: a caller that stops at
-    its first match never builds the levels beyond it.  A labeling is a
-    tuple of 1 + (largest row slot) distinct slots whose first holds an arc
-    of the given kind ("peripheral" or "bridging"); zi is the variable at
-    labeling[i - 1], and a row of slot s flips labeling[s].  Every state
-    shares the fan's flip memo (``flip_state``), so each distinct flip is
-    made once, however many labelings share it.  Yields (start state,
+    fan whose flip sequence realizes the patterns, as (start state,
     labeling, end state, values, bindings, flip distance).
+
+    Triangulations come nearest first, ties broken by sorted arc set; the
+    flip ball grows one level at a time (flip_levels) as the caller
+    consumes matches, so depth is an upper bound.  A labeling is a tuple
+    of 1 + (largest row slot) distinct slots whose first holds an arc of
+    the given kind; zi is the variable at labeling[i - 1], and a row of
+    slot s flips labeling[s].  Rows match on the flips' sides, a key
+    naming an arc and a token a side, None for a boundary segment
+    (``_match_side``).  A fresh zi names the arc at a start slot, so the
+    labeling is read off the rows, not enumerated: in both tables every
+    slot a row flips is named by an earlier row.  Per start node and first
+    arc, the first match of each labeling in depth-first order is kept,
+    in labeling order.  No relation is re-checked in Laurent algebra: a
+    matched row's old * new == (product of side one) + (product of side
+    two) holds by construction, as ``flip_state`` divides its exchange
+    relation exactly and ``_out_pair`` ties each term to its pair of
+    sides.  Arcs become variables at the end, a boundary side 1.  All
+    states share the fan's flip memo, so each distinct flip is made once.
     """
+    width = 1 + max(slot for _, slot, *_ in patterns)
+    names = [f"z{i + 1}" for i in range(width)] + [token for token, *_ in patterns]
+    one = LaurentPoly.one(ann.p + ann.q)
     for level in flip_levels(ann, depth):
         for node in sorted(level, key=lambda node: tuple(sorted(node.state.tri.arcs))):
             start = node.state
-            for first, arc in enumerate(start.tri.arcs):
+            for arc in start.tri.arcs:
                 if classify_arc(arc)[0] != kind:
                     continue
-                others = [j for j in range(len(start.tri.arcs)) if j != first]
-                for rest in itertools.permutations(others, max(slot for _, slot, *_ in patterns)):
-                    labeling = (first,) + rest
-                    values = {
-                        f"z{i + 1}": start.seed.cluster[slot] for i, slot in enumerate(labeling)
-                    }
-                    outcome = _run_pattern_sequence(start, labeling, patterns, values, {})
-                    if outcome is not None:
-                        yield (start, labeling, *outcome, node.depth)
+                found = {}
+                for end, keys, tokens, records in _run_rows(start, start.tri, patterns, {"z1": arc}, {}):
+                    labeling = tuple(start.tri.index_of(keys[f"z{i + 1}"]) for i in range(width))
+                    found.setdefault(labeling, (end, keys, tokens, records))
+                for labeling, (end, keys, tokens, records) in sorted(found.items()):
+                    variable = start.assignment | {r.new_arc: r.new_var for r in records}
+                    values = {name: variable[keys[name]] for name in names}
+                    bindings = {t: one if side is None else variable[side] for t, side in tokens.items()}
+                    yield start, labeling, end, values, bindings, node.depth
 
 
 def _check_cover_flips(visited: Iterable[Triangulation], slot: int) -> None:
@@ -548,9 +545,9 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
     five-flip sequence whose exchange relations realize the formal chain,
     ending at a peripheral arc crossing it exactly twice.
 
-    Side tokens unify against boundary contributions (1) or actual arc
-    variables.  The found values are substituted back into the formal
-    chain as an agreement check between the layers.
+    Side tokens bind to quadrilateral sides: boundary segments (1) or
+    arcs (their variables).  The found values are substituted back into
+    the formal chain as an agreement check between the layers.
     """
     if max(p, q) < 4:
         raise InvalidParameter(
@@ -694,12 +691,15 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     """Run the alternating flip recurrence for a bridging arc against
     increasingly winding partners.
 
-    Past the setup the flips alternate between the first and the fourth
-    slot, and their variables x_0 = z4_1, x_1 = z1_2, x_2 = z4_2, ...
-    satisfy x_{n+1} * x_{n-1} == x_n**2 + c for the fixed cross term c.
-    Two consecutive relations show that L = (x_{n+1} + x_{n-1}) / x_n, the
-    band around the core, does not depend on n, so
-    x_{n+1} = L * x_n - x_{n-1}.  ``_band`` takes L from the first winding
+    The setup is the nearest labeled triangulation whose flips realize
+    the bridging table (``_find_bridging_setup``): its rows are matched on
+    the flips' quadrilateral sides, and the labeling is read off them
+    (``_labeled_matches``).  Past the setup the flips alternate between
+    the first and the fourth slot, and their variables x_0 = z4_1,
+    x_1 = z1_2, x_2 = z4_2, ... satisfy x_{n+1} * x_{n-1} == x_n**2 + c
+    for the fixed cross term c.  Two consecutive relations show that
+    L = (x_{n+1} + x_{n-1}) / x_n, the band around the core, does not
+    depend on n, so x_{n+1} = L * x_n - x_{n-1}.  ``_band`` takes L from the first winding
     relation; past it, no flip divides (``_winding_flip``).
 
     Checks, on a concrete annulus: (i) every exchange relation past the

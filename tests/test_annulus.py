@@ -592,7 +592,7 @@ class TestVariableOfArc:
         assert descents == 32
 
     @pytest.mark.parametrize("p,q", [(2, 1), (2, 2), (3, 2)])
-    def test_agrees_with_reach_state(self, p, q):
+    def test_agrees_with_descend(self, p, q):
         # one greedy descent serves both: a single wanted arc, or a whole
         # triangulation, must give the same variable for every arc
         ann = MarkedAnnulus(p, q)
@@ -704,7 +704,7 @@ class TestLockstep:
             flip_state(wrong, 0)
         assert len(root.memo) == 2 and wrong.memo == {}
 
-    def test_reach_state_agrees_with_bfs(self, ann21):
+    def test_descend_agrees_with_bfs(self, ann21):
         # a descent from the fan to a triangulation of the ball reaches its cluster
         nodes = flip_bfs(ann21, 3)
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::5]

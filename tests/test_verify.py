@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -13,8 +15,10 @@ from clusterlab.annulus import (
     crossing_number,
     flip,
     flip_bfs,
+    flip_levels,
     flip_state,
     initial_state,
+    initial_triangulation,
 )
 from clusterlab.engine import Seed, initial_seed, mutate_seed
 from clusterlab.errors import (
@@ -28,7 +32,7 @@ from clusterlab.errors import (
     ShapeMismatch,
     SideConditionViolated,
 )
-from clusterlab.laurent import LaurentPoly, coordinates, substitute
+from clusterlab.laurent import LaurentPoly, coordinates, poly_prod, substitute
 from clusterlab.quiver import tilde_A_canonical
 from clusterlab.verify import (
     _BRIDGING_PATTERNS,
@@ -39,9 +43,8 @@ from clusterlab.verify import (
     _find_bridging_setup,
     _labeled_matches,
     _band,
-    _match_product,
+    _match_side,
     _opposite_pair,
-    _run_pattern_sequence,
     _winding_walk,
     check_dichotomy,
     max_peripheral_crossing,
@@ -164,29 +167,60 @@ class TestGeometricChain:
             run_report("case2-geometric", p=2, q=1)
 
 
-class TestMatchProduct:
-    def test_free_last_token_is_bound_to_the_exact_quotient(self):
-        x1, x2 = coordinates(2)
-        bindings = {"S1": x1}
-        got = _match_product(x1 * x2 * (x1 + x2), [x2], ("S1", "S2"), bindings)
-        assert got == {"S1": x1, "S2": x1 + x2}
-        assert bindings == {"S1": x1}
-        assert _match_product(x1 * x2 + 1, [x1 + x2], ("S2",), {}) is None
+class TestSideMatch:
+    @pytest.fixture
+    def arcs(self):
+        return initial_triangulation(MarkedAnnulus(2, 1)).arcs
 
-    def test_unbound_inner_token_gives_none(self):
-        x1, x2 = coordinates(2)
-        assert _match_product(x1 * x2, [], ("S1", "S2"), {}) is None
-        assert _match_product(x1 * x2, [], ("S1", "S2"), {"S2": x2}) is None
+    def test_a_fresh_token_binds_to_the_remaining_side(self, arcs):
+        a, b, _ = arcs
+        got = _match_side((("z4",), ("S8",)), (b, a), {"z4": a}, {}, frozenset(arcs))
+        assert got == [({"z4": a}, {"S8": b})]
 
-    def test_bound_last_token_is_compared(self):
-        x1, x2 = coordinates(2)
-        assert _match_product(x1 * x2, [x1], ("S1",), {"S1": x2}) == {"S1": x2}
-        assert _match_product(x1 * x2, [x1], ("S1",), {"S1": x1}) is None
+    def test_a_boundary_side_binds_a_token_to_one(self, arcs):
+        a, _, _ = arcs
+        got = _match_side((("z4",), ("S8",)), (None, a), {"z4": a}, {}, frozenset(arcs))
+        assert got == [({"z4": a}, {"S8": None})]
+        # the values are read off the arcs once, a boundary side as 1: the
+        # first inner-boundary match of C(1,4) binds S10 to a boundary side
+        *_, bindings, _ = next(
+            _labeled_matches(MarkedAnnulus(1, 4), 2, "peripheral", _PERIPHERAL_PATTERNS)
+        )
+        assert bindings["S10"] == LaurentPoly.one(5)
 
-    def test_no_tokens_compares_the_product(self):
-        x1, x2 = coordinates(2)
-        assert _match_product(x1 * x2, [x2, x1], (), {"S1": x1}) == {"S1": x1}
-        assert _match_product(x1 * x2, [x1], (), {}) is None
+    def test_a_bound_token_is_compared_with_its_side(self, arcs):
+        a, b, c = arcs
+        side = ((), ("S8", "S10"))
+        assert _match_side(side, (b, a), {}, {"S8": a, "S10": b}, frozenset(arcs)) == [
+            ({}, {"S8": a, "S10": b})
+        ]
+        assert _match_side(side, (b, a), {}, {"S8": a, "S10": c}, frozenset(arcs)) == []
+        assert _match_side(side, (b, a), {}, {"S8": c}, frozenset(arcs)) == []
+
+    def test_two_fresh_tokens_do_not_match(self, arcs):
+        a, b, _ = arcs
+        assert _match_side(((), ("S8", "S10")), (a, b), {}, {}, frozenset(arcs)) == []
+        assert _match_side(((), ("S8", "S10")), (a, b), {}, {"S10": b}, frozenset(arcs)) == []
+
+    def test_a_fresh_key_binds_only_to_an_unused_start_slot(self, arcs):
+        a, b, c = arcs
+        side = (("z2", "z5"), ())
+        assert _match_side(side, (a, b), {"z1": a}, {}, frozenset(arcs)) == []
+        assert _match_side(side, (a, None), {"z1": c}, {}, frozenset(arcs)) == []
+        assert _match_side(side, (a, b), {"z1": c}, {}, frozenset({b, c})) == []
+        assert _match_side(side, (a, b), {"z1": c}, {}, frozenset(arcs)) == [
+            ({"z1": c, "z2": a, "z5": b}, {}),
+            ({"z1": c, "z2": b, "z5": a}, {}),
+        ]
+
+    def test_a_doubled_side_binds_once(self, arcs):
+        a, b, c = arcs
+        assert _match_side((("z4",), ("S8",)), (a, a), {"z4": a}, {}, frozenset(arcs)) == [
+            ({"z4": a}, {"S8": a})
+        ]
+        assert _match_side((("z2",), ("S8",)), (b, b), {"z1": a}, {}, frozenset(arcs)) == [
+            ({"z1": a, "z2": b}, {"S8": b})
+        ]
 
     def test_coupled_tokens_on_the_peripheral_search(self):
         # the second relation of the five-flip chain is z1'*z3 + S8*S10;
@@ -197,17 +231,106 @@ class TestMatchProduct:
                 break
         else:
             pytest.fail("no match with distinct S8 and S10")
-        middle, _ = flip_state(start, labeling[0])
+        middle, first = flip_state(start, labeling[0])
         _, record = flip_state(middle, labeling[1])
-        first, second = record.products
-        if first != values["z1'"] * values["z3"]:
-            first, second = second, first
-        assert first == values["z1'"] * values["z3"]
+        variable = {None: LaurentPoly.one(6), **middle.assignment}
+        assert values["z1'"] == variable[first.new_arc]
+        # one pair is z1' and z3, so the other is S8 and S10
+        pair = {first.new_arc, start.tri.arcs[labeling[2]]}
+        (other,) = [sides for sides in record.pairs if set(sides) != pair]
         s8, s10 = bindings["S8"], bindings["S10"]
-        assert second == s8 * s10 and s8 != s10
-        assert _match_product(second, [], ("S8", "S10"), {"S8": s8}) == {"S8": s8, "S10": s10}
-        assert _match_product(second, [], ("S8", "S10"), {}) is None
-        assert _match_product(second, [], ("S8", "S10"), {"S8": s8, "S10": s10 + s10}) is None
+        side8, side10 = other if variable[other[0]] == s8 else other[::-1]
+        assert (variable[side8], variable[side10]) == (s8, s10) and s8 != s10
+        starts = frozenset(start.tri.arcs)
+        side = ((), ("S8", "S10"))
+        assert _match_side(side, other, {}, {"S8": side8}, starts) == [({}, {"S8": side8, "S10": side10})]
+        assert _match_side(side, other, {}, {}, starts) == []
+        assert _match_side(side, other, {}, {"S8": side8, "S10": side8}, starts) == []
+
+
+# the oracle meets the same products and quotients under many labelings;
+# both are pure, so they are cached
+@functools.lru_cache(maxsize=1 << 14)
+def _product(factors, arity):
+    return poly_prod(factors, arity)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _quotient(actual, base):
+    return laurent.try_div_exact(actual, base)
+
+
+def _match_product(
+    actual: LaurentPoly,
+    known,
+    tokens: tuple[str, ...],
+    bindings: dict[str, LaurentPoly],
+):
+    """The algebraic reference for _match_side: match actual ==
+    prod(known) * prod(value of each side token).
+
+    Every token but the last must already be bound; the last is compared
+    with the exact quotient of actual by everything else, or bound to it
+    on first use.  Returns the extended bindings or None.
+    """
+    if not tokens:
+        return dict(bindings) if actual == _product(tuple(known), actual.arity) else None
+    *inner, last = tokens
+    if any(token not in bindings for token in inner):
+        return None
+    base = _product((*known, *(bindings[token] for token in inner)), actual.arity)
+    quotient = _quotient(actual, base)
+    if quotient is None:
+        return None
+    bound = bindings.get(last)
+    if bound is not None:
+        return dict(bindings) if bound == quotient else None
+    extended = dict(bindings)
+    extended[last] = quotient
+    return extended
+
+
+def _run_pattern_sequence(state, labeling, patterns, values, bindings):
+    """Flip labeling[slot] for each pattern's slot in turn, unifying each
+    exchange relation's two products with the pattern's sides, in either
+    order.  Returns the final state, the value table and the bindings, or
+    None."""
+    if not patterns:
+        return state, values, bindings
+    (token, slot, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
+    next_state, record = flip_state(state, labeling[slot])
+    p1, p2 = record.products
+    for first, second in ((p1, p2), (p2, p1)):
+        step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
+        if step1 is None:
+            continue
+        step2 = _match_product(second, [values[k] for k in keys2], side2, step1)
+        if step2 is None:
+            continue
+        extended = dict(values)
+        extended[token] = record.new_var
+        outcome = _run_pattern_sequence(next_state, labeling, rest, extended, step2)
+        if outcome is not None:
+            return outcome
+    return None
+
+
+def _permuted_matches(node, kind, patterns, fresh):
+    """Every labeling of one ball node tried in permutation order, each
+    matched by _run_pattern_sequence; fresh gives each labeling a new flip
+    memo."""
+    start = node.state
+    for first, arc in enumerate(start.tri.arcs):
+        if classify_arc(arc)[0] != kind:
+            continue
+        others = [j for j in range(len(start.tri.arcs)) if j != first]
+        for rest in itertools.permutations(others, max(slot for _, slot, *_ in patterns)):
+            labeling = (first,) + rest
+            values = {f"z{i + 1}": start.seed.cluster[s] for i, s in enumerate(labeling)}
+            state = TriSeed(start.tri, start.seed) if fresh else start
+            outcome = _run_pattern_sequence(state, labeling, patterns, values, {})
+            if outcome is not None:
+                yield (start, labeling, *outcome, node.depth)
 
 
 def _exhaustive_matches(ann, depth, kind, patterns):
@@ -219,18 +342,16 @@ def _exhaustive_matches(ann, depth, kind, patterns):
         key=lambda node: (node.depth, tuple(sorted(node.state.tri.arcs))),
     )
     for node in nodes:
-        start = node.state
-        for first, arc in enumerate(start.tri.arcs):
-            if classify_arc(arc)[0] != kind:
-                continue
-            others = [j for j in range(len(start.tri.arcs)) if j != first]
-            for rest in itertools.permutations(others, max(slot for _, slot, *_ in patterns)):
-                labeling = (first,) + rest
-                values = {f"z{i + 1}": start.seed.cluster[s] for i, s in enumerate(labeling)}
-                fresh = TriSeed(start.tri, start.seed)
-                outcome = _run_pattern_sequence(fresh, labeling, patterns, values, {})
-                if outcome is not None:
-                    yield (start, labeling, *outcome, node.depth)
+        yield from _permuted_matches(node, kind, patterns, fresh=True)
+
+
+def _memo_sharing_matches(levels, kind, patterns):
+    """The algebraic oracle at the speed of a shared memo: the flip ball's
+    levels in turn, every labeling of a node flipped from the node's own
+    state, so the root's memo serves them all."""
+    for level in levels:
+        for node in sorted(level, key=lambda node: tuple(sorted(node.state.tri.arcs))):
+            yield from _permuted_matches(node, kind, patterns, fresh=False)
 
 
 def _recorded_divisions(monkeypatch) -> list:
@@ -251,22 +372,46 @@ def _comparable(match):
     return start.tri.arcs, labeling, end.tri.arcs, values, bindings, distance
 
 
-class TestLazyLabeledSearch:
-    @pytest.mark.parametrize("p,q,depth,kind,count", [
+# (p, q, depth, kind, count, oracle): the first count matches, or all of
+# them for None.  The exhaustive walk checks five prefixes; the
+# memo-sharing walk checks every match at depth 3 on every C(p,q) with
+# p + q <= 6, and the first bridging setup at rank 7
+LABELED_SEARCH_CASES = [
+    pytest.param(p, q, depth, kind, count, _exhaustive_matches, id=f"{p}-{q}-{depth}-{kind}-{count}")
+    for p, q, depth, kind, count in [
         (4, 1, 4, "peripheral", 4),
         (5, 1, 3, "peripheral", 2),
         (2, 1, 5, "bridging", 0),
         (2, 2, 5, "bridging", 3),
         (3, 2, 4, "bridging", 3),
-    ])
-    def test_same_matches_as_the_exhaustive_walk(self, p, q, depth, kind, count):
+    ]
+] + [
+    pytest.param(p, rank - p, 3, kind, None, _memo_sharing_matches, id=f"{p}-{rank - p}-3-{kind}-all")
+    for rank in range(2, 7)
+    for p in range(1, rank)
+    for kind in ("peripheral", "bridging")
+] + [pytest.param(4, 3, 5, "bridging", 1, _memo_sharing_matches, id="4-3-5-bridging-1")]
+
+
+class TestLazyLabeledSearch:
+    @pytest.mark.parametrize("p,q,depth,kind,count,oracle", LABELED_SEARCH_CASES)
+    def test_same_matches_as_the_exhaustive_walk(self, monkeypatch, p, q, depth, kind, count, oracle):
         patterns = {"peripheral": _PERIPHERAL_PATTERNS, "bridging": _BRIDGING_PATTERNS}[kind]
-        # count 0: no match lies within depth, so both searches run dry
+        # count 0: no match lies within depth, so both searches run dry;
+        # count None: every match within depth, in order
         ann = MarkedAnnulus(p, q)
+        if oracle is _exhaustive_matches:
+            slow = oracle(ann, depth, kind, patterns)
+        else:
+            # both walks read one lazily grown flip ball, so each of its
+            # flips is made once
+            ours, theirs = itertools.tee(flip_levels(ann, depth))
+            monkeypatch.setattr(verify, "flip_levels", lambda *_: ours)
+            slow = oracle(theirs, kind, patterns)
         lazy = itertools.islice(_labeled_matches(ann, depth, kind, patterns), count or None)
-        slow = itertools.islice(_exhaustive_matches(ann, depth, kind, patterns), count or None)
+        slow = itertools.islice(slow, count or None)
         lazy = [_comparable(m) for m in lazy]
-        assert len(lazy) == count
+        assert count is None or len(lazy) == count
         assert lazy == [_comparable(m) for m in slow]
 
     def test_bound_below_the_first_match_exhausts_both(self, monkeypatch):
@@ -285,6 +430,30 @@ class TestLazyLabeledSearch:
         divisions = _recorded_divisions(monkeypatch)
         search()
         assert divisions and len(divisions) == len(set(divisions))
+
+    @pytest.mark.parametrize("p,q,depth,kind,patterns", [
+        (2, 2, 5, "bridging", _BRIDGING_PATTERNS),
+        (4, 1, 6, "peripheral", _PERIPHERAL_PATTERNS),
+    ], ids=["bridging-setup-C22", "case2-geometric"])
+    def test_the_search_divides_only_in_flips(self, monkeypatch, p, q, depth, kind, patterns):
+        # every binding of laurent.try_div_exact in the package is counted,
+        # so a matcher dividing on its own shows as a surplus over the
+        # exchange divisions of the flips
+        divisions = _recorded_divisions(monkeypatch)
+        calls = []
+        original = laurent.try_div_exact
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "clusterlab":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        next(_labeled_matches(MarkedAnnulus(p, q), depth, kind, patterns))
+        assert len(calls) == len(divisions) > 0
 
 
 class TestInduction:
@@ -395,7 +564,7 @@ class TestBandRecurrence:
 
     def test_the_winding_flips_do_not_divide(self, monkeypatch):
         # every exact division goes through laurent.try_div_exact (div_exact
-        # and the engine call it there) or verify's own binding of it
+        # and the engine call it there)
         calls = []
 
         def counting(a, b):
@@ -404,7 +573,6 @@ class TestBandRecurrence:
 
         original = laurent.try_div_exact
         monkeypatch.setattr(laurent, "try_div_exact", counting)
-        monkeypatch.setattr(verify, "try_div_exact", counting)
         counts = {}
         for K in (4, 8):
             calls.clear()
