@@ -31,8 +31,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .engine import Seed, _mutate_with_terms, initial_seed
-from .engine import mutate_seed  # noqa: F401  (perfbench's tracer tests wrap this binding)
+from .engine import Seed, initial_seed, mutate_seed
 from .errors import (
     ConstructionFailed,
     FlipSearchExceeded,
@@ -462,8 +461,8 @@ def flip(tri: Triangulation, idx: int) -> FlipResult:
     )
 
 
-def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> int:
-    """Which of a flip's two side pairs holds the arrows-out exchange term.
+def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> None:
+    """Check that a flip's two side pairs hold its two exchange terms.
 
     The arcs of the positive entries of the flipped arc's quiver row, with
     multiplicity, must be one pair's sides and those of its negative
@@ -474,10 +473,8 @@ def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> int:
         sorted(arc for arc, m in zip(tri.arcs, row) for _ in range(sign * m)) for sign in (1, -1)
     )
     sides = [sorted(side for side in pair if side is not None) for pair in pairs]
-    for j in (0, 1):
-        if sides[j] == out and sides[1 - j] == into:
-            return j
-    raise MalformedTriangulation("the quiver disagrees with the flip quadrilateral")
+    if sides != [out, into] and sides != [into, out]:
+        raise MalformedTriangulation("the quiver disagrees with the flip quadrilateral")
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +486,7 @@ def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> int:
 class TriSeed:
     """A triangulation with its cluster attached positionally: the variable
     of arcs[i] is cluster[i], always in the frame of the initial seed.  The
-    memo of flip_state, shared from the root on, is not compared or shown."""
+    flip_state exchange memo, shared from the root on, is not compared or shown."""
 
     tri: Triangulation
     seed: Seed
@@ -503,47 +500,35 @@ class TriSeed:
         return self.seed.cluster[self.tri.index_of(arc)]
 
 
-@dataclass(frozen=True)
-class FlipRecord:
-    """One lockstep step: the exchange identity old * new == p1 + p2, with
-    products[i] the product of pairs[i]'s side variables."""
-
-    new_arc: Arc
-    old_var: LaurentPoly
-    new_var: LaurentPoly
-    pairs: tuple[tuple[Side, Side], tuple[Side, Side]]
-    products: tuple[LaurentPoly, LaurentPoly]
-
-
 def initial_state(annulus: MarkedAnnulus) -> TriSeed:
     tri = initial_triangulation(annulus)
     return TriSeed(tri, initial_seed(quiver_of(tri)))
 
 
-def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipRecord]:
+def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipResult]:
     """Flip the arc at a slot and mutate the seed in that direction.
 
     Before the mutation divides, the quiver row of the arc is matched to
     the flip quadrilateral (``_out_pair``, MalformedTriangulation on a
-    mismatch).  Equal arc multisets give equal products, so the record's
-    products are the mutation's own exchange terms, in pair order.  A flip
-    is a pure function of (triangulation, seed, slot), made once per root:
-    the memo the returned state shares keeps its triangulation, seed and
-    record (never a TriSeed, so no reference cycle), unless it raised.
+    mismatch).  The quotient is a function of the leaving variable and of
+    its neighbours' variables with their multiplicities alone, keyed as in
+    ``exchange_graph`` but with the neighbours as a set, as slot order
+    depends on the flip path.  The memo the returned state shares from the
+    root holds one quotient per such exchange; on a hit only the quiver
+    mutates.  A flip that raised stores nothing.
     """
-    key = (state.tri, state.seed, idx)
-    made = state.memo.get(key)
-    if made is None:
-        result = flip(state.tri, idx)
-        out = _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
-        new_seed, terms = _mutate_with_terms(state.seed, idx)
-        record = FlipRecord(
-            result.new_arc, state.seed.cluster[idx], new_seed.cluster[idx], result.pairs,
-            terms if out == 0 else terms[::-1],
-        )
-        made = state.memo[key] = (result.triangulation, new_seed, record)
-    tri, seed, record = made
-    return TriSeed(tri, seed, state.memo), record
+    result = flip(state.tri, idx)
+    seed, memo = state.seed, state.memo
+    row = seed.quiver.b[idx]
+    _out_pair(state.tri, row, result.pairs)
+    exchange = (seed.cluster[idx], frozenset((x, m) for x, m in zip(seed.cluster, row) if m))
+    new_var = memo.get(exchange)
+    if new_var is None:
+        seed = mutate_seed(seed, idx)
+        memo[exchange] = seed.cluster[idx]
+    else:
+        seed = Seed(seed.quiver.mutate(idx), seed.cluster[:idx] + (new_var,) + seed.cluster[idx + 1:])
+    return TriSeed(result.triangulation, seed, memo), result
 
 
 def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], start: Optional[TriSeed] = None) -> TriSeed:
@@ -619,11 +604,11 @@ def flip_levels(
         next_level = []
         for node in level:
             for idx in range(len(node.state.tri.arcs)):
-                new_state, record = flip_state(node.state, idx)
-                known = variables.setdefault(record.new_arc, record.new_var)
-                if known != record.new_var:
+                new_state, result = flip_state(node.state, idx)
+                new_var = new_state.seed.cluster[idx]
+                if variables.setdefault(result.new_arc, new_var) != new_var:
                     raise MalformedTriangulation(
-                        f"arc {record.new_arc} received two distinct variables"
+                        f"arc {result.new_arc} received two distinct variables"
                     )
                 new_key = new_state.tri.arc_set
                 if new_key not in seen:

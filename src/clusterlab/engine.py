@@ -74,20 +74,15 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     The quotient is an exact Laurent division; inexactness would contradict
     the Laurent property and raises ExactDivisionFailed.
     """
-    return _mutate_with_terms(seed, k)[0]
-
-
-def _mutate_with_terms(seed: Seed, k: int) -> tuple[Seed, tuple[LaurentPoly, LaurentPoly]]:
-    """mutate_seed, also handing back the two exchange terms it divided."""
-    terms = exchange_terms(seed, k)
-    new_var = laurent.try_div_exact(terms[0] + terms[1], seed.cluster[k])
+    plus, minus = exchange_terms(seed, k)
+    new_var = laurent.try_div_exact(plus + minus, seed.cluster[k])
     if new_var is None:
         raise ExactDivisionFailed(
             f"exchange sum at direction {k} is not divisible by the leaving variable"
         )
     cluster = list(seed.cluster)
     cluster[k] = new_var
-    return Seed(seed.quiver.mutate(k), tuple(cluster)), terms
+    return Seed(seed.quiver.mutate(k), tuple(cluster))
 
 
 def canonical_seed(seed: Seed) -> Seed:

@@ -23,7 +23,7 @@ class ExponentOverflow(ClusterLabError, OverflowError):
 
 
 class LimitExceeded(ClusterLabError):
-    """A bounded enumeration hit its node limit before closing."""
+    """A bounded computation hit its limit: a node limit, or a support box too large to hold."""
 
 
 class InvalidArc(ClusterLabError, ValueError):

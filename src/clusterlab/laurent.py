@@ -50,7 +50,7 @@ from math import gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import ExactDivisionFailed, ExponentOverflow, InvalidParameter
+from .errors import ExactDivisionFailed, ExponentOverflow, InvalidParameter, LimitExceeded
 from .quiver import _is_int
 
 Exponents = tuple[int, ...]
@@ -508,6 +508,12 @@ def poly_prod(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
     return LaurentPoly.one(arity) if total is None else total
 
 
+# A support is an int of up to one bit per box slot.  2**28 bits (32 MiB)
+# holds C(3,3) at K = 3, the largest induction run (1.04e8 slots); C(3,3)
+# at K = 4 (1.95e9) and C(5,3) at K = 3 (5.0e10) would need 0.2 to 6 GiB.
+SUPPORT_BOX_LIMIT = 1 << 28
+
+
 class SupportLattice:
     """Supports of products of nonzero factors, as bitsets in one box.
 
@@ -517,7 +523,8 @@ class SupportLattice:
     pivot range of a product, plus 1, so digits never carry and the pivot
     digits name each product term once.  A support is an int with bit s
     set for each slot s, counted from the product's low corner; the
-    support of the empty product is 1.
+    support of the empty product is 1.  A box of more than
+    SUPPORT_BOX_LIMIT slots raises LimitExceeded.
     """
 
     __slots__ = ("_factors", "_offsets")
@@ -534,6 +541,8 @@ class SupportLattice:
         spans = {id(f): [max(col) - min(col) for col in cols] for f, cols in zip(factors, found[2])}
         widths = [map(sum, zip(*(spans[id(f)] for f in product))) for product in products]
         radices = [max(column) + 1 for column in zip(*widths)]
+        if prod(radices) > SUPPORT_BOX_LIMIT:
+            raise LimitExceeded(f"a support box of {prod(radices):.3g} slots is over {SUPPORT_BOX_LIMIT:.3g}")
         strides = [prod(radices[:j]) for j in range(len(radices))]
         self._factors = factors  # keeps each id in _offsets naming its factor
         self._offsets = {}

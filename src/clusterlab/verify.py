@@ -404,28 +404,30 @@ def report_crossing_quadrilateral(
     )
     # a triangulation holding the diagonal and every interior side holds the quadrilateral
     state = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
-    new_state, record = flip_state(state, state.tri.index_of(gamma_i))
-    if record.new_arc != gamma_j:
+    slot = state.tri.index_of(gamma_i)
+    new_state, result = flip_state(state, slot)
+    if result.new_arc != gamma_j:
         raise ConstructionFailed(
             "the flip of the peripheral diagonal did not produce the bridging arc"
         )
-    x1 = record.old_var
-    x2 = record.new_var
-    if x1 * x2 != record.products[0] + record.products[1]:
-        raise IdentityFailed("quadrilateral exchange does not match the mutation")
+    x1 = state.seed.cluster[slot]
+    x2 = new_state.seed.cluster[slot]
     sigma: list[list[LaurentPoly]] = [
-        [state.assignment[s] for s in pair if s is not None] for pair in record.pairs
+        [state.assignment[s] for s in pair if s is not None] for pair in result.pairs
     ]
+    products = [poly_prod(pair, x1.arity) for pair in sigma]
+    if x1 * x2 != products[0] + products[1]:
+        raise IdentityFailed("quadrilateral exchange does not match the mutation")
     check_dichotomy(x1, x2, [sigma], state.seed.cluster, "a")
     check_dichotomy(x1, x2, [sigma], new_state.seed.cluster, "a")
-    boundary_sides = sum(1 for pair in record.pairs for s in pair if s is None)
+    boundary_sides = sum(1 for pair in result.pairs for s in pair if s is None)
     return IdentityReport(
         name="case1",
         witness={
             "peripheral": str(gamma_i),
             "bridging": str(gamma_j),
             "exchange": f"{format_poly(x1 * x2)} = "
-            + " + ".join(format_poly(t) for t in record.products),
+            + " + ".join(format_poly(t) for t in products),
         },
         context={"p": p, "q": q, "boundary_sides": boundary_sides, "loop": want_loop},
     )
@@ -463,20 +465,23 @@ def _match_side(row_side, pair, keys: dict[str, Arc], tokens: dict[str, Side], s
     return out
 
 
-def _run_rows(state: TriSeed, start_tri: Triangulation, rows, keys, tokens, records=()):
+def _run_rows(state: TriSeed, start_tri: Triangulation, rows, keys, tokens, flipped=()):
     """Every way, depth first, that the rows match the flips from state; a
     row flips the start slot of z(slot + 1), trying pairs (p1, p2) before
-    (p2, p1).  Yields (end state, keys, tokens, the rows' flip records)."""
+    (p2, p1).  Yields (end state, keys, tokens, the (arc, variable) each
+    row flipped in)."""
     if not rows:
-        yield state, keys, tokens, records
+        yield state, keys, tokens, flipped
         return
     (token, slot, side_one, side_two), rest = rows[0], rows[1:]
-    next_state, record = flip_state(state, start_tri.index_of(keys[f"z{slot + 1}"]))
-    for first, second in (record.pairs, record.pairs[::-1]):
+    idx = start_tri.index_of(keys[f"z{slot + 1}"])
+    next_state, result = flip_state(state, idx)
+    new = flipped + ((result.new_arc, next_state.seed.cluster[idx]),)
+    for first, second in (result.pairs, result.pairs[::-1]):
         for k1, t1 in _match_side(side_one, first, keys, tokens, start_tri.arc_set):
             for k2, t2 in _match_side(side_two, second, k1, t1, start_tri.arc_set):
-                k2[token] = record.new_arc
-                yield from _run_rows(next_state, start_tri, rest, k2, t2, records + (record,))
+                k2[token] = result.new_arc
+                yield from _run_rows(next_state, start_tri, rest, k2, t2, new)
 
 
 def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
@@ -500,7 +505,7 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
     two) holds by construction, as ``flip_state`` divides its exchange
     relation exactly and ``_out_pair`` ties each term to its pair of
     sides.  Arcs become variables at the end, a boundary side 1.  All
-    states share the fan's flip memo, so each distinct flip is made once.
+    states share the fan's memo, so each distinct exchange is divided once.
     """
     width = 1 + max(slot for _, slot, *_ in patterns)
     names = [f"z{i + 1}" for i in range(width)] + [token for token, *_ in patterns]
@@ -512,11 +517,11 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
                 if classify_arc(arc)[0] != kind:
                     continue
                 found = {}
-                for end, keys, tokens, records in _run_rows(start, start.tri, patterns, {"z1": arc}, {}):
+                for end, keys, tokens, flipped in _run_rows(start, start.tri, patterns, {"z1": arc}, {}):
                     labeling = tuple(start.tri.index_of(keys[f"z{i + 1}"]) for i in range(width))
-                    found.setdefault(labeling, (end, keys, tokens, records))
-                for labeling, (end, keys, tokens, records) in sorted(found.items()):
-                    variable = start.assignment | {r.new_arc: r.new_var for r in records}
+                    found.setdefault(labeling, (end, keys, tokens, flipped))
+                for labeling, (end, keys, tokens, flipped) in sorted(found.items()):
+                    variable = start.assignment | dict(flipped)
                     values = {name: variable[keys[name]] for name in names}
                     bindings = {t: one if side is None else variable[side] for t, side in tokens.items()}
                     yield start, labeling, end, values, bindings, node.depth

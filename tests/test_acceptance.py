@@ -42,10 +42,11 @@ def test_worked_example_exchange():
         ann = MarkedAnnulus(3, 2)
         state = initial_state(ann)
         x = coordinates(5)
-        new_state, record = flip_state(state, 3)  # direction 4 in 1-based naming
-        assert record.old_var == x[3]
-        assert record.old_var * record.new_var == x[0] + x[4]
-        assert classify_arc(record.new_arc) == ("peripheral", 1)
+        new_state, result = flip_state(state, 3)  # direction 4 in 1-based naming
+        old_var, new_var = state.seed.cluster[3], new_state.seed.cluster[3]
+        assert old_var == x[3]
+        assert old_var * new_var == x[0] + x[4]
+        assert classify_arc(result.new_arc) == ("peripheral", 1)
         # quiver side of the same example: mutation matches the flip
         assert new_state.seed.quiver == quiver_of(new_state.tri)
 

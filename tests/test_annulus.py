@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import itertools
 import random
 
@@ -38,7 +37,7 @@ from clusterlab.annulus import (
     variable_of_arc,
     verify_cover_flip,
 )
-from clusterlab.engine import Seed, denominator_vector, initial_seed, mutate_seed
+from clusterlab.engine import Seed, denominator_vector, exchange_terms, initial_seed, mutate_seed
 from clusterlab.errors import (
     ClusterLabError,
     InvalidArc,
@@ -47,7 +46,7 @@ from clusterlab.errors import (
     LimitExceeded,
     MalformedTriangulation,
 )
-from clusterlab.laurent import LaurentPoly, coordinates
+from clusterlab.laurent import LaurentPoly, coordinates, poly_prod
 from clusterlab.quiver import Quiver, canonical_form, classify_tilde_A, tilde_A_canonical
 from clusterlab.verify import _find_bridging_setup
 
@@ -540,16 +539,29 @@ class TestLocalFlipAgainstStrip:
         assert len(built) == 1
 
 
+def side_products(state, pairs):
+    """The product of each side pair's variables in state, a boundary side
+    counting as 1: the two terms of a flip's exchange relation, read off
+    the quadrilateral instead of the quiver."""
+    variables = state.assignment
+    return tuple(
+        poly_prod([variables[side] for side in pair if side is not None], state.seed.rank)
+        for pair in pairs
+    )
+
+
 class TestPtolemy:
-    # the exchange relation is read off the two side products a lockstep flip records
+    # the exchange relation is the sum of the flip quadrilateral's two side products
     def test_worked_example_values(self, ann32):
         x = coordinates(5)
-        products = flip_state(initial_state(ann32), 3)[1].products
+        state = initial_state(ann32)
+        products = side_products(state, flip_state(state, 3)[1].pairs)
         assert products[0] + products[1] == x[0] + x[4]
 
     def test_all_boundary_quad_on_smallest_annulus(self, ann11):
         x = coordinates(2)
-        products = flip_state(initial_state(ann11), 0)[1].products
+        state = initial_state(ann11)
+        products = side_products(state, flip_state(state, 0)[1].pairs)
         assert products[0] + products[1] == x[1] * x[1] + 1
 
     def test_matches_exchange_everywhere(self):
@@ -557,11 +569,11 @@ class TestPtolemy:
             ann = MarkedAnnulus(p, q)
             tri = initial_triangulation(ann)
             for _ in range(3):
-                seed = initial_seed(quiver_of(tri))
+                state = TriSeed(tri, initial_seed(quiver_of(tri)))
                 for i in range(p + q):
-                    products = flip_state(TriSeed(tri, seed), i)[1].products
-                    mutated = mutate_seed(seed, i)
-                    assert seed.cluster[i] * mutated.cluster[i] == products[0] + products[1]
+                    products = side_products(state, flip(tri, i).pairs)
+                    mutated = mutate_seed(state.seed, i)
+                    assert state.seed.cluster[i] * mutated.cluster[i] == products[0] + products[1]
                 tri = flip(tri, (p + q) // 2).triangulation
 
 
@@ -623,44 +635,52 @@ class TestLockstep:
         assert len({arc for arc, _ in pairs}) == len({var for _, var in pairs}) == len(pairs)
 
     def test_flip_levels_rejects_a_second_variable_for_a_known_arc(self, monkeypatch):
-        # a flip that hands an arc already in the ball another variable
+        # a flip past the fan that hands an arc already in the ball another
+        # variable; at depth 2 the states it makes are never flipped again
+        fan = initial_triangulation(MarkedAnnulus(2, 1))
+
         def tampered(state, idx):
-            new_state, record = flip_state(state, idx)
-            return new_state, dataclasses.replace(record, new_var=record.new_var + record.new_var)
+            new_state, result = flip_state(state, idx)
+            if state.tri == fan:
+                return new_state, result
+            cluster = list(new_state.seed.cluster)
+            cluster[idx] = cluster[idx] + cluster[idx]
+            return TriSeed(new_state.tri, Seed(new_state.seed.quiver, tuple(cluster))), result
 
         monkeypatch.setattr(annulus_mod, "flip_state", tampered)
         with pytest.raises(MalformedTriangulation, match="received two distinct variables"):
             flip_bfs(MarkedAnnulus(2, 1), 2)
 
     def test_flip_state_exchange_in_product_form(self):
-        # a flip's record stands for the identity old * new == the sum of
-        # its two products
+        # the two states of a flip satisfy old * new == the sum of its two
+        # side products
         rng = random.Random(41)
         for p, q in ((2, 2), (3, 1), (3, 2)):
             state = initial_state(MarkedAnnulus(p, q))
             for _ in range(30):
-                state, record = flip_state(state, rng.randrange(p + q))
-                assert record.old_var * record.new_var == record.products[0] + record.products[1]
+                idx = rng.randrange(p + q)
+                new_state, result = flip_state(state, idx)
+                products = side_products(state, result.pairs)
+                assert state.seed.cluster[idx] * new_state.seed.cluster[idx] == products[0] + products[1]
+                state = new_state
 
-    def test_products_are_the_pair_side_products(self):
-        # flip_state takes the products from the mutation's exchange terms;
+    def test_side_products_are_the_exchange_terms(self):
         # the slow oracle multiplies each pair's side variables, boundary
-        # sides counting as 1.  On the fan's quiver the first pair holds the
+        # sides counting as 1; the mutation multiplies the quiver row's
+        # variables.  On the fan's quiver the first pair holds the
         # arrows-out term at every flip, on its opposite the second does
         rng = random.Random(19)
         for p, q in [(p, q) for p in range(1, 5) for q in range(1, 5) if p + q <= 5]:
             fan = initial_state(MarkedAnnulus(p, q))
             opposite = TriSeed(fan.tri, Seed(fan.seed.quiver.opposite(), fan.seed.cluster))
-            one = LaurentPoly.one(p + q)
-            for state in (fan, opposite):
+            for state, order in ((fan, 1), (opposite, -1)):
                 for _ in range(12):
-                    variables = state.assignment
-                    state, record = flip_state(state, rng.randrange(p + q))
-                    assert record.products == tuple(
-                        (one if a is None else variables[a]) * (one if b is None else variables[b])
-                        for a, b in record.pairs
-                    )
-                    assert record.old_var * record.new_var == record.products[0] + record.products[1]
+                    idx = rng.randrange(p + q)
+                    new_state, result = flip_state(state, idx)
+                    products = side_products(state, result.pairs)
+                    assert products == exchange_terms(state.seed, idx)[::order]
+                    assert state.seed.cluster[idx] * new_state.seed.cluster[idx] == products[0] + products[1]
+                    state = new_state
 
     @pytest.mark.parametrize("p,q", [(3, 2), (1, 3)])
     def test_a_quiver_out_of_step_raises_before_dividing(self, monkeypatch, p, q):
@@ -687,16 +707,26 @@ class TestLockstep:
 
     def test_the_flip_memo_is_shared_and_invisible(self):
         # a flipped state equals, hashes and prints as the same pair built
-        # afresh; it shares its root's memo, which keeps no TriSeed (so no
-        # reference cycle) and no flip that raised
+        # afresh; it shares its root's one memo, which maps each exchange
+        # (leaving variable, neighbours' variables with multiplicity) to
+        # its quotient alone: no triangulation, seed or state, and nothing
+        # for a flip that raised
         root = initial_state(MarkedAnnulus(3, 2))
-        state, record = flip_state(root, 0)
+        state, _ = flip_state(root, 0)
         state, _ = flip_state(state, 2)
         plain = TriSeed(state.tri, state.seed)
         assert state == plain and hash(state) == hash(plain) and repr(state) == repr(plain)
         assert state.memo is root.memo and plain.memo == {} and len(root.memo) == 2
-        assert not any(isinstance(item, TriSeed) for made in root.memo.values() for item in made)
-        assert flip_state(root, 0)[1] is record
+        for (leaving, neighbours), quotient in root.memo.items():
+            assert type(quotient) is LaurentPoly and type(leaving) is LaurentPoly
+            assert all(type(x) is LaurentPoly and type(m) is int and m for x, m in neighbours)
+        x = coordinates(5)
+        first = (x[0], frozenset((v, m) for v, m in zip(x, root.seed.quiver.b[0]) if m))
+        assert root.memo[first] == state.seed.cluster[0]
+        # a memo that holds the exchange gives its quotient back undivided
+        planted = x[0] + x[1]
+        hit, _ = flip_state(TriSeed(root.tri, root.seed, {first: planted}), 0)
+        assert hit.seed.cluster[0] is planted and hit.seed.quiver == root.seed.quiver.mutate(0)
         with pytest.raises(InvalidParameter):
             flip_state(root, 5)
         wrong = TriSeed(root.tri, Seed(root.seed.quiver.mutate(1), root.seed.cluster))

@@ -214,6 +214,18 @@ def test_verify_induction_on_an_untrusted_lattice_exits_1(runner, monkeypatch):
     assert envelope["detail"]
 
 
+def test_verify_induction_on_an_oversized_support_box_exits_1(runner, monkeypatch):
+    # a support box over the limit is refused before any support is built,
+    # so the CLI exits 1 with the envelope, not a MemoryError traceback
+    monkeypatch.setattr(laurent, "SUPPORT_BOX_LIMIT", 1000)
+    result = runner.invoke(main, ["verify", "--report", "induction"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "LimitExceeded"
+    assert "support box" in envelope["detail"]
+
+
 @pytest.mark.parametrize("command,payload,error", [
     (["mutate-seed", "--at", "5", "--seed"],
      seed_to_json(initial_seed(tilde_A_canonical(1, 1))), "InvalidParameter"),

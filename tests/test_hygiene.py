@@ -8,10 +8,6 @@ import clusterlab
 
 PACKAGE = Path(clusterlab.__file__).parent
 
-# module-level imports kept although the module itself never reads them:
-# perfbench/test_harness.py requires the binding clusterlab.annulus.mutate_seed
-ALLOWED_UNUSED = {("annulus", "mutate_seed")}
-
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Names bound by the module's top-level imports, with their lines."""
@@ -48,8 +44,6 @@ def _unused_imports(path: Path) -> list[str]:
     for name, line in sorted(_imported_names(tree).items(), key=lambda item: item[1]):
         if name in used or name in exported or ("*" in exported and not name.startswith("_")):
             continue
-        if (path.stem, name) in ALLOWED_UNUSED:
-            continue
         out.append(f"{path.name}:{line}: {name}")
     return out
 
@@ -57,14 +51,6 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_module_level_imports():
     unused = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(path)]
     assert unused == []
-
-
-def test_the_allowed_exceptions_are_still_needed():
-    # an exception whose import is gone, or is now used, should be dropped
-    for module, name in ALLOWED_UNUSED:
-        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
-        assert name in _imported_names(tree)
-        assert name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
 def test_the_check_sees_an_unused_import(tmp_path):

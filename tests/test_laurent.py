@@ -7,7 +7,13 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from clusterlab import laurent
-from clusterlab.errors import ClusterLabError, ExactDivisionFailed, ExponentOverflow, InvalidParameter
+from clusterlab.errors import (
+    ClusterLabError,
+    ExactDivisionFailed,
+    ExponentOverflow,
+    InvalidParameter,
+    LimitExceeded,
+)
 from clusterlab.laurent import (
     MAX_EXPONENT,
     MIN_EXPONENT,
@@ -624,6 +630,18 @@ class TestSupportLattice:
         b = LaurentPoly(2, {(-e, MIN_EXPONENT + 70 + e): 2 for e in range(70)})
         with pytest.raises(ExponentOverflow):
             laurent.SupportLattice([[a, b]])
+
+    def test_a_box_over_the_limit_raises(self):
+        # a staircase of n consecutive exponents on each of three axes spans
+        # n pivot steps per axis, so a product of k of them has a box of
+        # (k * (n - 1) + 1) ** 3 slots
+        n = 400
+        wide = LaurentPoly(3, {tuple(e if j == axis else 0 for j in range(3)): 1
+                               for axis in range(3) for e in range(n)})
+        assert n ** 3 < laurent.SUPPORT_BOX_LIMIT < (2 * n - 1) ** 3
+        assert support_counts([[wide]]) == [3 * (n - 1) + 1]
+        with pytest.raises(LimitExceeded):
+            laurent.SupportLattice([[wide], [wide, wide]])
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)

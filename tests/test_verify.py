@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from clusterlab import annulus, engine, laurent, verify
+from clusterlab import annulus, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     TriSeed,
@@ -232,12 +232,12 @@ class TestSideMatch:
         else:
             pytest.fail("no match with distinct S8 and S10")
         middle, first = flip_state(start, labeling[0])
-        _, record = flip_state(middle, labeling[1])
+        _, second = flip_state(middle, labeling[1])
         variable = {None: LaurentPoly.one(6), **middle.assignment}
         assert values["z1'"] == variable[first.new_arc]
         # one pair is z1' and z3, so the other is S8 and S10
         pair = {first.new_arc, start.tri.arcs[labeling[2]]}
-        (other,) = [sides for sides in record.pairs if set(sides) != pair]
+        (other,) = [sides for sides in second.pairs if set(sides) != pair]
         s8, s10 = bindings["S8"], bindings["S10"]
         side8, side10 = other if variable[other[0]] == s8 else other[::-1]
         assert (variable[side8], variable[side10]) == (s8, s10) and s8 != s10
@@ -290,6 +290,17 @@ def _match_product(
     return extended
 
 
+def _side_products(state, pairs):
+    """The product of each side pair's variables in state, a boundary side
+    counting as 1: an exchange relation's two terms, formed from the
+    quadrilateral and not taken from the mutation."""
+    variables = state.assignment
+    return [
+        _product(tuple(variables[side] for side in pair if side is not None), state.seed.rank)
+        for pair in pairs
+    ]
+
+
 def _run_pattern_sequence(state, labeling, patterns, values, bindings):
     """Flip labeling[slot] for each pattern's slot in turn, unifying each
     exchange relation's two products with the pattern's sides, in either
@@ -298,8 +309,8 @@ def _run_pattern_sequence(state, labeling, patterns, values, bindings):
     if not patterns:
         return state, values, bindings
     (token, slot, (keys1, side1), (keys2, side2)), rest = patterns[0], patterns[1:]
-    next_state, record = flip_state(state, labeling[slot])
-    p1, p2 = record.products
+    next_state, result = flip_state(state, labeling[slot])
+    p1, p2 = _side_products(state, result.pairs)
     for first, second in ((p1, p2), (p2, p1)):
         step1 = _match_product(first, [values[k] for k in keys1], side1, bindings)
         if step1 is None:
@@ -308,7 +319,7 @@ def _run_pattern_sequence(state, labeling, patterns, values, bindings):
         if step2 is None:
             continue
         extended = dict(values)
-        extended[token] = record.new_var
+        extended[token] = next_state.seed.cluster[labeling[slot]]
         outcome = _run_pattern_sequence(next_state, labeling, rest, extended, step2)
         if outcome is not None:
             return outcome
@@ -356,14 +367,15 @@ def _memo_sharing_matches(levels, kind, patterns):
 
 def _recorded_divisions(monkeypatch) -> list:
     """Every exchange division lockstep flips make from here on, keyed by
-    (arc set, slot); the cluster names the arc set."""
+    (cluster set, leaving variable), which names (arc set, flipped arc)
+    whatever the slot order."""
     divisions = []
 
     def recording(seed, k):
-        divisions.append((frozenset(seed.cluster), k))
-        return engine._mutate_with_terms(seed, k)
+        divisions.append((frozenset(seed.cluster), seed.cluster[k]))
+        return mutate_seed(seed, k)
 
-    monkeypatch.setattr(annulus, "_mutate_with_terms", recording)
+    monkeypatch.setattr(annulus, "mutate_seed", recording)
     return divisions
 
 
@@ -495,10 +507,10 @@ def flip_state_walk(state, slot1, slot4, cross_term, K):
     divides every exchange sum: the slow path the band recurrence
     replaces.  Returns z1_k, z4_k and their arcs, keyed by k."""
     def step(state, slot, other):
-        new_state, record = flip_state(state, slot)
-        (square,) = [j for j, (a, b) in enumerate(record.pairs) if a is not None and a == b]
-        assert record.pairs[square][0] == state.tri.arcs[other]
-        assert record.products[1 - square] == cross_term
+        new_state, result = flip_state(state, slot)
+        (square,) = [j for j, (a, b) in enumerate(result.pairs) if a is not None and a == b]
+        assert result.pairs[square][0] == state.tri.arcs[other]
+        assert _side_products(state, result.pairs)[1 - square] == cross_term
         return new_state
 
     z1_vals, z4_vals = {2: state.seed.cluster[slot1]}, {}
@@ -929,12 +941,12 @@ class TestRecoveryAndUniqueness:
         assert len(calls) - ball == 14
 
     def test_each_certification_flip_is_divided_once(self, monkeypatch):
-        # the descents share the ball's flip memo, so the report makes one
-        # exchange division per distinct flip: 1,222 on C(4,3) at depth 4,
-        # where the descents used to divide again (1,421)
+        # the descents share the ball's exchange memo, so the report makes
+        # one division per distinct exchange: 179 on C(4,3) at depth 4,
+        # where a memo of whole flips made 1,222 (and no memo 1,421)
         divisions = _recorded_divisions(monkeypatch)
         report_unistructurality(4, 3, 4)
-        assert len(divisions) == len(set(divisions)) == 1222
+        assert len(divisions) == len(set(divisions)) == 179
 
     def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
         # a descent computes each arc's total crossing against its target
