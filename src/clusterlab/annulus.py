@@ -45,6 +45,8 @@ from .errors import (
 from .laurent import LaurentPoly
 from .quiver import Quiver, _is_int
 
+FLIP_NODE_LIMIT = 100_000  # most triangulations a flip ball may hold
+
 Endpoint = tuple[int, int]  # (boundary, position)
 Chord = tuple[Endpoint, Endpoint]
 
@@ -486,7 +488,8 @@ def _out_pair(tri: Triangulation, row: Sequence[int], pairs) -> None:
 class TriSeed:
     """A triangulation with its cluster attached positionally: the variable
     of arcs[i] is cluster[i], always in the frame of the initial seed.  The
-    flip_state exchange memo, shared from the root on, is not compared or shown."""
+    exchange memo that flip_state hands to ``mutate_seed``, shared from the
+    root on, is not compared or shown."""
 
     tri: Triangulation
     seed: Seed
@@ -510,25 +513,15 @@ def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipResult]:
 
     Before the mutation divides, the quiver row of the arc is matched to
     the flip quadrilateral (``_out_pair``, MalformedTriangulation on a
-    mismatch).  The quotient is a function of the leaving variable and of
-    its neighbours' variables with their multiplicities alone, keyed as in
-    ``exchange_graph`` but with the neighbours as a set, as slot order
-    depends on the flip path.  The memo the returned state shares from the
-    root holds one quotient per such exchange; on a hit only the quiver
-    mutates.  A flip that raised stores nothing.
+    mismatch).  The mutation looks its exchange up in the memo the
+    returned state shares from the root (``mutate_seed``), so each
+    exchange, its reverse included, is divided once per root.  A flip
+    that raised stores nothing.
     """
     result = flip(state.tri, idx)
-    seed, memo = state.seed, state.memo
-    row = seed.quiver.b[idx]
-    _out_pair(state.tri, row, result.pairs)
-    exchange = (seed.cluster[idx], frozenset((x, m) for x, m in zip(seed.cluster, row) if m))
-    new_var = memo.get(exchange)
-    if new_var is None:
-        seed = mutate_seed(seed, idx)
-        memo[exchange] = seed.cluster[idx]
-    else:
-        seed = Seed(seed.quiver.mutate(idx), seed.cluster[:idx] + (new_var,) + seed.cluster[idx + 1:])
-    return TriSeed(result.triangulation, seed, memo), result
+    _out_pair(state.tri, state.seed.quiver.b[idx], result.pairs)
+    seed = mutate_seed(state.seed, idx, state.memo)
+    return TriSeed(result.triangulation, seed, state.memo), result
 
 
 def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], start: Optional[TriSeed] = None) -> TriSeed:
@@ -578,9 +571,7 @@ class FlipNode:
     depth: int
 
 
-def flip_levels(
-    annulus: MarkedAnnulus, depth: int, node_limit: int = 100_000
-) -> Iterator[list[FlipNode]]:
+def flip_levels(annulus: MarkedAnnulus, depth: int) -> Iterator[list[FlipNode]]:
     """The flip ball around the fan, one level at a time.
 
     Yields, for each flip distance 0..depth in turn, the triangulations
@@ -589,12 +580,10 @@ def flip_levels(
     consumer asks for it, so a search that stops early never flips the
     nodes of the last level it read.  Every flip made checks that the
     arc-to-variable correspondence stays single valued, and the ball may
-    hold at most node_limit triangulations (LimitExceeded).
+    hold at most FLIP_NODE_LIMIT triangulations (LimitExceeded).
     """
     if depth < 0:
         raise InvalidParameter(f"depth {depth} must be nonnegative")
-    if node_limit < 1:
-        raise InvalidParameter(f"node limit {node_limit} must be positive")
     root = initial_state(annulus)
     seen = {root.tri.arc_set}
     variables: dict[Arc, LaurentPoly] = root.assignment
@@ -612,23 +601,21 @@ def flip_levels(
                     )
                 new_key = new_state.tri.arc_set
                 if new_key not in seen:
-                    if len(seen) >= node_limit:
-                        raise LimitExceeded(f"flip graph exceeded {node_limit} nodes")
+                    if len(seen) >= FLIP_NODE_LIMIT:
+                        raise LimitExceeded(f"flip graph exceeded {FLIP_NODE_LIMIT} nodes")
                     seen.add(new_key)
                     next_level.append(FlipNode(new_state, distance))
         level = next_level
     yield level
 
 
-def flip_bfs(
-    annulus: MarkedAnnulus, depth: int, node_limit: int = 100_000
-) -> dict[frozenset[Arc], FlipNode]:
+def flip_bfs(annulus: MarkedAnnulus, depth: int) -> dict[frozenset[Arc], FlipNode]:
     """All triangulations within the given flip distance of the fan, with
     their clusters, keyed by arc set in the order flip_levels reaches
     them: the whole ball, for callers that need every node."""
     return {
         node.state.tri.arc_set: node
-        for level in flip_levels(annulus, depth, node_limit)
+        for level in flip_levels(annulus, depth)
         for node in level
     }
 

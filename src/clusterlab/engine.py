@@ -68,21 +68,33 @@ def exchange_terms(seed: Seed, k: int) -> tuple[LaurentPoly, LaurentPoly]:
     return plus, minus
 
 
-def mutate_seed(seed: Seed, k: int) -> Seed:
+def mutate_seed(seed: Seed, k: int, memo: Optional[dict] = None) -> Seed:
     """Replace x_k by the exchange quotient and mutate the quiver.
 
     The quotient is an exact Laurent division; inexactness would contradict
-    the Laurent property and raises ExactDivisionFailed.
+    the Laurent property and raises ExactDivisionFailed.  It depends on x_k
+    and on k's neighbours' variables with their multiplicities b_kj alone,
+    so it is looked up in memo under (x_k, frozenset((x_j, b_kj))) before
+    dividing.  A division stores its quotient x_k' there, and, as mutation
+    is an involution, x_k under the reverse exchange (x_k', frozenset((x_j,
+    -b_kj))).  Without a memo a fresh one is used: the result is the same.
     """
-    plus, minus = exchange_terms(seed, k)
-    new_var = laurent.try_div_exact(plus + minus, seed.cluster[k])
+    if not 0 <= k < seed.rank:
+        raise InvalidParameter(f"direction {k} out of range")
+    memo = {} if memo is None else memo
+    cluster = seed.cluster
+    neighbours = frozenset((x, m) for x, m in zip(cluster, seed.quiver.b[k]) if m)
+    new_var = memo.get((cluster[k], neighbours))
     if new_var is None:
-        raise ExactDivisionFailed(
-            f"exchange sum at direction {k} is not divisible by the leaving variable"
-        )
-    cluster = list(seed.cluster)
-    cluster[k] = new_var
-    return Seed(seed.quiver.mutate(k), tuple(cluster))
+        plus, minus = exchange_terms(seed, k)
+        new_var = laurent.try_div_exact(plus + minus, cluster[k])
+        if new_var is None:
+            raise ExactDivisionFailed(
+                f"exchange sum at direction {k} is not divisible by the leaving variable"
+            )
+        memo[cluster[k], neighbours] = new_var
+        memo[new_var, frozenset((x, -m) for x, m in neighbours)] = cluster[k]
+    return Seed(seed.quiver.mutate(k), cluster[:k] + (new_var,) + cluster[k + 1:])
 
 
 def canonical_seed(seed: Seed) -> Seed:
@@ -177,14 +189,10 @@ def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT)
     edge is already recorded from the other end.
 
     Variables are interned as ints, and a neighbour's cluster is its
-    parent's with one int bisected into place by sort key, so no
-    polynomial is hashed or compared per edge, and no seed is built per
-    node.
-
-    The exchange quotient at k is a function of x_k and of the variables
-    at k's neighbours with their multiplicities b_kj alone, so each such
-    exchange is divided (by ``mutate_seed``, with its exactness check)
-    once per call; an edge with an exchange seen before reuses the
+    parent's with one int bisected into place by sort key, so clusters
+    are compared as int tuples.  Every edge is one ``mutate_seed`` call
+    with one memo per call, so each exchange is divided once, its reverse
+    included, and an edge whose exchange was seen before reuses the
     quotient and still mutates and checks its own quiver.
     """
     if depth < 0:
@@ -197,29 +205,22 @@ def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT)
     sort_keys = [v.sort_key() for v in variables]
     interned = {v: i for i, v in enumerate(variables)}
     numbers = {clusters[0]: 0}  # cluster ids -> node number
-    quotients: dict[tuple, int] = {}
+    memo: dict = {}
     for a, cluster in enumerate(clusters):  # clusters grows as it is walked: breadth first
         if depths[a] >= depth:
             break
-        known, parent = links[a], None
-        for k, row in enumerate(quivers[a].b):
+        known = links[a]
+        parent = Seed(quivers[a], tuple(variables[i] for i in cluster))
+        for k in range(len(cluster)):
             if k in known:
                 continue
-            exchange = (cluster[k], tuple((cluster[j], m) for j, m in enumerate(row) if m))
-            new = quotients.get(exchange)
-            if new is None:
-                parent = parent or Seed(quivers[a], tuple(variables[i] for i in cluster))
-                mutated = mutate_seed(parent, k)
-                quiver, variable = mutated.quiver, mutated.cluster[k]
-                new = quotients[exchange] = interned.setdefault(variable, len(variables))
-                if new == len(variables):
-                    variables.append(variable)
-                    sort_keys.append(variable.sort_key())
-            else:
-                quiver = quivers[a].mutate(k)
+            mutated = mutate_seed(parent, k, memo)
+            quiver, variable = mutated.quiver, mutated.cluster[k]
+            new = interned.setdefault(variable, len(variables))
+            if new == len(variables):
+                variables.append(variable)
+                sort_keys.append(variable.sort_key())
             rest = cluster[:k] + cluster[k + 1:]
-            if new in rest:
-                raise InvalidParameter("cluster members must be pairwise distinct")
             place = bisect_left(rest, sort_keys[new], key=sort_keys.__getitem__)
             neighbour = rest[:place] + (new,) + rest[place:]
             if place != k:
@@ -244,10 +245,8 @@ def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT)
     return ExchangeGraph(depth, variables, clusters, quivers, depths, links)
 
 
-def variables_up_to_depth(
-    seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT
-) -> set[LaurentPoly]:
-    return set(exchange_graph(seed, depth, node_limit).variables)
+def variables_up_to_depth(seed: Seed, depth: int) -> set[LaurentPoly]:
+    return set(exchange_graph(seed, depth).variables)
 
 
 def denominator_vector(variable: LaurentPoly) -> tuple[int, ...]:
@@ -347,12 +346,7 @@ def infer_exchange_quiver(reference: Sequence[LaurentPoly], pool: Iterable[Laure
     return Quiver([[s * r for r in row] for s, row in zip(signs, rows)])
 
 
-def check_automorphism_candidate(
-    seed: Seed,
-    images: Sequence[LaurentPoly],
-    depth: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> Optional[bool]:
+def check_automorphism_candidate(seed: Seed, images: Sequence[LaurentPoly], depth: int) -> Optional[bool]:
     """Bounded test of the two cluster-automorphism conditions.
 
     The map sends seed variable i to images[i] and extends to arbitrary
@@ -368,7 +362,7 @@ def check_automorphism_candidate(
         raise InvalidParameter("need one image per cluster variable")
     if list(seed.cluster) != list(coordinates(seed.rank)):
         raise InvalidParameter("candidate checking is rooted at a coordinate seed")
-    graph = exchange_graph(seed, depth, node_limit)
+    graph = exchange_graph(seed, depth)
     numbers = {frozenset(graph.cluster(a)): a for a in range(graph.node_count())}
     image = functools.cache(lambda i: laurent.substitute(graph.variables[i], images))
 

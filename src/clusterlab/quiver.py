@@ -340,15 +340,15 @@ class TypeLabel:
 _class_cache: dict[tuple[int, int], frozenset[Quiver]] = {}
 
 
-def _tilde_class(p: int, q: int, node_limit: int) -> frozenset[Quiver]:
+def _tilde_class(p: int, q: int) -> frozenset[Quiver]:
     got = _class_cache.get((p, q))
     if got is None:
-        got = frozenset(mutation_class(tilde_A_canonical(p, q), node_limit))
+        got = frozenset(mutation_class(tilde_A_canonical(p, q), DEFAULT_CLASS_LIMIT))
         _class_cache[(p, q)] = got
     return got
 
 
-def classify_tilde_A(quiver: Quiver, node_limit: int = DEFAULT_CLASS_LIMIT) -> TypeLabel:
+def classify_tilde_A(quiver: Quiver) -> TypeLabel:
     """Decide whether the quiver lies in some canonical affine type-A class.
 
     Only the candidate classes for splits p + q == n are enumerated (they
@@ -361,7 +361,7 @@ def classify_tilde_A(quiver: Quiver, node_limit: int = DEFAULT_CLASS_LIMIT) -> T
         q = n - p
         if q < 1:
             continue
-        if key in _tilde_class(p, q, node_limit):
+        if key in _tilde_class(p, q):
             return TypeLabel(p, q)
     return TypeLabel()
 

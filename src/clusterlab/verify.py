@@ -416,8 +416,9 @@ def report_crossing_quadrilateral(
         [state.assignment[s] for s in pair if s is not None] for pair in result.pairs
     ]
     products = [poly_prod(pair, x1.arity) for pair in sigma]
-    if x1 * x2 != products[0] + products[1]:
-        raise IdentityFailed("quadrilateral exchange does not match the mutation")
+    # flip_state divides the exchange exactly and _out_pair ties each term
+    # to its pair of sides, so x1 * x2 == p1 + p2; check_dichotomy checks it
+    # as its hypothesis all the same
     check_dichotomy(x1, x2, [sigma], state.seed.cluster, "a")
     check_dichotomy(x1, x2, [sigma], new_state.seed.cluster, "a")
     boundary_sides = sum(1 for pair in result.pairs for s in pair if s is None)
@@ -478,8 +479,8 @@ def _run_rows(state: TriSeed, start_tri: Triangulation, rows, keys, tokens, flip
     next_state, result = flip_state(state, idx)
     new = flipped + ((result.new_arc, next_state.seed.cluster[idx]),)
     for first, second in (result.pairs, result.pairs[::-1]):
-        for k1, t1 in _match_side(side_one, first, keys, tokens, start_tri.arc_set):
-            for k2, t2 in _match_side(side_two, second, k1, t1, start_tri.arc_set):
+        for k1, t1 in _match_side(side_one, first, keys, tokens, start_tri.arcs):
+            for k2, t2 in _match_side(side_two, second, k1, t1, start_tri.arcs):
                 k2[token] = result.new_arc
                 yield from _run_rows(next_state, start_tri, rest, k2, t2, new)
 
@@ -527,10 +528,16 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
                     yield start, labeling, end, values, bindings, node.depth
 
 
+# the annuli, samples per annulus and strip window of the cover-flip checks
+COVER_FLIP_CASES = ((2, 1), (2, 2), (3, 2))
+COVER_FLIP_SAMPLES = 20
+COVER_FLIP_WINDOW = 3
+
+
 def _check_cover_flips(visited: Iterable[Triangulation], slot: int) -> None:
     """Check the searched slot's cover flip on each visited triangulation."""
     for tri in visited:
-        if not verify_cover_flip(tri, slot, 3):
+        if not verify_cover_flip(tri, slot, COVER_FLIP_WINDOW):
             raise CounterexampleFound("cover flip fails on a triangulation visited by the search")
 
 
@@ -962,22 +969,19 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     )
 
 
-def report_cover_flip(
-    cases: Sequence[tuple[int, int]] = ((2, 1), (2, 2), (3, 2)),
-    samples: int = 20,
-    window: int = 3,
-    rng_seed: int = 0,
-) -> IdentityReport:
+def report_cover_flip(rng_seed: int = 0) -> IdentityReport:
     """Randomized check that flipping all lifts of an arc in the windowed
-    cover matches the lift of the flipped triangulation on the interior."""
+    cover matches the lift of the flipped triangulation on the interior:
+    COVER_FLIP_SAMPLES random walks of up to three flips from the fan of
+    each annulus in COVER_FLIP_CASES."""
     rng = random.Random(rng_seed)
     checked = 0
     done: set[tuple] = set()  # a repeated (triangulation, index) sample is checked once
     walked: dict[tuple, Triangulation] = {}  # each walk step's flip, made once
-    for p, q in cases:
+    for p, q in COVER_FLIP_CASES:
         ann = MarkedAnnulus(p, q)
         fan = initial_triangulation(ann)
-        for _ in range(samples):
+        for _ in range(COVER_FLIP_SAMPLES):
             tri = fan
             for _ in range(rng.randrange(4)):
                 step = (tri, rng.randrange(p + q))
@@ -987,7 +991,7 @@ def report_cover_flip(
             index = rng.randrange(p + q)
             if (tri, index) not in done:
                 done.add((tri, index))
-                if not verify_cover_flip(tri, index, window):
+                if not verify_cover_flip(tri, index, COVER_FLIP_WINDOW):
                     raise CounterexampleFound(
                         f"cover flip mismatch on C({p},{q}) at index {index}"
                     )
@@ -995,7 +999,8 @@ def report_cover_flip(
     return IdentityReport(
         name="cover-flip",
         witness={"checked": str(checked)},
-        context={"cases": list(map(list, cases)), "samples": samples, "window": window},
+        context={"cases": list(map(list, COVER_FLIP_CASES)), "samples": COVER_FLIP_SAMPLES,
+                 "window": COVER_FLIP_WINDOW},
     )
 
 

@@ -111,9 +111,8 @@ def test_flip_mutation_commutation():
 
 def test_cover_flip_commutation():
     with criterion("cover commutation: 20 random flips per annulus on C(2,1), C(2,2), C(3,2)"):
-        report = verify.report_cover_flip(
-            cases=((2, 1), (2, 2), (3, 2)), samples=20, window=3, rng_seed=1
-        )
+        report = verify.report_cover_flip(rng_seed=1)
+        assert report.context == {"cases": [[2, 1], [2, 2], [3, 2]], "samples": 20, "window": 3}
         assert report.passed and report.witness["checked"] == "60"
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from clusterlab import annulus as annulus_mod
+from clusterlab import engine as engine_mod
 from clusterlab import laurent
 from clusterlab.annulus import (
     MarkedAnnulus,
@@ -716,13 +717,16 @@ class TestLockstep:
         state, _ = flip_state(state, 2)
         plain = TriSeed(state.tri, state.seed)
         assert state == plain and hash(state) == hash(plain) and repr(state) == repr(plain)
-        assert state.memo is root.memo and plain.memo == {} and len(root.memo) == 2
+        assert state.memo is root.memo and plain.memo == {} and len(root.memo) == 4
         for (leaving, neighbours), quotient in root.memo.items():
             assert type(quotient) is LaurentPoly and type(leaving) is LaurentPoly
             assert all(type(x) is LaurentPoly and type(m) is int and m for x, m in neighbours)
         x = coordinates(5)
         first = (x[0], frozenset((v, m) for v, m in zip(x, root.seed.quiver.b[0]) if m))
         assert root.memo[first] == state.seed.cluster[0]
+        # each division also stores its reverse, which gives the leaving variable back
+        back = (state.seed.cluster[0], frozenset((v, -m) for v, m in first[1]))
+        assert root.memo[back] == x[0]
         # a memo that holds the exchange gives its quotient back undivided
         planted = x[0] + x[1]
         hit, _ = flip_state(TriSeed(root.tri, root.seed, {first: planted}), 0)
@@ -732,7 +736,25 @@ class TestLockstep:
         wrong = TriSeed(root.tri, Seed(root.seed.quiver.mutate(1), root.seed.cluster))
         with pytest.raises(MalformedTriangulation):
             flip_state(wrong, 0)
-        assert len(root.memo) == 2 and wrong.memo == {}
+        assert len(root.memo) == 4 and wrong.memo == {}
+
+    @pytest.mark.parametrize("p,q", [(2, 1), (3, 2)])
+    def test_a_flip_and_its_flip_back_divide_once(self, monkeypatch, p, q):
+        # the reverse exchange is stored with the division, so flipping an
+        # arc back gives the old variable undivided
+        calls = []
+
+        def counting(seed, k):
+            calls.append(k)
+            return exchange_terms(seed, k)
+
+        monkeypatch.setattr(engine_mod, "exchange_terms", counting)
+        root = initial_state(MarkedAnnulus(p, q))
+        for idx in range(p + q):
+            calls.clear()
+            there, _ = flip_state(root, idx)
+            back, _ = flip_state(there, idx)
+            assert back == root and calls == [idx]
 
     def test_descend_agrees_with_bfs(self, ann21):
         # a descent from the fan to a triangulation of the ball reaches its cluster
@@ -774,19 +796,21 @@ class TestFlipLevels:
         assert len(next(levels)) == 5
         assert calls == [0, 1, 2, 3, 4]
 
-    def test_node_limit(self):
+    def test_node_limit(self, monkeypatch):
+        monkeypatch.setattr(annulus_mod, "FLIP_NODE_LIMIT", 100)
         with pytest.raises(LimitExceeded):
-            flip_bfs(MarkedAnnulus(4, 1), 6, node_limit=100)
-        assert len(flip_bfs(MarkedAnnulus(4, 1), 6, node_limit=252)) == 252
+            flip_bfs(MarkedAnnulus(4, 1), 6)
+        monkeypatch.setattr(annulus_mod, "FLIP_NODE_LIMIT", 252)
+        assert len(flip_bfs(MarkedAnnulus(4, 1), 6)) == 252
 
-    @pytest.mark.parametrize("depth,node_limit", [(-1, 10), (-2, 10), (3, 0), (3, -5)])
-    def test_invalid_bounds_raise(self, depth, node_limit):
+    @pytest.mark.parametrize("depth", [-1, -2])
+    def test_invalid_bounds_raise(self, depth):
         # rejected as the engine's exchange_graph rejects them, instead of
         # a negative depth giving the one-node ball
         with pytest.raises(InvalidParameter):
-            next(flip_levels(MarkedAnnulus(2, 1), depth, node_limit))
+            next(flip_levels(MarkedAnnulus(2, 1), depth))
         with pytest.raises(InvalidParameter):
-            flip_bfs(MarkedAnnulus(2, 1), depth, node_limit)
+            flip_bfs(MarkedAnnulus(2, 1), depth)
 
 
 class TestArcIndexRange:

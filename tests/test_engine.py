@@ -94,6 +94,39 @@ class TestMutateSeed:
             k = rng.randrange(seed.rank)
             assert mutate_seed(mutate_seed(seed, k), k) == seed
 
+    def test_the_memo_changes_no_result(self):
+        # one memo along random walks: every mutation equals the one made
+        # without a memo, and each exchange is divided at most once
+        rng = random.Random(3)
+        for p, q in ((1, 1), (2, 1), (3, 2)):
+            seed, memo, divided = initial_seed(tilde_A_canonical(p, q)), {}, []
+            for _ in range(40):
+                k = rng.randrange(seed.rank)
+                before = len(memo)
+                mutated = mutate_seed(seed, k, memo)
+                if len(memo) > before:
+                    divided.append(exchange_key(seed, k))
+                assert mutated == mutate_seed(seed, k)
+                seed = mutated
+            assert len(divided) == len(set(divided)) == len(memo) // 2
+
+    def test_a_mutation_and_its_reverse_divide_once(self, monkeypatch, kronecker):
+        calls = []
+
+        def counting(seed, k):
+            calls.append(exchange_key(seed, k))
+            return exchange_terms(seed, k)
+
+        monkeypatch.setattr(engine, "exchange_terms", counting)
+        memo = {}
+        there = mutate_seed(kronecker, 0, memo)
+        assert mutate_seed(there, 0, memo) == kronecker
+        assert calls == [exchange_key(kronecker, 0)]
+        assert memo == {exchange_key(kronecker, 0): X1_PRIME, exchange_key(there, 0): kronecker.cluster[0]}
+        # without a shared memo each direction divides
+        mutate_seed(mutate_seed(kronecker, 0), 0)
+        assert len(calls) == 3
+
     def test_neighbor_clusters_share_all_but_one(self, kronecker):
         mutated = mutate_seed(kronecker, 0)
         shared = set(kronecker.cluster) & set(mutated.cluster)
@@ -107,22 +140,31 @@ class TestExchangeSum:
             exchange_terms(kronecker, k)
         with pytest.raises(InvalidParameter):
             mutate_seed(kronecker, k)
+        with pytest.raises(InvalidParameter):
+            mutate_seed(kronecker, k, {})
 
 
 class TestExchangeGraph:
     @pytest.mark.parametrize("p,q,depth", [(1, 1, 4), (2, 1, 3), (2, 2, 3), (3, 2, 2)])
     def test_each_edge_is_mutated_once(self, monkeypatch, p, q, depth):
-        # each distinct exchange (x_k with its neighbours and their
-        # multiplicities) is divided once per graph; an edge whose exchange
-        # was seen before reuses that quotient
-        calls = []
+        # each edge is one mutation, and each distinct exchange (x_k with
+        # its neighbours and their multiplicities) is divided once per
+        # graph; an edge whose exchange, or its reverse, was seen before
+        # reuses that quotient
+        calls, mutations = [], []
 
         def counting(seed, k):
             calls.append(exchange_key(seed, k))
-            return mutate_seed(seed, k)
+            return exchange_terms(seed, k)
 
-        monkeypatch.setattr(engine, "mutate_seed", counting)
+        def mutating(seed, k, memo):
+            mutations.append(k)
+            return mutate_seed(seed, k, memo)
+
+        monkeypatch.setattr(engine, "exchange_terms", counting)
+        monkeypatch.setattr(engine, "mutate_seed", mutating)
         graph = exchange_graph(initial_seed(tilde_A_canonical(p, q)), depth)
+        assert len(mutations) == graph.edge_count()
         assert len(calls) == len(set(calls)) <= graph.edge_count()
         if (p, q, depth) == (2, 2, 3):
             assert len(calls) < graph.edge_count()
@@ -451,7 +493,7 @@ class TestAutomorphismCandidates:
     def test_census(self, monkeypatch, p, q, depth, passing, total):
         # every bijection from the initial cluster onto a cluster within half
         # the radius; a checked edge (an interior node whose image cluster is
-        # enumerated, and one direction of it) costs one mutate_seed call,
+        # enumerated, and one direction of it) costs one exchange division,
         # on the image side, besides those the exchange graph makes
         seed = initial_seed(tilde_A_canonical(p, q))
         graph = exchange_graph(seed, depth)
@@ -467,7 +509,7 @@ class TestAutomorphismCandidates:
 
         def counting(seed, k):
             calls["graph" if inside else "check"] += 1
-            return mutate_seed(seed, k)
+            return exchange_terms(seed, k)
 
         def graph_counting(*args):
             inside.append(True)
@@ -476,7 +518,7 @@ class TestAutomorphismCandidates:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(engine, "mutate_seed", counting)
+        monkeypatch.setattr(engine, "exchange_terms", counting)
         monkeypatch.setattr(engine, "exchange_graph", graph_counting)
         passed = 0
         for images in candidates:

@@ -7,9 +7,10 @@ import sys
 
 import pytest
 
-from clusterlab import annulus, laurent, verify
+from clusterlab import annulus, engine, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
+    Triangulation,
     TriSeed,
     classify_arc,
     crossing_number,
@@ -20,7 +21,7 @@ from clusterlab.annulus import (
     initial_state,
     initial_triangulation,
 )
-from clusterlab.engine import Seed, initial_seed, mutate_seed
+from clusterlab.engine import Seed, exchange_terms, initial_seed, mutate_seed
 from clusterlab.errors import (
     ClusterLabError,
     CounterexampleFound,
@@ -45,6 +46,7 @@ from clusterlab.verify import (
     _band,
     _match_side,
     _opposite_pair,
+    _run_rows,
     _winding_walk,
     check_dichotomy,
     max_peripheral_crossing,
@@ -139,6 +141,20 @@ class TestQuadrilateral:
         report = report_crossing_quadrilateral(1, 2, want_loop=True)
         assert report.passed
         assert report.context["loop"]
+
+
+    def test_a_wrong_exchange_fails_case1(self, monkeypatch):
+        # case1 does not re-check x1 * x2 == p1 + p2 itself; a flip whose
+        # new variable breaks it still fails, at check_dichotomy's hypothesis
+        def wrong(state, idx):
+            new_state, result = flip_state(state, idx)
+            cluster = list(new_state.seed.cluster)
+            cluster[idx] = cluster[idx] + LaurentPoly.one(cluster[idx].arity)
+            return TriSeed(new_state.tri, Seed(new_state.seed.quiver, tuple(cluster))), result
+
+        monkeypatch.setattr(verify, "flip_state", wrong)
+        with pytest.raises(HypothesisNotSatisfied):
+            report_crossing_quadrilateral(2, 1)
 
 
 class TestGeometricChain:
@@ -246,6 +262,17 @@ class TestSideMatch:
         assert _match_side(side, other, {}, {"S8": side8}, starts) == [({}, {"S8": side8, "S10": side10})]
         assert _match_side(side, other, {}, {}, starts) == []
         assert _match_side(side, other, {}, {"S8": side8, "S10": side8}, starts) == []
+
+    def test_the_rows_build_no_arc_set(self, monkeypatch):
+        # a fresh key is tested against the start arcs as they stand, so
+        # matching the rows builds no arc set; only the flip ball does
+        start, labeling, *_ = _find_bridging_setup(MarkedAnnulus(2, 2))
+        keys = {"z1": start.tri.arcs[labeling[0]]}
+        want = [found[1] for found in _run_rows(start, start.tri, _BRIDGING_PATTERNS, keys, {})]
+        built = []
+        monkeypatch.setattr(Triangulation, "arc_set", property(built.append))
+        got = [found[1] for found in _run_rows(start, start.tri, _BRIDGING_PATTERNS, keys, {})]
+        assert want and got == want and not built
 
 
 # the oracle meets the same products and quotients under many labelings;
@@ -368,14 +395,25 @@ def _memo_sharing_matches(levels, kind, patterns):
 def _recorded_divisions(monkeypatch) -> list:
     """Every exchange division lockstep flips make from here on, keyed by
     (cluster set, leaving variable), which names (arc set, flipped arc)
-    whatever the slot order."""
-    divisions = []
+    whatever the slot order.  A division is a call of exchange_terms,
+    which mutate_seed makes only on a memo miss, inside a flip's mutation
+    (so exchange graphs do not count)."""
+    divisions, flipping = [], []
+
+    def mutating(seed, k, memo):
+        flipping.append(True)
+        try:
+            return mutate_seed(seed, k, memo)
+        finally:
+            flipping.pop()
 
     def recording(seed, k):
-        divisions.append((frozenset(seed.cluster), seed.cluster[k]))
-        return mutate_seed(seed, k)
+        if flipping:
+            divisions.append((frozenset(seed.cluster), seed.cluster[k]))
+        return exchange_terms(seed, k)
 
-    monkeypatch.setattr(annulus, "mutate_seed", recording)
+    monkeypatch.setattr(annulus, "mutate_seed", mutating)
+    monkeypatch.setattr(engine, "exchange_terms", recording)
     return divisions
 
 
@@ -476,6 +514,14 @@ class TestInduction:
     def test_K_validation(self):
         with pytest.raises(ValueError):
             run_report("induction", K=2)
+
+    def test_the_setup_search_divides_no_flip_back(self, monkeypatch):
+        # the flips back to a state the search came from reuse the stored
+        # reverse exchange: 326 divisions on C(4,4), where a memo of
+        # forward exchanges alone made 524
+        divisions = _recorded_divisions(monkeypatch)
+        _find_bridging_setup(MarkedAnnulus(4, 4))
+        assert len(divisions) == len(set(divisions)) == 326
 
     def test_opposite_pair_finds_the_pair_by_its_sides(self):
         # on the fan of C(1,1), flipping arc 0 gives x1 * x1' = x2^2 + 1:
@@ -941,12 +987,13 @@ class TestRecoveryAndUniqueness:
         assert len(calls) - ball == 14
 
     def test_each_certification_flip_is_divided_once(self, monkeypatch):
-        # the descents share the ball's exchange memo, so the report makes
-        # one division per distinct exchange: 179 on C(4,3) at depth 4,
-        # where a memo of whole flips made 1,222 (and no memo 1,421)
+        # the descents share the ball's exchange memo, which stores each
+        # division with its reverse, so the report divides each exchange
+        # once and no flip back: 111 on C(4,3) at depth 4, where a memo of
+        # forward exchanges made 179, one of whole flips 1,222 and no memo 1,421
         divisions = _recorded_divisions(monkeypatch)
         report_unistructurality(4, 3, 4)
-        assert len(divisions) == len(set(divisions)) == 179
+        assert len(divisions) == len(set(divisions)) == 111
 
     def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
         # a descent computes each arc's total crossing against its target
@@ -998,14 +1045,15 @@ class TestCoverFlipReport:
 
         monkeypatch.setattr(verify, "verify_cover_flip", recording)
         monkeypatch.setattr(verify, "flip_state", no_flip_state)
-        cases, samples = ((2, 1), (2, 2), (3, 2)), 6
-        verify.report_cover_flip(cases, samples, 3, rng_seed=5)
+        monkeypatch.setattr(verify, "COVER_FLIP_SAMPLES", 6)
+        report = verify.report_cover_flip(rng_seed=5)
+        assert report.context == {"cases": [[2, 1], [2, 2], [3, 2]], "samples": 6, "window": 3}
 
         # the same draws through flip_state visit the same triangulations
         rng = random.Random(5)
         expected = []
-        for p, q in cases:
-            for _ in range(samples):
+        for p, q in ((2, 1), (2, 2), (3, 2)):
+            for _ in range(6):
                 state = initial_state(MarkedAnnulus(p, q))
                 for _ in range(rng.randrange(4)):
                     state, _ = flip_state(state, rng.randrange(p + q))
