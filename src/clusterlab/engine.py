@@ -10,13 +10,13 @@ ever tries to close them.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import laurent
 from .errors import (
     AmbiguousPartner,
+    CounterexampleFound,
     ExactDivisionFailed,
     InconsistentExchangePattern,
     InvalidParameter,
@@ -107,34 +107,29 @@ def canonical_seed(seed: Seed) -> Seed:
 @dataclass
 class ExchangeGraph:
     """Depth-bounded exchange graph with nodes numbered in enumeration
-    order, node 0 the root.  Node i has ``clusters[i]``, its cluster as ids
-    into ``variables`` in polynomial order, ``quivers[i]`` labelled along,
-    ``depths[i]``, and ``links[i]``, sending each direction k mutated at
+    order, node 0 the root.  Node i is ``seeds[i]``, in ``canonical_seed``
+    form, at ``depths[i]``; ``links[i]`` sends each direction k mutated at
     node i to the neighbour's number."""
 
     depth: int
-    variables: list[LaurentPoly]
-    clusters: list[tuple[int, ...]]
-    quivers: list[Quiver]
+    seeds: list[Seed]
     depths: list[int]
     links: list[dict[int, int]]
 
-    def cluster(self, i: int) -> tuple[LaurentPoly, ...]:
-        return tuple(self.variables[j] for j in self.clusters[i])
-
-    def seed(self, i: int) -> Seed:
-        return Seed(self.quivers[i], self.cluster(i))
+    @property
+    def variables(self) -> list[LaurentPoly]:
+        """Every variable once, in the order nodes first hold them."""
+        return list(dict.fromkeys(v for seed in self.seeds for v in seed.cluster))
 
     def node_count(self) -> int:
-        return len(self.clusters)
+        return len(self.seeds)
 
     def edge_count(self) -> int:
         return sum(map(len, self.links)) // 2
 
     def _sorted_numbers(self) -> tuple[list[int], list[int]]:
         """Node numbers in sorted cluster order, and each node's place in it."""
-        keys = [v.sort_key() for v in self.variables]
-        order = sorted(range(len(self.clusters)), key=lambda a: [keys[i] for i in self.clusters[a]])
+        order = sorted(range(len(self.seeds)), key=lambda a: [v.sort_key() for v in self.seeds[a].cluster])
         return order, sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
 
     def to_json(self) -> dict:
@@ -144,14 +139,14 @@ class ExchangeGraph:
         every node holding it, so treat the result as read-only.
         """
         order, place = self._sorted_numbers()
-        as_json = [poly_to_json(v) for v in self.variables]
+        as_json = {v: poly_to_json(v) for v in self.variables}
         return {
             "root": place[0],
             "depth": self.depth,
             "nodes": [
                 {
-                    "cluster": [as_json[i] for i in self.clusters[a]],
-                    "quiver": quiver_to_json(self.quivers[a]),
+                    "cluster": [as_json[v] for v in self.seeds[a].cluster],
+                    "quiver": quiver_to_json(self.seeds[a].quiver),
                     "depth": self.depths[a],
                 }
                 for a in order
@@ -168,9 +163,9 @@ class ExchangeGraph:
         """Nodes in sorted cluster order, labelled by denominator vectors;
         each edge once, where enumeration first recorded it."""
         order, place = self._sorted_numbers()
-        labels = ["(" + " ".join(map(str, denominator_vector(v))) + ")" for v in self.variables]
+        labels = {v: "(" + " ".join(map(str, denominator_vector(v))) + ")" for v in self.variables}
         lines = ["graph exchange {"]
-        lines.extend(f'  n{r} [label="{",".join(labels[i] for i in self.clusters[a])}"];'
+        lines.extend(f'  n{r} [label="{",".join(labels[v] for v in self.seeds[a].cluster)}"];'
                      for r, a in enumerate(order))
         lines.extend(f"  n{min(place[a], place[b])} -- n{max(place[a], place[b])};"
                      for a, links in enumerate(self.links) for b in links.values() if a < b)
@@ -181,68 +176,49 @@ class ExchangeGraph:
 def exchange_graph(seed: Seed, depth: int, node_limit: int = DEFAULT_NODE_LIMIT) -> ExchangeGraph:
     """Breadth-first enumeration of seeds to the given depth.
 
-    Nodes are identified by their sorted cluster.  Two seeds with equal
-    clusters must carry the same quiver after sorting; a conflict would
-    make cluster-level deduplication unsound and is asserted away.
-    Directions whose edge is already known (the edge back to the parent,
-    at least) are not mutated again: mutation is an involution, so the
-    edge is already recorded from the other end.
+    Every node is a seed in ``canonical_seed`` form and is identified by
+    its cluster.  Two seeds with equal clusters must carry the same quiver;
+    a conflict would make cluster-level deduplication unsound and raises
+    CounterexampleFound.  Directions whose edge is already known (the edge
+    back to the parent, at least) are not mutated again: mutation is an
+    involution, so the edge is already recorded from the other end.
 
-    Variables are interned as ints, and a neighbour's cluster is its
-    parent's with one int bisected into place by sort key, so clusters
-    are compared as int tuples.  Every edge is one ``mutate_seed`` call
-    with one memo per call, so each exchange is divided once, its reverse
-    included, and an edge whose exchange was seen before reuses the
-    quotient and still mutates and checks its own quiver.
+    Every edge is one ``mutate_seed`` call, and all share one memo, so each
+    exchange is divided once, its reverse included; an edge whose exchange
+    was seen before reuses the quotient and still mutates and checks its
+    own quiver.
     """
     if depth < 0:
         raise InvalidParameter(f"depth {depth} must be nonnegative")
     if node_limit < 1:
         raise InvalidParameter(f"node limit {node_limit} must be positive")
-    root = canonical_seed(seed)
-    variables, clusters, quivers, depths, links = (
-        list(root.cluster), [tuple(range(root.rank))], [root.quiver], [0], [{}])
-    sort_keys = [v.sort_key() for v in variables]
-    interned = {v: i for i, v in enumerate(variables)}
-    numbers = {clusters[0]: 0}  # cluster ids -> node number
+    seeds, depths, links = [canonical_seed(seed)], [0], [{}]
+    numbers = {seeds[0].cluster: 0}  # cluster -> node number
     memo: dict = {}
-    for a, cluster in enumerate(clusters):  # clusters grows as it is walked: breadth first
+    for a, parent in enumerate(seeds):  # seeds grows as it is walked: breadth first
         if depths[a] >= depth:
             break
         known = links[a]
-        parent = Seed(quivers[a], tuple(variables[i] for i in cluster))
-        for k in range(len(cluster)):
+        for k in range(parent.rank):
             if k in known:
                 continue
             mutated = mutate_seed(parent, k, memo)
-            quiver, variable = mutated.quiver, mutated.cluster[k]
-            new = interned.setdefault(variable, len(variables))
-            if new == len(variables):
-                variables.append(variable)
-                sort_keys.append(variable.sort_key())
-            rest = cluster[:k] + cluster[k + 1:]
-            place = bisect_left(rest, sort_keys[new], key=sort_keys.__getitem__)
-            neighbour = rest[:place] + (new,) + rest[place:]
-            if place != k:
-                order = list(range(len(neighbour)))
-                order.insert(place, order.pop(k))
-                quiver = quiver.permuted(order)
-            b = numbers.setdefault(neighbour, len(clusters))
-            if b == len(clusters):
+            child = canonical_seed(mutated)
+            b = numbers.setdefault(child.cluster, len(seeds))
+            if b == len(seeds):
                 if b >= node_limit:
                     raise LimitExceeded(f"exchange graph exceeded {node_limit} nodes")
-                clusters.append(neighbour)
-                quivers.append(quiver)
+                seeds.append(child)
                 depths.append(depths[a] + 1)
                 links.append({})
-            elif quivers[b] != quiver:
-                raise AssertionError(
+            elif seeds[b].quiver != child.quiver:
+                raise CounterexampleFound(
                     "two seeds share a cluster but disagree on the quiver; "
                     "cluster-keyed deduplication would be unsound"
                 )
             known[k] = b
-            links[b][place] = a
-    return ExchangeGraph(depth, variables, clusters, quivers, depths, links)
+            links[b][child.cluster.index(mutated.cluster[k])] = a
+    return ExchangeGraph(depth, seeds, depths, links)
 
 
 def variables_up_to_depth(seed: Seed, depth: int) -> set[LaurentPoly]:
@@ -363,13 +339,13 @@ def check_automorphism_candidate(seed: Seed, images: Sequence[LaurentPoly], dept
     if list(seed.cluster) != list(coordinates(seed.rank)):
         raise InvalidParameter("candidate checking is rooted at a coordinate seed")
     graph = exchange_graph(seed, depth)
-    numbers = {frozenset(graph.cluster(a)): a for a in range(graph.node_count())}
-    image = functools.cache(lambda i: laurent.substitute(graph.variables[i], images))
+    numbers = {frozenset(node.cluster): a for a, node in enumerate(graph.seeds)}
+    image = functools.cache(lambda v: laurent.substitute(v, images))
 
     def image_node(a: int) -> Optional[int]:
         """Number of the node whose cluster is node a's image, -1 when no
         node's is; None when an image is not Laurent."""
-        mapped = [image(i) for i in graph.clusters[a]]
+        mapped = [image(v) for v in graph.seeds[a].cluster]
         return None if any(v is None for v in mapped) else numbers.get(frozenset(mapped), -1)
 
     start = image_node(0)
@@ -377,7 +353,7 @@ def check_automorphism_candidate(seed: Seed, images: Sequence[LaurentPoly], dept
         return False
     if start < 0:
         return None
-    for a, cluster in enumerate(graph.clusters):
+    for a, node in enumerate(graph.seeds):
         if graph.depths[a] >= depth:
             break  # nodes come in breadth-first order
         target = image_node(a)
@@ -385,13 +361,13 @@ def check_automorphism_candidate(seed: Seed, images: Sequence[LaurentPoly], dept
             return False
         if target < 0:
             continue  # image cluster out of radius; undecided here
-        target_seed = graph.seed(target)
-        for k, i in enumerate(cluster):  # an interior node has all rank links
-            new = next(j for j in graph.clusters[graph.links[a][k]] if j not in cluster)
+        target_seed = graph.seeds[target]
+        for k, old in enumerate(node.cluster):  # an interior node has all rank links
+            new = next(v for v in graph.seeds[graph.links[a][k]].cluster if v not in node.cluster)
             expected = image(new)
             if expected is None:
                 return False
-            place = target_seed.cluster.index(image(i))
+            place = target_seed.cluster.index(image(old))
             if expected != mutate_seed(target_seed, place).cluster[place]:
                 return False
     return True

@@ -500,13 +500,13 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
     (``_match_side``).  A fresh zi names the arc at a start slot, so the
     labeling is read off the rows, not enumerated: in both tables every
     slot a row flips is named by an earlier row.  Per start node and first
-    arc, the first match of each labeling in depth-first order is kept,
-    in labeling order.  No relation is re-checked in Laurent algebra: a
-    matched row's old * new == (product of side one) + (product of side
-    two) holds by construction, as ``flip_state`` divides its exchange
-    relation exactly and ``_out_pair`` ties each term to its pair of
-    sides.  Arcs become variables at the end, a boundary side 1.  All
-    states share the fan's memo, so each distinct exchange is divided once.
+    arc, matches come in depth-first order.  No relation is re-checked in
+    Laurent algebra: a matched row's old * new == (product of side one) +
+    (product of side two) holds by construction, as ``flip_state`` divides
+    its exchange relation exactly and ``_out_pair`` ties each term to its
+    pair of sides.  Arcs become variables at the end, a boundary side 1.
+    All states share the fan's memo, so each distinct exchange is divided
+    once.
     """
     width = 1 + max(slot for _, slot, *_ in patterns)
     names = [f"z{i + 1}" for i in range(width)] + [token for token, *_ in patterns]
@@ -517,11 +517,8 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
             for arc in start.tri.arcs:
                 if classify_arc(arc)[0] != kind:
                     continue
-                found = {}
                 for end, keys, tokens, flipped in _run_rows(start, start.tri, patterns, {"z1": arc}, {}):
                     labeling = tuple(start.tri.index_of(keys[f"z{i + 1}"]) for i in range(width))
-                    found.setdefault(labeling, (end, keys, tokens, flipped))
-                for labeling, (end, keys, tokens, flipped) in sorted(found.items()):
                     variable = start.assignment | dict(flipped)
                     values = {name: variable[keys[name]] for name in names}
                     bindings = {t: one if side is None else variable[side] for t, side in tokens.items()}
@@ -944,11 +941,11 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     for pick in picks:
         images = list(pick.state.seed.cluster)
         fresh = exchange_graph(initial_seed(pick.state.seed.quiver), depth)
-        image_of = [substitute(v, images) for v in fresh.variables]
-        if any(image is None for image in image_of):
+        image_of = {v: substitute(v, images) for v in fresh.variables}
+        if any(image is None for image in image_of.values()):
             raise CounterexampleFound("a re-rooted variable is not Laurent in the root frame")
         translated = _nearest(
-            (frozenset(image_of[i] for i in cluster), d) for cluster, d in zip(fresh.clusters, fresh.depths)
+            (frozenset(image_of[v] for v in node.cluster), d) for node, d in zip(fresh.seeds, fresh.depths)
         )
         reach = depth - pick.depth
         _require_within(translated, cluster_depth, reach,

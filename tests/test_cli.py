@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from clusterlab import laurent
+from clusterlab import engine, laurent
 from clusterlab.annulus import (
     MarkedAnnulus,
     arc_to_json,
@@ -13,10 +13,10 @@ from clusterlab.annulus import (
     triangulation_to_json,
 )
 from clusterlab.cli import main
-from clusterlab.engine import initial_seed, seed_to_json
-from clusterlab.errors import ExponentOverflow
+from clusterlab.engine import Seed, initial_seed, seed_to_json
+from clusterlab.errors import CounterexampleFound, ExponentOverflow
 from clusterlab.laurent import coordinates, poly_to_json
-from clusterlab.quiver import quiver_to_json, tilde_A_canonical
+from clusterlab.quiver import Quiver, quiver_to_json, tilde_A_canonical
 from clusterlab.verify import report_winding_induction
 
 # the envelope's error classes that mean invalid input, and exit 2
@@ -95,6 +95,30 @@ def test_exchange_graph_with_dot(runner, tmp_path):
         "}\n",
     ])
 
+
+
+def test_exchange_graph_quiver_conflict_exits_1(runner, tmp_path, monkeypatch):
+    # negating every mutated quiver keeps the exchange sums, so the clusters
+    # are the true ones, but a node closing an odd cycle (a pentagon of
+    # Ã(2,1)) is reached with both signs. One cluster with two quivers is a
+    # typed error, which the CLI reports in its envelope, not a traceback
+    true_mutate = engine.mutate_seed
+
+    def negating(seed, k, memo):
+        mutated = true_mutate(seed, k, memo)
+        return Seed(Quiver([[-m for m in row] for row in mutated.quiver.b]), mutated.cluster)
+
+    monkeypatch.setattr(engine, "mutate_seed", negating)
+    root = initial_seed(tilde_A_canonical(2, 1))
+    with pytest.raises(CounterexampleFound, match="disagree on the quiver"):
+        engine.exchange_graph(root, 3)
+    path = write(tmp_path, "s.json", seed_to_json(root))
+    result = runner.invoke(main, ["exchange-graph", "--seed", path, "--depth", "3"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "CounterexampleFound"
+    assert "disagree on the quiver" in envelope["detail"]
 
 def test_annulus_flip(runner, tmp_path):
     tri = initial_triangulation(MarkedAnnulus(3, 2))

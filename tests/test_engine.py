@@ -173,10 +173,10 @@ class TestExchangeGraph:
         # built from a reused quotient, is the one mutation gives
         for a, links in enumerate(graph.links):
             if graph.depths[a] < depth:
-                seed = graph.seed(a)
+                seed = graph.seeds[a]
                 for k in range(seed.rank):
                     interior.add(exchange_key(seed, k))
-                    assert graph.seed(links[k]) == canonical_seed(mutate_seed(seed, k))
+                    assert graph.seeds[links[k]] == canonical_seed(mutate_seed(seed, k))
         assert interior.issuperset(calls)
 
     @pytest.mark.parametrize("depth,node_limit", [(-1, 10), (2, 0), (2, -5)])
@@ -230,7 +230,7 @@ class TestExchangeGraph:
         graph = exchange_graph(kronecker, 3)
         for a, links in enumerate(graph.links):
             for b in links.values():
-                assert len(set(graph.cluster(a)) - set(graph.cluster(b))) == 1
+                assert len(set(graph.seeds[a].cluster) - set(graph.seeds[b].cluster)) == 1
 
     def test_node_limit(self, kronecker):
         with pytest.raises(LimitExceeded):
@@ -244,7 +244,7 @@ class TestExchangeGraph:
         )
         a = exchange_graph(kronecker, 1)
         b = exchange_graph(swapped, 1)
-        assert set(map(a.cluster, range(a.node_count()))) == set(map(b.cluster, range(b.node_count())))
+        assert {seed.cluster for seed in a.seeds} == {seed.cluster for seed in b.seeds}
 
     @pytest.mark.parametrize("quiver,depth", [
         (tilde_A_canonical(1, 1), 4),
@@ -253,22 +253,22 @@ class TestExchangeGraph:
         (tilde_A_canonical(2, 2).mutate(1).mutate(3), 3),
     ])
     def test_numbered_graph_invariants(self, quiver, depth):
-        graph = exchange_graph(initial_seed(quiver), depth)
-        keys = [v.sort_key() for v in graph.variables]
-        assert len(set(graph.variables)) == len(graph.variables)
-        assert len(set(graph.clusters)) == graph.node_count()
-        assert graph.clusters[0] == tuple(range(quiver.n)) and graph.depths[0] == 0
-        for a, cluster in enumerate(graph.clusters):
-            # ids pairwise distinct and in sort-key order
-            assert len(set(cluster)) == len(cluster) == quiver.n
-            assert all(keys[i] < keys[j] for i, j in zip(cluster, cluster[1:]))
+        root = initial_seed(quiver)
+        graph = exchange_graph(root, depth)
+        clusters = [seed.cluster for seed in graph.seeds]
+        assert len(set(clusters)) == graph.node_count()
+        assert graph.seeds[0] == canonical_seed(root) and graph.depths[0] == 0
+        assert graph.variables[:quiver.n] == list(clusters[0])
+        for a, seed in enumerate(graph.seeds):
+            # each node its own normal form: variables in sort-key order
+            assert seed == canonical_seed(seed) and seed.rank == quiver.n
             if graph.depths[a] < depth:
                 assert sorted(graph.links[a]) == list(range(quiver.n))
             for k, b in graph.links[a].items():
-                (old,) = set(cluster) - set(graph.clusters[b])
-                (new,) = set(graph.clusters[b]) - set(cluster)
-                assert cluster.index(old) == k
-                assert graph.links[b][graph.clusters[b].index(new)] == a
+                (old,) = set(seed.cluster) - set(clusters[b])
+                (new,) = set(clusters[b]) - set(seed.cluster)
+                assert seed.cluster.index(old) == k
+                assert graph.links[b][clusters[b].index(new)] == a
                 assert abs(graph.depths[a] - graph.depths[b]) <= 1
 
     def test_repeated_variable_is_invalid_parameter(self):
@@ -322,8 +322,8 @@ class TestIndependence:
 
     def test_all_enumerated_clusters(self, kronecker):
         graph = exchange_graph(kronecker, 4)
-        for a in range(graph.node_count()):
-            assert is_algebraically_independent(list(graph.cluster(a)))
+        for seed in graph.seeds:
+            assert is_algebraically_independent(list(seed.cluster))
 
 
 class TestPositivity:
@@ -497,12 +497,12 @@ class TestAutomorphismCandidates:
         # on the image side, besides those the exchange graph makes
         seed = initial_seed(tilde_A_canonical(p, q))
         graph = exchange_graph(seed, depth)
-        clusters = set(map(frozenset, map(graph.cluster, range(graph.node_count()))))
-        interior = [graph.cluster(a) for a, d in enumerate(graph.depths) if d < depth]
+        clusters = {frozenset(node.cluster) for node in graph.seeds}
+        interior = [node.cluster for node, d in zip(graph.seeds, graph.depths) if d < depth]
         candidates = [
             list(images)
-            for a, d in enumerate(graph.depths) if d <= depth // 2
-            for images in itertools.permutations(graph.cluster(a))
+            for node, d in zip(graph.seeds, graph.depths) if d <= depth // 2
+            for images in itertools.permutations(node.cluster)
         ]
         assert len(candidates) == total
         calls, inside = {"graph": 0, "check": 0}, []

@@ -207,22 +207,24 @@ def test_the_check_sees_an_unreached_definition(tmp_path):
     ]
 
 
-def _bare_value_errors(path: Path) -> list[str]:
-    """Lines that raise the builtin ValueError, called or not."""
+def _bare_builtin_errors(path: Path) -> list[str]:
+    """Lines that raise the builtin ValueError or AssertionError, called or not."""
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = sorted(
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and node.exc is not None
-        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name) and exc.id == "ValueError"
+        and isinstance(exc := getattr(node.exc, "func", node.exc), ast.Name)
+        and exc.id in ("ValueError", "AssertionError")
     )
     return [f"{path.name}:{line}" for line in lines]
 
 
 def test_every_module_raises_typed_errors():
-    # a rejection is InvalidParameter or another package error, which the
-    # CLI turns into its JSON envelope; a bare ValueError is neither
-    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _bare_value_errors(path)]
+    # a rejection is InvalidParameter, and a contradiction another package
+    # error, which the CLI turns into its JSON envelope; a bare ValueError
+    # or AssertionError is neither
+    found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _bare_builtin_errors(path)]
     assert found == []
 
 
@@ -232,6 +234,7 @@ def test_the_check_sees_a_bare_value_error(tmp_path):
         "from errors import InvalidParameter\n\n\ndef check(x):\n    if x < 0:\n"
         "        raise ValueError('negative')\n    if x > 9:\n        raise InvalidParameter('large')\n"
         "    try:\n        return 1 / x\n    except ZeroDivisionError:\n        raise\n"
+        "    assert x != 5\n    if x == 7:\n        raise AssertionError('seven')\n"
         "    raise ValueError\n"
     )
-    assert _bare_value_errors(module) == ["sample.py:6", "sample.py:13"]
+    assert _bare_builtin_errors(module) == ["sample.py:6", "sample.py:15", "sample.py:16"]
