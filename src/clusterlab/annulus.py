@@ -524,9 +524,9 @@ def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipResult]:
     return TriSeed(result.triangulation, seed, state.memo), result
 
 
-def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], start: Optional[TriSeed] = None) -> TriSeed:
-    """Lockstep state reached by greedy flips from start (the fan, or a state
-    reached from it) until the triangulation holds every arc of want.
+def _descend(annulus: MarkedAnnulus, want: frozenset[Arc]) -> TriSeed:
+    """Lockstep state reached by greedy flips from the fan until the
+    triangulation holds every arc of want.
 
     Each step flips the arc outside want with the largest total crossing
     against want; ties go to the smallest arc.  While an arc of want is
@@ -534,7 +534,7 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc], start: Optional[TriSe
     compatible arcs cannot exist), and the flip strictly shrinks the total
     crossing, so the cap is pure paranoia.
     """
-    state = start or initial_state(annulus)
+    state = initial_state(annulus)
 
     @functools.cache  # each arc's total crossing against want, once per call
     def total(arc: Arc) -> int:

@@ -508,9 +508,9 @@ def poly_prod(items: Iterable[LaurentPoly], arity: int) -> LaurentPoly:
     return LaurentPoly.one(arity) if total is None else total
 
 
-# A support is an int of up to one bit per box slot.  2**28 bits (32 MiB)
-# holds C(3,3) at K = 3, the largest induction run (1.04e8 slots); C(3,3)
-# at K = 4 (1.95e9) and C(5,3) at K = 3 (5.0e10) would need 0.2 to 6 GiB.
+# A support is an int of up to one bit per box slot; 2**28 bits is 32 MiB.
+# C(3,3) at K = 3 needs 3.32e8 slots and raises; C(3,3) at K = 4 (8.07e9)
+# and C(5,3) at K = 3 (1.61e11) would need 1 to 19 GiB.
 SUPPORT_BOX_LIMIT = 1 << 28
 
 
@@ -660,14 +660,7 @@ def substitute(a: LaurentPoly, images: Sequence[LaurentPoly]) -> Optional[Lauren
 
     numerator, denom = a.reduced_form()
     value = LaurentPoly.zero(target)
-    power_cache: dict[tuple[int, int], LaurentPoly] = {}
-
-    def power(i: int, k: int) -> LaurentPoly:
-        got = power_cache.get((i, k))
-        if got is None:
-            got = images[i] ** k
-            power_cache[(i, k)] = got
-        return got
+    power = functools.cache(lambda i, k: images[i] ** k)
 
     for exps, coeff in _items(numerator):
         term = LaurentPoly.constant(coeff, target)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -893,51 +893,58 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
 
     (ii) Adversarially, every pairwise-compatible full-size subset of the
     enumerated variable pool, found as a clique of compatible arcs, must be
-    an actual cluster; one beyond the enumerated radius is certified by a
-    flip path from the fan through the enumerated triangulation sharing
-    the most arcs with it (the first in breadth-first order on a tie).  A
-    clique of p + q compatible arcs is a triangulation, so the descent to
-    it needs no other check; flip_levels has already checked that each arc
-    of the ball keeps one variable.
+    an actual cluster.  Such a clique is a triangulation, and one minus an
+    arc has exactly two completions, so a breadth-first walk from the ball
+    certifies each clique outside it by one flip from a certified
+    neighbour, which must land on it and give its new arc the pool's
+    variable (flip_levels has checked the ball's).  A clique the walk
+    misses raises SearchExhausted.
     """
     ann = MarkedAnnulus(p, q)
     rank = p + q
     nodes = flip_bfs(ann, depth)
     varmap = {arc: var for node in nodes.values() for arc, var in node.state.assignment.items()}
+    if len(set(varmap.values())) != len(varmap):
+        raise CounterexampleFound("distinct arcs of the ball share a variable")
     cluster_depth = _nearest(
         (frozenset(node.state.seed.cluster), node.depth) for node in nodes.values()
     )
-    ball = list(nodes.values())
-    bit = {arc: 1 << i for i, arc in enumerate(varmap)}  # one bit per pool arc
-    masks = [sum(map(bit.__getitem__, key)) for key in nodes]
 
-    # (ii) compatible subsets
+    # (ii) compatible subsets, as int masks over the pool arcs
+    bit = {arc: 1 << i for i, arc in enumerate(varmap)}
+    pending: set[int] = set()  # the cliques not yet certified
+    pairs: dict[int, int] = {}  # a clique minus one arc -> the sum of its completions
     compatible_subsets = 0
-    witnessed_by_path = 0
     for combo in _compatible_cliques(ann, sorted(varmap), rank):
         compatible_subsets += 1
-        expected = frozenset(varmap[a] for a in combo)
-        if len(expected) != rank:
-            raise CounterexampleFound("distinct compatible arcs share a variable")
-        if expected in cluster_depth:
-            continue
-        want = sum(map(bit.__getitem__, combo))
-        shared = [(mask & want).bit_count() for mask in masks]
-        nearest = shared.index(max(shared))  # the first node on a tie
-        state = _descend(ann, frozenset(combo), start=ball[nearest].state)
-        witnessed_by_path += 1
-        if frozenset(state.seed.cluster) != expected:
-            raise CounterexampleFound(
-                "a pairwise-compatible variable set is not the cluster of its "
-                "own triangulation"
-            )
+        mask = sum(map(bit.__getitem__, combo))
+        pending.add(mask)
+        for arc in combo:
+            pairs[mask ^ bit[arc]] = pairs.get(mask ^ bit[arc], 0) + mask
+    queue = deque((sum(map(bit.__getitem__, key)), node.state) for key, node in nodes.items())
+    pending.difference_update(mask for mask, _ in queue)
+    witnessed_by_path = 0
+    while queue:
+        mask, state = queue.popleft()
+        for idx, arc in enumerate(state.tri.arcs):
+            rest = mask ^ bit[arc]
+            other = pairs[rest] - mask  # the other completion, or 0
+            if other not in pending:
+                continue
+            pending.remove(other)
+            flipped, result = flip_state(state, idx)
+            witnessed_by_path += 1
+            if bit.get(result.new_arc) != other - rest or flipped.seed.cluster[idx] != varmap[result.new_arc]:
+                raise CounterexampleFound("a flip from a certified clique misses the cluster of its neighbour")
+            queue.append((other, flipped))
+    if compatible_subsets != len(nodes) + witnessed_by_path:
+        raise SearchExhausted("the flips from the ball miss a pairwise-compatible subset")
 
     # (i) re-rooted enumerations
     picks = sorted(
         (node for node in nodes.values() if 1 <= node.depth <= 2),
         key=lambda node: tuple(sorted(node.state.tri.arcs)),
     )[:3]
-    rerooted = 0
     for pick in picks:
         images = list(pick.state.seed.cluster)
         fresh = exchange_graph(initial_seed(pick.state.seed.quiver), depth)
@@ -952,17 +959,16 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
                         "re-rooted enumeration found a cluster the root missed")
         _require_within(cluster_depth, translated, reach,
                         "root enumeration found a cluster the re-rooted one missed")
-        rerooted += 1
 
     return IdentityReport(
         name="unistructurality",
         witness={
             "clusters": str(len(cluster_depth)),
-            "variables": str(len(set(varmap.values()))),
+            "variables": str(len(varmap)),
             "compatible_subsets": str(compatible_subsets),
             "witnessed_by_flip_path": str(witnessed_by_path),
         },
-        context={"p": p, "q": q, "depth": depth, "rerooted_presentations": rerooted},
+        context={"p": p, "q": q, "depth": depth, "rerooted_presentations": len(picks)},
     )
 
 

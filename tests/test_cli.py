@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from clusterlab import engine, laurent
+from clusterlab import engine, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     arc_to_json,
@@ -14,7 +14,7 @@ from clusterlab.annulus import (
 )
 from clusterlab.cli import main
 from clusterlab.engine import Seed, initial_seed, seed_to_json
-from clusterlab.errors import CounterexampleFound, ExponentOverflow
+from clusterlab.errors import CounterexampleFound, ExponentOverflow, SearchExhausted
 from clusterlab.laurent import coordinates, poly_to_json
 from clusterlab.quiver import Quiver, quiver_to_json, tilde_A_canonical
 from clusterlab.verify import report_winding_induction
@@ -248,6 +248,39 @@ def test_verify_induction_on_an_oversized_support_box_exits_1(runner, monkeypatc
     assert envelope["passed"] is False
     assert envelope["error"] == "LimitExceeded"
     assert "support box" in envelope["detail"]
+
+
+def test_verify_induction_on_three_three_exceeds_the_support_box(runner):
+    # C(3,3) at K = 3 needs a support box of 3.32e8 slots, over the 2**28
+    # limit, so the report refuses it in the envelope; ROADMAP item 2 (a
+    # smaller box) will turn this coverage cell into a pass
+    result = runner.invoke(main, ["verify", "--report", "induction", "--p", "3", "--q", "3", "--K", "3"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "LimitExceeded"
+    assert "3.32e+08 slots" in envelope["detail"]
+
+
+def test_verify_unistructurality_with_an_unreached_clique_exits_1(runner, monkeypatch):
+    # a clique yielded twice is one the walk over the flip graph cannot
+    # certify a second time; the report raises SearchExhausted, with no
+    # second certification path, and the CLI exits 1 with the envelope
+    true_cliques = verify._compatible_cliques
+
+    def twice(ann, arcs, size):
+        cliques = list(true_cliques(ann, arcs, size))
+        return cliques + cliques[-1:]
+
+    monkeypatch.setattr(verify, "_compatible_cliques", twice)
+    with pytest.raises(SearchExhausted):
+        verify.report_unistructurality(2, 1, 4)
+    result = runner.invoke(main, ["verify", "--report", "unistructurality"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "SearchExhausted"
+    assert "pairwise-compatible subset" in envelope["detail"]
 
 
 @pytest.mark.parametrize("command,payload,error", [

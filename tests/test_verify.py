@@ -944,34 +944,61 @@ class TestRecoveryAndUniqueness:
         assert oracle
         assert list(_compatible_cliques(ann, arcs, p + q)) == oracle
 
-    @pytest.mark.parametrize("p,q", [(2, 1), (3, 1)])
-    def test_certification_from_the_ball_matches_the_fan(self, p, q, monkeypatch):
-        # every subset the report certifies starts from an enumerated
-        # triangulation, and each of its arcs gets the variable the descent
-        # from the fan gives it
+    @pytest.mark.parametrize("p,q,depth", [(2, 1, 4), (3, 1, 4), (3, 2, 3)])
+    def test_the_walk_matches_the_descent_from_the_fan(self, p, q, depth, monkeypatch):
+        # each clique outside the ball is certified by a flip from another
+        # certified clique, so its arcs are reached along many flip paths;
+        # every one must give each arc the variable the fan's descent gives it
         ann = MarkedAnnulus(p, q)
-        nodes = flip_bfs(ann, 4)
         certified = []
 
-        def recording(ann, want, start=None):
-            state = annulus._descend(ann, want, start)
-            certified.append((want, start, state))
-            return state
+        def recording(state, idx):
+            flipped, result = flip_state(state, idx)
+            certified.append(flipped)
+            return flipped, result
 
-        monkeypatch.setattr(verify, "_descend", recording)
-        report = report_unistructurality(p, q, 4)
+        monkeypatch.setattr(verify, "flip_state", recording)
+        report = report_unistructurality(p, q, depth)
         assert len(certified) == int(report.witness["witnessed_by_flip_path"]) > 0
-        for want, start, state in certified:
-            # the node sharing the most arcs with the target, first on a tie
-            nearest = max(nodes, key=lambda key: len(key & want))
-            assert start == nodes[nearest].state
-            assert state.tri.arc_set == want
-            assert state.assignment == annulus._descend(ann, want).assignment
+        assert len({state.tri.arc_set for state in certified}) == len(certified)
+        for state in certified:
+            assert state.assignment == annulus._descend(ann, state.tri.arc_set).assignment
+
+    def test_a_certifying_flip_with_a_wrong_variable_is_a_counterexample(self, monkeypatch):
+        # the walk checks the variable each certifying flip gives its new
+        # arc against the one the ball gives that arc
+        def negating(state, idx):
+            flipped, result = flip_state(state, idx)
+            cluster = list(flipped.seed.cluster)
+            cluster[idx] = -cluster[idx]
+            return TriSeed(flipped.tri, Seed(flipped.seed.quiver, cluster), flipped.memo), result
+
+        monkeypatch.setattr(verify, "flip_state", negating)
+        with pytest.raises(CounterexampleFound, match="misses the cluster of its neighbour"):
+            report_unistructurality(2, 1, 4)
+
+    def test_two_ball_arcs_with_one_variable_are_a_counterexample(self, monkeypatch):
+        # the last node of the ball gives its first arc the variable of a
+        # fan arc it lacks, so two arcs of the pool share that variable
+        true_flip_bfs = verify.flip_bfs
+
+        def merging(ann, depth):
+            nodes = true_flip_bfs(ann, depth)
+            fan, *_, last = nodes.values()
+            state = last.state
+            taken = next(var for arc, var in fan.state.assignment.items() if arc not in state.tri.arc_set)
+            cluster = [taken, *state.seed.cluster[1:]]
+            last.state = TriSeed(state.tri, Seed(state.seed.quiver, cluster), state.memo)
+            return nodes
+
+        monkeypatch.setattr(verify, "flip_bfs", merging)
+        with pytest.raises(CounterexampleFound, match="share a variable"):
+            report_unistructurality(2, 1, 4)
 
     def test_certification_flip_count(self, monkeypatch):
         # certifying the 12 subsets outside the ball of C(3,1) at depth 4
-        # takes 14 flips from the nearest enumerated triangulations; a
-        # descent from the fan for each would take 62
+        # takes one flip each from a certified neighbour; descents from the
+        # nearest ball node took 14 and descents from the fan 62
         calls = []
 
         def counting(state, target):
@@ -979,26 +1006,29 @@ class TestRecoveryAndUniqueness:
             return flip_state(state, target)
 
         monkeypatch.setattr(annulus, "flip_state", counting)
+        monkeypatch.setattr(verify, "flip_state", counting)
         flip_bfs(MarkedAnnulus(3, 1), 4)
         ball = len(calls)
         calls.clear()
         report = report_unistructurality(3, 1, 4)
         assert report.witness["witnessed_by_flip_path"] == "12"
-        assert len(calls) - ball == 14
+        assert len(calls) - ball == 12
 
     def test_each_certification_flip_is_divided_once(self, monkeypatch):
-        # the descents share the ball's exchange memo, which stores each
+        # the walk shares the ball's exchange memo, which stores each
         # division with its reverse, so the report divides each exchange
-        # once and no flip back: 111 on C(4,3) at depth 4, where a memo of
-        # forward exchanges made 179, one of whole flips 1,222 and no memo 1,421
+        # once and no flip back: 107 on C(4,3) at depth 4, where descents
+        # from the nearest ball node made 111, a memo of forward exchanges
+        # 179, one of whole flips 1,222 and no memo 1,421
         divisions = _recorded_divisions(monkeypatch)
         report_unistructurality(4, 3, 4)
-        assert len(divisions) == len(set(divisions)) == 111
+        assert len(divisions) == len(set(divisions)) == 107
 
-    def test_descents_cross_each_arc_with_want_once(self, monkeypatch):
-        # a descent computes each arc's total crossing against its target
-        # once, cap included, and a certified clique is not re-checked as a
-        # triangulation: 4,781 crossing_number calls on C(4,3) at depth 4
+    def test_cliques_cross_each_pool_pair_once(self, monkeypatch):
+        # the clique search crosses each pair of the 35 pool arcs once (595
+        # calls, plus 21 checking the fan), and the walk certifies by flips,
+        # not by crossings: 616 crossing_number calls on C(4,3) at depth 4,
+        # where certification descents made 4,781
         calls = []
 
         def counting(a, b, ann):
@@ -1009,7 +1039,32 @@ class TestRecoveryAndUniqueness:
         monkeypatch.setattr(verify, "crossing_number", counting)
         report = report_unistructurality(4, 3, 4)
         assert report.witness["witnessed_by_flip_path"] == "380"
-        assert len(calls) == 4781
+        assert len(calls) == 616
+
+    @pytest.mark.parametrize("p,q,witness", [
+        (1, 1, (7, 8, 7, 0)),
+        (1, 2, (16, 13, 18, 2)),
+        (2, 1, (16, 13, 18, 2)),
+        (1, 3, (33, 16, 35, 2)),
+        (2, 2, (33, 16, 36, 3)),
+        (3, 1, (33, 16, 35, 2)),
+        (1, 4, (54, 20, 68, 14)),
+        (2, 3, (54, 20, 72, 18)),
+        (3, 2, (54, 20, 72, 18)),
+        (4, 1, (54, 20, 68, 14)),
+        (1, 5, (82, 24, 146, 64)),
+        (2, 4, (82, 24, 153, 71)),
+        (3, 3, (82, 24, 152, 70)),
+        (4, 2, (82, 24, 153, 71)),
+        (5, 1, (82, 24, 146, 64)),
+    ])
+    def test_unistructurality_covers_every_small_annulus(self, p, q, witness):
+        # the unistructurality column of the coverage table: every C(p,q)
+        # with p + q <= 6 passes at depth 3, the walk reaching every clique;
+        # witnesses measured with certification descents from the ball
+        report = report_unistructurality(p, q, 3)
+        fields = ("clusters", "variables", "compatible_subsets", "witnessed_by_flip_path")
+        assert tuple(int(report.witness[key]) for key in fields) == witness
 
     @pytest.mark.parametrize("p,q,depth,witness", [
         (3, 1, 4, (53, 22, 65, 12)),
@@ -1018,6 +1073,7 @@ class TestRecoveryAndUniqueness:
         (4, 3, 4, (310, 35, 690, 380)),
         (4, 4, 4, (473, 40, 1627, 1154)),
         (5, 4, 4, (691, 45, 4031, 3340)),
+        (5, 5, 4, (975, 50, 10290, 9315)),
     ])
     def test_unistructurality_scaling_points(self, p, q, depth, witness):
         # measured with the brute-force subset filter and descents from the fan
