@@ -531,8 +531,9 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc]) -> TriSeed:
     Each step flips the arc outside want with the largest total crossing
     against want; ties go to the smallest arc.  While an arc of want is
     missing, some arc outside want crosses it (p + q + 1 pairwise
-    compatible arcs cannot exist), and the flip strictly shrinks the total
-    crossing, so the cap is pure paranoia.
+    compatible arcs cannot exist).  A flip may keep the total (3, 3, 2, 1,
+    0 on C(2,2) with want {(0,0)-(1,2)}), though no measured descent ever
+    raised it; the cap bounds those plateaus (FlipSearchExceeded).
     """
     state = initial_state(annulus)
 
@@ -743,6 +744,10 @@ def verify_cover_flip(tri: Triangulation, index: int, window: int) -> bool:
     quadrilateral can influence the comparison region is performed on a
     complete neighborhood; flips skipped at the ragged pad ends cannot
     reach the interior.
+
+    The window must exceed the widest arc's span in deck periods, or the
+    oracle may raise InvalidParameter: a C(2,2) triangulation holding
+    (0,1)-(1,-5), three periods wide, raises at window 3 on two slots.
     """
     if window < 2:
         raise InvalidParameter(f"window {window} must cover at least two deck periods")

@@ -124,9 +124,6 @@ class ExchangeGraph:
     def node_count(self) -> int:
         return len(self.seeds)
 
-    def edge_count(self) -> int:
-        return sum(map(len, self.links)) // 2
-
     def _sorted_numbers(self) -> tuple[list[int], list[int]]:
         """Node numbers in sorted cluster order, and each node's place in it."""
         order = sorted(range(len(self.seeds)), key=lambda a: [v.sort_key() for v in self.seeds[a].cluster])

@@ -62,8 +62,8 @@ class MalformedTriangulation(ClusterLabError):
 class FlipSearchExceeded(ClusterLabError):
     """A flip search ran past its iteration cap.
 
-    The crossing total against the target must strictly decrease, so a
-    cap overrun is a bug, not an unlucky input.
+    A descent flip may keep the crossing total against the target, but no
+    measured one raised it, so an overrun points at a bug, not bad input.
     """
 
 

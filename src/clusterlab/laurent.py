@@ -28,8 +28,7 @@ exact per-variable exponent ranges only when the bound is exceeded.
 Zero coefficients are pruned on construction.  Coefficients are Python
 ints and never overflow; a float, a bool or any other coefficient raises
 InvalidParameter.  Exponent tuples appear only at the API boundary:
-the constructor, ``coefficient``, the read-only ``terms`` view,
-formatting and JSON.
+the constructor, the read-only ``terms`` view, formatting and JSON.
 
 Terms are ordered lexicographically by exponent vector.  That single
 order drives serialization, the deterministic ordering of whole
@@ -149,10 +148,6 @@ class LaurentPoly:
         exps[index] = 1
         return cls(arity, {tuple(exps): 1})
 
-    @classmethod
-    def monomial(cls, exponents: Sequence[int], coeff: int = 1) -> "LaurentPoly":
-        return cls(len(exponents), {tuple(exponents): coeff})
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -168,9 +163,6 @@ class LaurentPoly:
 
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
-
-    def coefficient(self, exponents: Sequence[int]) -> int:
-        return self.terms.get(tuple(exponents), 0)
 
     def min_exponent(self, index: int) -> int:
         """Smallest exponent of variable ``index`` over all terms (poly must be nonzero)."""

@@ -350,27 +350,16 @@ def report_bridging_chain_formal(n: int) -> IdentityReport:
 # ---------------------------------------------------------------------------
 
 
-def find_crossing_quadrilateral(
-    ann: MarkedAnnulus,
-    want_loop: bool = False,
-    want_boundary_sides: Optional[int] = None,
-):
+def find_crossing_quadrilateral(ann: MarkedAnnulus):
     """First peripheral/bridging pair crossing once whose peripheral
     diagonal and quadrilateral sides are pairwise compatible, as
     (peripheral, bridging, sides), a boundary side None.  Compatible arcs
     always extend to a triangulation, which then holds the quadrilateral.
-
-    Optionally insists that the peripheral diagonal is a loop (equal
-    endpoints on the annulus) or that a given number of quadrilateral
-    sides are boundary segments.
     """
     pool = candidate_arcs(ann, winding=2)
     peripherals = [a for a in pool if classify_arc(a)[0] == "peripheral"]
     bridgings = [a for a in pool if classify_arc(a)[0] == "bridging"]
     for gamma_i in peripherals:
-        span = abs(gamma_i.e1[1] - gamma_i.e2[1])
-        if want_loop and span != ann.period(gamma_i.e1[0]):
-            continue
         for gamma_j in bridgings:
             if crossing_number(gamma_i, gamma_j, ann) != 1:
                 continue
@@ -378,9 +367,6 @@ def find_crossing_quadrilateral(
                 sides = quadrilateral_sides(ann, gamma_i, gamma_j)
             except ConstructionFailed:
                 continue
-            if want_boundary_sides is not None:
-                if sum(1 for s in sides if s is None) != want_boundary_sides:
-                    continue
             base = {gamma_i} | {s for s in sides if s is not None}
             if any(
                 crossing_number(a, b, ann)
@@ -391,17 +377,14 @@ def find_crossing_quadrilateral(
     raise ConstructionFailed("no once-crossing peripheral/bridging pair found")
 
 
-def report_crossing_quadrilateral(
-    p: int, q: int, want_loop: bool = False, want_boundary_sides: Optional[int] = None
-) -> IdentityReport:
+def report_crossing_quadrilateral(p: int, q: int) -> IdentityReport:
     """One peripheral and one bridging arc crossing once: their
     quadrilateral exchange has the two-times-two product shape, matches
     the algebraic mutation exactly, and forces one diagonal out of any
-    cluster containing the other."""
+    cluster containing the other.  The context counts the quadrilateral's
+    boundary sides and says whether the peripheral diagonal is a loop."""
     ann = MarkedAnnulus(p, q)
-    gamma_i, gamma_j, sides = find_crossing_quadrilateral(
-        ann, want_loop=want_loop, want_boundary_sides=want_boundary_sides
-    )
+    gamma_i, gamma_j, sides = find_crossing_quadrilateral(ann)
     # a triangulation holding the diagonal and every interior side holds the quadrilateral
     state = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
     slot = state.tri.index_of(gamma_i)
@@ -422,6 +405,7 @@ def report_crossing_quadrilateral(
     check_dichotomy(x1, x2, [sigma], state.seed.cluster, "a")
     check_dichotomy(x1, x2, [sigma], new_state.seed.cluster, "a")
     boundary_sides = sum(1 for pair in result.pairs for s in pair if s is None)
+    loop = abs(gamma_i.e1[1] - gamma_i.e2[1]) == ann.period(gamma_i.e1[0])
     return IdentityReport(
         name="case1",
         witness={
@@ -430,7 +414,7 @@ def report_crossing_quadrilateral(
             "exchange": f"{format_poly(x1 * x2)} = "
             + " + ".join(format_poly(t) for t in products),
         },
-        context={"p": p, "q": q, "boundary_sides": boundary_sides, "loop": want_loop},
+        context={"p": p, "q": q, "boundary_sides": boundary_sides, "loop": loop},
     )
 
 
@@ -525,19 +509,6 @@ def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
                     yield start, labeling, end, values, bindings, node.depth
 
 
-# the annuli, samples per annulus and strip window of the cover-flip checks
-COVER_FLIP_CASES = ((2, 1), (2, 2), (3, 2))
-COVER_FLIP_SAMPLES = 20
-COVER_FLIP_WINDOW = 3
-
-
-def _check_cover_flips(visited: Iterable[Triangulation], slot: int) -> None:
-    """Check the searched slot's cover flip on each visited triangulation."""
-    for tri in visited:
-        if not verify_cover_flip(tri, slot, COVER_FLIP_WINDOW):
-            raise CounterexampleFound("cover flip fails on a triangulation visited by the search")
-
-
 def _format_bindings(bindings: dict[str, LaurentPoly]) -> str:
     """The side-token bindings of a geometric search, sorted, as text."""
     return ", ".join(f"{k}={format_poly(v)}" for k, v in sorted(bindings.items()))
@@ -586,7 +557,6 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
         for name, *_ in _PERIPHERAL_PATTERNS:
             if substitute(formal[name], images) != values[name]:
                 raise IdentityFailed(f"formal and geometric values of {name} disagree")
-        _check_cover_flips((st.tri, end_state.tri), labeling[0])
         return IdentityReport(
             name="case2-geometric",
             witness={
@@ -726,7 +696,6 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     ann = MarkedAnnulus(p, q)
     setup, labeling, state, values, bindings, found_at = _find_bridging_setup(ann)
     gamma_i = setup.tri.arcs[labeling[0]]
-    _check_cover_flips((setup.tri, state.tri), labeling[0])
     cross_term = values["z2'"] * values["z3''"]
     slot1, slot4 = labeling[0], labeling[3]
     band = _band(state.seed.cluster[slot4], state.seed.cluster[slot1], cross_term)
@@ -970,6 +939,12 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
         },
         context={"p": p, "q": q, "depth": depth, "rerooted_presentations": len(picks)},
     )
+
+
+# the annuli, samples per annulus and strip window of the cover-flip report
+COVER_FLIP_CASES = ((2, 1), (2, 2), (3, 2))
+COVER_FLIP_SAMPLES = 20
+COVER_FLIP_WINDOW = 3
 
 
 def report_cover_flip(rng_seed: int = 0) -> IdentityReport:

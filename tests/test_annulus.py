@@ -41,6 +41,7 @@ from clusterlab.annulus import (
 from clusterlab.engine import Seed, denominator_vector, exchange_terms, initial_seed, mutate_seed
 from clusterlab.errors import (
     ClusterLabError,
+    FlipSearchExceeded,
     InvalidArc,
     InvalidParameter,
     InvalidTriangulation,
@@ -604,6 +605,28 @@ class TestVariableOfArc:
             for arc in tri.arcs:
                 assert variable_of_arc(ann, arc) == reached.variable(arc)
 
+    def test_a_descent_flip_can_keep_the_crossing_total(self, monkeypatch):
+        # the greedy descent need not lower the total crossing against want
+        # at every flip: on C(2,2) the first flip keeps it at 3
+        ann = MarkedAnnulus(2, 2)
+        want = make_arc(ann, (0, 0), (1, 2))
+        totals = []
+
+        def recording(state, idx):
+            totals.append(sum(crossing_number(a, want, ann) for a in state.tri.arcs))
+            return flip_state(state, idx)
+
+        monkeypatch.setattr(annulus_mod, "flip_state", recording)
+        reached = _descend(ann, frozenset({want}))
+        totals.append(sum(crossing_number(a, want, ann) for a in reached.tri.arcs))
+        assert totals == [3, 3, 2, 1, 0]
+
+    def test_a_descent_that_never_arrives_hits_its_cap(self, monkeypatch, ann21):
+        # a flip that changes nothing leaves the arc missing forever
+        monkeypatch.setattr(annulus_mod, "flip_state", lambda state, idx: (state, None))
+        with pytest.raises(FlipSearchExceeded, match="within"):
+            variable_of_arc(ann21, make_arc(ann21, (0, 0), (1, 2)))
+
     def test_denominator_matches_crossings(self, ann21):
         # denominator entries are positive exactly at the crossed initial arcs
         tri = initial_triangulation(ann21)
@@ -979,6 +1002,16 @@ class TestCoverFlipOracle:
         with pytest.raises(InvalidParameter, match="window too small") as caught:
             verify_cover_flip(triangulation(ann11, arcs), 1, 2)
         assert isinstance(caught.value, ClusterLabError)
+
+    def test_an_arc_spanning_three_periods_needs_window_four(self):
+        # a C(2,2) triangulation that the induction's setup search visits
+        ann = MarkedAnnulus(2, 2)
+        chords = [((0, 1), (1, -5)), ((0, 1), (1, -3)), ((0, 0), (1, -5)), ((1, 1), (1, 3))]
+        tri = triangulation(ann, [make_arc(ann, *chord) for chord in chords])
+        for index in (1, 3):
+            with pytest.raises(InvalidParameter, match="window too small"):
+                verify_cover_flip(tri, index, 3)
+            assert verify_cover_flip(tri, index, 4)
 
 
 class TestSerialization:

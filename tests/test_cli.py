@@ -4,7 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from clusterlab import engine, laurent, verify
+from clusterlab import annulus, engine, laurent, verify
 from clusterlab.annulus import (
     MarkedAnnulus,
     arc_to_json,
@@ -139,6 +139,30 @@ def test_annulus_variable(runner, tmp_path):
     assert json.loads(result.output)["display"] == "x1^2*x2^-1 + x2^-1"
 
 
+def test_annulus_variable_reports_a_descent_past_its_cap(runner, tmp_path, monkeypatch):
+    # a flip that changes nothing never brings the arc in; the descent
+    # stops at its cap, and the CLI exits 1 with the envelope
+    monkeypatch.setattr(annulus, "flip_state", lambda state, idx: (state, None))
+    path = write(tmp_path, "a.json", arc_to_json(make_arc(C11, (0, 0), (1, 1))))
+    result = runner.invoke(main, ["annulus", "variable", "--p", "1", "--q", "1", "--arc", path])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "FlipSearchExceeded"
+    assert "no flip path to" in envelope["detail"]
+
+
+def test_verify_case1_on_one_one_finds_no_pair(runner):
+    # C(1,1) has no once-crossing peripheral/bridging pair (the Coverage
+    # table's case1 cell), a failed construction rather than invalid input
+    result = runner.invoke(main, ["verify", "--report", "case1", "--p", "1", "--q", "1"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "ConstructionFailed"
+    assert "no once-crossing peripheral/bridging pair" in envelope["detail"]
+
+
 def test_verify_passes(runner):
     result = runner.invoke(main, ["verify", "--report", "case3-n2"])
     assert result.exit_code == 0
@@ -148,7 +172,7 @@ def test_verify_passes(runner):
 
 # sha256 of the stdout of `clusterlab verify --report all`: every report at
 # its defaults, the invariant a refactor must keep
-VERIFY_ALL_SHA256 = "bae82a2a029e65fce0e565e5c388dbadbf158f3be800d6b4f5eb476f1d1c233b"
+VERIFY_ALL_SHA256 = "1ec743176aea6d5d391634878741e1ba715aa6e21c608ec2e24644f4b6465eed"
 
 
 def test_verify_all_output_is_pinned(runner):

@@ -164,10 +164,11 @@ class TestExchangeGraph:
         monkeypatch.setattr(engine, "exchange_terms", counting)
         monkeypatch.setattr(engine, "mutate_seed", mutating)
         graph = exchange_graph(initial_seed(tilde_A_canonical(p, q)), depth)
-        assert len(mutations) == graph.edge_count()
-        assert len(calls) == len(set(calls)) <= graph.edge_count()
+        edges = sum(map(len, graph.links)) // 2
+        assert len(mutations) == edges
+        assert len(calls) == len(set(calls)) <= edges
         if (p, q, depth) == (2, 2, 3):
-            assert len(calls) < graph.edge_count()
+            assert len(calls) < edges
         interior = set()
         # every edge, including those recorded only from their other end or
         # built from a reused quotient, is the one mutation gives
@@ -210,12 +211,12 @@ class TestExchangeGraph:
 
     def test_depth_zero(self, kronecker):
         graph = exchange_graph(kronecker, 0)
-        assert graph.node_count() == 1 and graph.edge_count() == 0
+        assert graph.node_count() == 1 and sum(map(len, graph.links)) // 2 == 0
 
     def test_depth_two_is_a_path_of_five(self, kronecker):
         graph = exchange_graph(kronecker, 2)
         assert graph.node_count() == 5
-        assert graph.edge_count() == 4
+        assert sum(map(len, graph.links)) // 2 == 4
         degrees = sorted(map(len, graph.links))
         assert degrees == [1, 1, 2, 2, 2]
 

@@ -107,20 +107,28 @@ def test_the_check_sees_an_unreferenced_helper(tmp_path):
     assert _unreferenced_private_definitions([module]) == ["sample.py:5: _orphan", "sample.py:9: _Gone"]
 
 
-# public definitions no CLI command or report reaches yet, each kept for
-# the ROADMAP item whose report will reach it
+# public definitions no CLI command or report reaches, each kept for the
+# ROADMAP item whose report will reach it or for the benchmark that reads it
 ALLOWED_UNREACHED = {
     ("engine", "is_algebraically_independent"): "item 6, the independence report",
     ("engine", "check_automorphism_candidate"): "item 7, the automorphism report",
+    ("engine", "ExchangeGraph.node_count"): "perfbench/layers.py reads it",
 }
 
 
+def _is_public_method(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+
+
 def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
-    """Module-level functions, classes and assigned names, with their nodes."""
+    """Module-level functions, classes and assigned names, and the public
+    methods of public classes as "Class.method", with their nodes."""
     out = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out[node.name] = node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                out.update((f"{node.name}.{m.name}", m) for m in node.body if _is_public_method(m))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -128,23 +136,35 @@ def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
     return out
 
 
+def _own_references(node: ast.stmt) -> set[str]:
+    """The names a definition reads; a public class's public methods are
+    definitions of their own, so the class does not read through them."""
+    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        return _references(node)
+    parts = [*node.bases, *node.keywords, *node.decorator_list]
+    parts += [stmt for stmt in node.body if not _is_public_method(stmt)]
+    return set().union(*map(_references, parts))
+
+
 def _reached(trees: dict[str, ast.Module], roots) -> set[tuple[str, str]]:
     """(module, name) of every definition a name walk from the roots reaches.
 
     A root is a (module, name) definition; the walk follows every name a
     reached definition reads into every definition of that name in any
-    module, so a name shared by two modules reaches both.
+    module, so a name shared by two modules reaches both.  A method is
+    reached by its bare name, read as an attribute or a name, whatever
+    object it is read from.
     """
     definitions = {
         (module, name): node for module, tree in trees.items() for name, node in _definitions(tree).items()
     }
     by_name = defaultdict(list)
     for module, name in definitions:
-        by_name[name].append((module, name))
+        by_name[name.rpartition(".")[2]].append((module, name))
     reached = set(roots)
     pending = list(reached)
     while pending:
-        for name in _references(definitions[pending.pop()]):
+        for name in _own_references(definitions[pending.pop()]):
             for key in by_name[name]:
                 if key not in reached:
                     reached.add(key)
@@ -153,6 +173,8 @@ def _reached(trees: dict[str, ast.Module], roots) -> set[tuple[str, str]]:
 
 
 def _unreached_public_definitions(paths, roots) -> list[str]:
+    """Public functions and classes the walk misses, and the public
+    methods it misses of the classes it reaches."""
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in paths}
     reached = _reached(trees, roots)
     return [
@@ -161,6 +183,7 @@ def _unreached_public_definitions(paths, roots) -> list[str]:
         for name, node in _definitions(tree).items()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not name.startswith("_") and (module, name) not in reached
+        and ("." not in name or (module, name.partition(".")[0]) in reached)
     ]
 
 
@@ -204,6 +227,23 @@ def test_the_check_sees_an_unreached_definition(tmp_path):
     )
     assert _unreached_public_definitions([module], [("sample", "entry")]) == [
         "sample.py:20: orphan", "sample.py:24: Gone",
+    ]
+
+
+def test_the_check_sees_an_unreached_method(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "def entry():\n    return Kept().used()\n\n\n"
+        "class Kept:\n    def __init__(self):\n        self.x = 1\n\n"
+        "    def used(self):\n        return self.inner()\n\n"
+        "    def inner(self):\n        return self.x\n\n"
+        "    def orphan(self):\n        return Other()\n\n\n"
+        "class Other:\n    def also_orphan(self):\n        return 1\n"
+    )
+    # Other is read only by an unreached method, and its own method is
+    # not listed apart from it
+    assert _unreached_public_definitions([module], [("sample", "entry")]) == [
+        "sample.py:15: Kept.orphan", "sample.py:19: Other",
     ]
 
 

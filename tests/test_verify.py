@@ -20,11 +20,13 @@ from clusterlab.annulus import (
     flip_state,
     initial_state,
     initial_triangulation,
+    verify_cover_flip,
 )
 from clusterlab.engine import Seed, exchange_terms, initial_seed, mutate_seed
 from clusterlab.errors import (
     ClusterLabError,
     CounterexampleFound,
+    CrossingMismatch,
     HypothesisNotSatisfied,
     IdentityFailed,
     InvalidParameter,
@@ -133,15 +135,23 @@ class TestQuadrilateral:
         assert report.passed
 
     def test_boundary_degeneration(self):
-        report = report_crossing_quadrilateral(3, 2, want_boundary_sides=2)
+        report = report_crossing_quadrilateral(3, 2)
         assert report.passed
         assert report.context["boundary_sides"] == 2
 
     def test_loop_diagonal_instance(self):
-        report = report_crossing_quadrilateral(1, 2, want_loop=True)
+        report = report_crossing_quadrilateral(1, 2)
         assert report.passed
         assert report.context["loop"]
 
+    @pytest.mark.parametrize("p,q", [
+        (p, q) for p in range(1, 6) for q in range(1, 6) if p + q <= 6 and (p, q) != (1, 1)
+    ])
+    def test_loop_is_read_off_the_found_diagonal(self, p, q):
+        # the found peripheral diagonal is a loop, its span its boundary's
+        # period, exactly on these annuli; C(1,1) has no case1 pair at all
+        report = report_crossing_quadrilateral(p, q)
+        assert report.context["loop"] == (p == 2 or (p, q) == (1, 2))
 
     def test_a_wrong_exchange_fails_case1(self, monkeypatch):
         # case1 does not re-check x1 * x2 == p1 + p2 itself; a flip whose
@@ -523,6 +533,12 @@ class TestInduction:
         _find_bridging_setup(MarkedAnnulus(4, 4))
         assert len(divisions) == len(set(divisions)) == 326
 
+    def test_a_miscounted_crossing_raises_crossing_mismatch(self, monkeypatch):
+        # one crossing too many on every pair fails the first 2k - 1 check
+        monkeypatch.setattr(verify, "crossing_number", lambda a, b, ann: crossing_number(a, b, ann) + 1)
+        with pytest.raises(CrossingMismatch, match="first-slot arc at k=2 crosses 4, want 3"):
+            report_winding_induction(2, 2, 3)
+
     def test_opposite_pair_finds_the_pair_by_its_sides(self):
         # on the fan of C(1,1), flipping arc 0 gives x1 * x1' = x2^2 + 1:
         # arc 1 twice against two boundary segments
@@ -601,7 +617,7 @@ class TestBandRecurrence:
     def test_a_changed_band_coefficient_raises(self, setup, change):
         gamma, state, slot1, slot4, cross_term, band = setup
         for exps in band.terms:
-            changed = band + LaurentPoly.monomial(exps, change)
+            changed = band + LaurentPoly(band.arity, {exps: change})
             with pytest.raises(IdentityFailed):
                 _winding_walk(state, slot1, slot4, cross_term, changed, 4)
 
@@ -1082,6 +1098,46 @@ class TestRecoveryAndUniqueness:
         assert tuple(int(report.witness[key]) for key in fields) == witness
 
 
+def _span_in_periods(tri: Triangulation) -> int:
+    """The widest arc's span in deck periods: its farthest endpoint, rounded up."""
+    periods = (tri.annulus.p, tri.annulus.q)
+    return max(-(-abs(x) // periods[b]) for arc in tri.arcs for b, x in arc.chord)
+
+
+class TestCoverFlipOnVisitedTriangulations:
+    # the reports never consult the strip; it checks flip() from outside,
+    # on every triangulation the searches flip from or reach
+    @pytest.fixture(scope="class")
+    def visited(self):
+        seen = {}
+
+        def recording(state, idx):
+            new_state, result = flip_state(state, idx)
+            seen.update(dict.fromkeys((state.tri, new_state.tri)))
+            return new_state, result
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "flip_state", recording)
+            run_report("case2-geometric")
+            run_report("induction")
+            run_report("induction", p=3, q=2, K=3)
+        return list(seen)
+
+    def test_every_visited_slot_flips_as_in_the_strip(self, visited):
+        assert len(visited) == 68  # 328 (triangulation, slot) pairs
+        for tri in visited:
+            window = max(3, 1 + _span_in_periods(tri))
+            for index in range(len(tri.arcs)):
+                assert verify_cover_flip(tri, index, window), (tri, index)
+
+    def test_the_searches_start_and_end_are_visited(self, visited):
+        # the induction setups' start and end triangulations, whose first
+        # slot the reports once checked themselves, are among the checks
+        for p, q in ((2, 2), (3, 2)):
+            setup, _, end, *_ = _find_bridging_setup(MarkedAnnulus(p, q))
+            assert setup.tri in visited and end.tri in visited
+
+
 class TestCoverFlipReport:
     def test_small_sample(self):
         report = run_report("cover-flip", rng_seed=3)[0]
@@ -1140,7 +1196,7 @@ class TestCoverFlipReport:
 # prints it; a refactor must leave every report byte-identical
 GOLDEN_SHA256 = {
     "lemma31": "56beea965bc4771c640fff627b6f1b498623f96343ec4531b6fd04193110ba73",
-    "case1": "e109857f80f241b0ec037b6f73ffdd99e9b0236955b6dae68ee496bed9f4b6c6",
+    "case1": "0764c86cf58eb0b89e19afc7784bc6a2bda5a23863f0105154bb0a901a12a0b8",
     "case2-formal": "e8fb41f4f567d0cd8f497b5a548ea71f406df7c90c96cd9d95ebe4df5b4ce069",
     "case2-geometric": "a0baa2d6b760cbd79dd1d8d45ef95da029a98a3526321066f291bbff02e10001",
     "case3-n2": "789397474dcf06cc4334e17371c0011bf9d0654fa6afd5927578f65957ab4d6c",
