@@ -27,8 +27,10 @@ exact per-variable exponent ranges only when the bound is exceeded.
 
 Zero coefficients are pruned on construction.  Coefficients are Python
 ints and never overflow; a float, a bool or any other coefficient raises
-InvalidParameter.  Exponent tuples appear only at the API boundary:
-the constructor, the read-only ``terms`` view, formatting and JSON.
+InvalidParameter.  Products, exact division and substitution work on
+packed keys only.  Exponent tuples appear at the API boundary (the
+constructor, the read-only ``terms`` view, formatting and JSON) and in
+``derivative``, ``reduced_form`` and negative ``__pow__``, which unpack.
 
 Terms are ordered lexicographically by exponent vector.  That single
 order drives serialization, the deterministic ordering of whole
@@ -158,9 +160,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_one(self) -> bool:
-        return self._terms == {self._layout.zero: 1}
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
@@ -229,22 +228,8 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        bound = self._bound + other._bound
-        if bound > MAX_EXPONENT:
-            bound = _product_bound(self, other)
-        # the longer operand in the inner loop, so the outer loop runs least
-        outer, inner = self._terms, other._terms
-        if len(outer) > len(inner):
-            outer, inner = inner, outer
-        inner = list(inner.items())
-        zero = self._layout.zero
         out: dict[int, int] = {}
-        get = out.get
-        for k1, c1 in outer.items():
-            k1 -= zero
-            for k2, c2 in inner:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
+        bound = _mul_into(out, self, other)
         return _build(self._layout, {k: c for k, c in out.items() if c}, bound)
 
     __rmul__ = __mul__
@@ -372,9 +357,29 @@ def _items(a: LaurentPoly) -> Iterator[tuple[Exponents, int]]:
 
 
 def _ranges(a: LaurentPoly) -> list[tuple[int, int]]:
-    """Per variable, the smallest and largest exponent (empty for zero)."""
-    columns = zip(*map(a._layout.unpack, a._terms))
-    return [(min(column), max(column)) for column in columns]
+    """Per variable, the smallest and largest exponent from the packed fields (empty for zero)."""
+    columns = [[key >> shift & _MASK for key in a._terms] for shift in a._layout.shifts] if a._terms else []
+    return [(min(column) - _BIAS, max(column) - _BIAS) for column in columns]
+
+
+def _mul_into(out: dict[int, int], a: LaurentPoly, b: LaurentPoly) -> int:
+    """Add the term-pair products of a and b into ``out`` (zeros kept); return their exponent bound."""
+    bound = a._bound + b._bound
+    if bound > MAX_EXPONENT:
+        bound = _product_bound(a, b)
+    # the longer operand in the inner loop, so the outer loop runs least
+    outer, inner = a._terms, b._terms
+    if len(outer) > len(inner):
+        outer, inner = inner, outer
+    inner = list(inner.items())
+    zero = a._layout.zero
+    get = out.get
+    for k1, c1 in outer.items():
+        k1 -= zero
+        for k2, c2 in inner:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    return bound
 
 
 def _product_bound(a: LaurentPoly, b: LaurentPoly) -> int:
@@ -560,8 +565,6 @@ def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
         raise InvalidParameter("arity mismatch")
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if a.is_zero():
-        return LaurentPoly.zero(a.arity)
     bound = a._bound + b._bound
     if len(b._terms) > 1 or bound > MAX_EXPONENT:
         return _reduce(a, b)
@@ -576,51 +579,55 @@ def try_div_exact(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
 
 
 def _reduce(a: LaurentPoly, b: LaurentPoly) -> Optional[LaurentPoly]:
-    """try_div_exact of nonzero a and b, by reduction against the
-    lexicographic leading term.
+    """try_div_exact of a by a nonzero b, by reduction against the
+    lexicographic leading term, on packed keys.
 
     Minimum and maximum exponents per variable are additive under
     multiplication, so every monomial of a quotient q lies in the box
     [min_a - min_b, max_a - max_b] per variable, and the remainder stays
-    inside a's own exponent box.  A leading-term quotient outside the box
-    proves that no quotient exists; above the box's lower corner the
-    remainder lives in a translate of the nonnegative orthant, where
-    lexicographic order is a well-order, so the reduction terminates.  It
-    fails fast at the first out-of-box leading monomial or non-dividing
-    leading coefficient.
+    inside a's own exponent box.  A nonempty box that leaves the field
+    raises ExponentOverflow before any key is formed.  A leading-term
+    quotient outside the box proves that no quotient exists; above the
+    box's lower corner the remainder lives in a translate of the
+    nonnegative orthant, where lexicographic order is a well-order, so the
+    reduction terminates.  Each step checks the leading key's fields
+    against the box, fails fast on a non-dividing leading coefficient, and
+    forms the quotient key as one key difference.
     """
-    layout = a._layout
     box = [(lo_a - lo_b, hi_a - hi_b)
            for (lo_a, hi_a), (lo_b, hi_b) in zip(_ranges(a), _ranges(b))]
-    divisor = list(b._terms.items())
+    if all(lo <= hi for lo, hi in box) and any(lo < MIN_EXPONENT or hi > MAX_EXPONENT for lo, hi in box):
+        raise ExponentOverflow(f"the quotient exponents {box} leave {MIN_EXPONENT}..{MAX_EXPONENT}")
     lead_b = max(b._terms)
-    lead_b_exps = layout.unpack(lead_b)
     lead_b_coeff = b._terms[lead_b]
-    zero = layout.zero
+    # the biased fields of a leading term whose quotient lies in the box
+    window = [(shift, lo + (lead_b >> shift & _MASK), hi + (lead_b >> shift & _MASK))
+              for shift, (lo, hi) in zip(a._layout.shifts, box)]
+    # the leading term cancels itself; the rest of b as offsets from it
+    divisor = [(key - lead_b, coeff) for key, coeff in b._terms.items() if key != lead_b]
+    offset = a._layout.zero - lead_b
 
     rem = dict(a._terms)
     quot: dict[int, int] = {}
     while rem:
         lead_r = max(rem)
-        diff = [e - f for e, f in zip(layout.unpack(lead_r), lead_b_exps)]
-        if any(not lo <= d <= hi for d, (lo, hi) in zip(diff, box)):
+        coeff_r = rem.pop(lead_r)
+        if coeff_r % lead_b_coeff:
             return None
-        coeff_r = rem[lead_r]
-        if coeff_r % lead_b_coeff != 0:
-            return None
+        for shift, lo, hi in window:
+            if not lo <= lead_r >> shift & _MASK <= hi:
+                return None
         factor = coeff_r // lead_b_coeff
-        shift = layout.pack(diff)
-        quot[shift] = factor
-        shift -= zero
-        for key, coeff in divisor:
-            target = shift + key
-            total = rem.get(target, 0) - factor * coeff
+        quot[lead_r + offset] = factor
+        for step, coeff in divisor:
+            key = lead_r + step
+            total = rem.get(key, 0) - factor * coeff
             if total:
-                rem[target] = total
+                rem[key] = total
             else:
-                rem.pop(target, None)
+                del rem[key]
 
-    return _build(layout, quot, max((max(-lo, hi) for lo, hi in box), default=0))
+    return _build(a._layout, quot, max((max(-lo, hi) for lo, hi in box), default=0))
 
 
 def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -632,13 +639,21 @@ def div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 def substitute(a: LaurentPoly, images: Sequence[LaurentPoly]) -> Optional[LaurentPoly]:
-    """Evaluate ``a`` at the given images of its variables.
+    """Evaluate ``a`` at the given images of its variables, on packed keys.
 
-    Negative exponents are handled by splitting a into numerator over a
-    monomial denominator and dividing exactly at the end.  Returns None
-    when the result is not a Laurent polynomial in the target ring, which
-    is a meaningful outcome (the substituted value left the Laurent ring),
-    not an error.
+    A unit-monomial image +-x^v (the constants +-1 too) is a shift: a term
+    with exponent e on its variable moves its key by e * (key(v) - zero)
+    and changes sign when the image is -x^v and e is odd.  The terms are
+    grouped by their exponents on the other images, and each group is
+    multiplied once, into an accumulator, by its product of powers from
+    one table.  A group with a negative exponent there is first raised by
+    d_j, the largest negative exponent of a on image j, into a second
+    accumulator, which one exact division by the product of the
+    images_j ** d_j ends.  When a shift might leave the field every image
+    is multiplied instead, and the products raise ExponentOverflow.
+    Returns None when the result is not a Laurent polynomial in the target
+    ring, a meaningful outcome (the value left the Laurent ring), not an
+    error.
     """
     if len(images) != a.arity:
         raise InvalidParameter("need one image per variable")
@@ -647,26 +662,50 @@ def substitute(a: LaurentPoly, images: Sequence[LaurentPoly]) -> Optional[Lauren
     target = images[0].arity
     if any(img.arity != target for img in images):
         raise InvalidParameter("images must share one arity")
-    if a.is_zero():
-        return LaurentPoly.zero(target)
+    layout = images[0]._layout
+    zero = layout.zero
+    if not a._terms:
+        return _build(layout, {}, 0)
 
-    numerator, denom = a.reduced_form()
-    value = LaurentPoly.zero(target)
-    power = functools.cache(lambda i, k: images[i] ** k)
+    units = {i: next(iter(image._terms.items())) for i, image in enumerate(images)
+             if len(image._terms) == 1 and sum(image._terms.values()) in (1, -1)}
+    shifted_bound = a._bound * sum(images[i]._bound for i in units)
+    if shifted_bound > MAX_EXPONENT:  # a shift may leave the field; products check their own
+        units, shifted_bound = {}, 0
+    shifts = a._layout.shifts
+    steps = [(shifts[i], key - zero, coeff < 0) for i, (key, coeff) in units.items()]
+    general = [(shift, i, max(0, _BIAS - min([key >> shift & _MASK for key in a._terms])))
+               for i, shift in enumerate(shifts) if i not in units]
 
-    for exps, coeff in _items(numerator):
-        term = LaurentPoly.constant(coeff, target)
-        for i, e in enumerate(exps):
-            if e:
-                term = term * power(i, e)
-        value = value + term
-    divisor = LaurentPoly.one(target)
-    for i, d in enumerate(denom):
-        if d:
-            divisor = divisor * power(i, d)
-    if divisor.is_one():
-        return value
-    return try_div_exact(value, divisor)
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
+    for key, coeff in a._terms.items():
+        moved = zero
+        for shift, step, negative in steps:
+            e = (key >> shift & _MASK) - _BIAS
+            moved += e * step
+            if negative and e & 1:
+                coeff = -coeff
+        group = groups.setdefault(tuple([key >> shift & _MASK for shift, _, _ in general]), {})
+        group[moved] = group.get(moved, 0) + coeff
+
+    powers: dict[tuple[int, int], LaurentPoly] = {}
+    one = _build(layout, {zero: 1}, 0)
+    sums, bounds = ({}, {}), [0, 0]  # without and with the denominator
+    for pattern, group in groups.items():
+        raised = any(field < _BIAS for field in pattern)
+        factor = one
+        for field, (_, i, d) in zip(pattern, general):
+            if e := field - _BIAS + (d if raised else 0):
+                if (i, e) not in powers:
+                    powers[i, e] = images[i] ** e
+                factor = powers[i, e] if factor is one else factor * powers[i, e]
+        # a group may hold zero sums; they only widen the product's guard
+        bounds[raised] = max(bounds[raised], _mul_into(sums[raised], _build(layout, group, shifted_bound), factor))
+    whole, fraction = (_build(layout, {k: c for k, c in out.items() if c}, bound) for out, bound in zip(sums, bounds))
+    if not sums[1]:
+        return whole
+    quotient = try_div_exact(fraction, poly_prod((images[i] ** d for _, i, d in general if d), target))
+    return quotient if quotient is None or not whole else whole + quotient
 
 
 def default_names(arity: int, stem: str = "x") -> list[str]:

@@ -247,6 +247,53 @@ def test_the_check_sees_an_unreached_method(tmp_path):
     ]
 
 
+# the Laurent kernels that stay on packed monomials, and the calls that
+# would leave them: unpacking a key, packing a tuple, or building a
+# polynomial from exponent tuples
+PACKED_KERNELS = ("LaurentPoly.__mul__", "_mul_into", "_reduce", "_ranges", "substitute")
+UNPACKING_CALLS = {"pack", "unpack", "_items", "LaurentPoly"}
+
+
+def _unpacking_calls(path: Path, kernels) -> list[str]:
+    """Calls in the named functions ("Class.method" for a method) that
+    unpack or pack exponent tuples."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            functions.update((f"{node.name}.{m.name}", m) for m in node.body if isinstance(m, ast.FunctionDef))
+    found = []
+    for name in kernels:
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Call):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                if callee in UNPACKING_CALLS:
+                    found.append((node.lineno, name, callee))
+    return [f"{path.name}:{line}: {name} calls {callee}" for line, name, callee in sorted(found)]
+
+
+def test_packed_kernels_never_unpack():
+    # exponent tuples belong at the API boundary; products, exact division
+    # and substitution work on packed keys
+    assert _unpacking_calls(PACKAGE / "laurent.py", PACKED_KERNELS) == []
+
+
+def test_the_check_sees_an_unpacking_kernel(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class LaurentPoly:\n    def __mul__(self, other):\n        return LaurentPoly(1, {})\n\n\n"
+        "def _reduce(a, b):\n    return a._layout.unpack(1)\n\n\n"
+        "def substitute(a, images):\n    return list(_items(a)) + [a._layout.pack((0,))]\n\n\n"
+        "def _ranges(a):\n    return LaurentPoly.zero(1)\n"
+    )
+    assert _unpacking_calls(module, ["LaurentPoly.__mul__", "_reduce", "_ranges", "substitute"]) == [
+        "sample.py:3: LaurentPoly.__mul__ calls LaurentPoly", "sample.py:7: _reduce calls unpack",
+        "sample.py:11: substitute calls _items", "sample.py:11: substitute calls pack",
+    ]
+
+
 def _bare_builtin_errors(path: Path) -> list[str]:
     """Lines that raise the builtin ValueError or AssertionError, called or not."""
     tree = ast.parse(path.read_text(), filename=str(path))

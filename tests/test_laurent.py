@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -6,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from clusterlab import laurent
+from clusterlab import laurent, verify
 from clusterlab.errors import (
     ClusterLabError,
     ExactDivisionFailed,
@@ -26,6 +27,7 @@ from clusterlab.laurent import (
     substitute,
     try_div_exact,
 )
+from clusterlab.verify import report_unistructurality
 
 
 def poly(arity, terms):
@@ -499,6 +501,8 @@ class TestMonomialDivision:
     def test_a_zero_dividend(self):
         b = LaurentPoly(3, {(2, -1, 0): -3})
         assert try_div_exact(LaurentPoly.zero(3), b) == LaurentPoly.zero(3)
+        assert laurent._reduce(LaurentPoly.zero(3), b) == LaurentPoly.zero(3)
+        assert laurent._reduce(LaurentPoly.zero(3), b + 1) == LaurentPoly.zero(3)
 
     @pytest.mark.parametrize("a_exp,b_exp", [
         (MIN_EXPONENT, 1), (MAX_EXPONENT, -1), (MIN_EXPONENT + 1, 1), (MAX_EXPONENT - 1, -1),
@@ -516,6 +520,214 @@ class TestMonomialDivision:
             for divide in (try_div_exact, laurent._reduce):
                 with pytest.raises(ExponentOverflow):
                     divide(a, b)
+
+
+# -- the packed kernels against the tuple-based ones they replaced -------------
+
+
+def _substitute_by_terms(a, images):
+    """substitute as it was before it ran on packed keys: the numerator of
+    a's reduced form evaluated term by term, every power multiplied in
+    separately and the terms summed one by one, then one exact division by
+    the images of the monomial denominator."""
+    target = images[0].arity
+    if a.is_zero():
+        return LaurentPoly.zero(target)
+    numerator, denom = a.reduced_form()
+    power = functools.cache(lambda i, k: images[i] ** k)
+    value = LaurentPoly.zero(target)
+    for exps, coeff in numerator.terms.items():
+        term = LaurentPoly.constant(coeff, target)
+        for i, e in enumerate(exps):
+            if e:
+                term = term * power(i, e)
+        value = value + term
+    divisor = LaurentPoly.one(target)
+    for i, d in enumerate(denom):
+        if d:
+            divisor = divisor * power(i, d)
+    if divisor == LaurentPoly.one(target):
+        return value
+    return _reduce_by_unpacking(value, divisor)
+
+
+def _reduce_by_unpacking(a, b):
+    """_reduce as it was before it ran on packed keys: each leading key
+    unpacked into an exponent tuple, checked against the quotient box, and
+    the quotient key packed from the difference of tuples."""
+    layout = a._layout
+
+    def ranges(p):
+        return [(min(column), max(column)) for column in zip(*map(layout.unpack, p._terms))]
+
+    box = [(lo_a - lo_b, hi_a - hi_b) for (lo_a, hi_a), (lo_b, hi_b) in zip(ranges(a), ranges(b))]
+    lead_b = max(b._terms)
+    lead_b_exps = layout.unpack(lead_b)
+    rem = dict(a._terms)
+    quot = {}
+    while rem:
+        lead_r = max(rem)
+        diff = [e - f for e, f in zip(layout.unpack(lead_r), lead_b_exps)]
+        if any(not lo <= d <= hi for d, (lo, hi) in zip(diff, box)):
+            return None
+        if rem[lead_r] % b._terms[lead_b]:
+            return None
+        factor = rem[lead_r] // b._terms[lead_b]
+        shift = layout.pack(diff)
+        quot[shift] = factor
+        for key, coeff in b._terms.items():
+            target = shift - layout.zero + key
+            total = rem.get(target, 0) - factor * coeff
+            if total:
+                rem[target] = total
+            else:
+                rem.pop(target, None)
+    return LaurentPoly(a.arity, {layout.unpack(key): coeff for key, coeff in quot.items()})
+
+
+def _outcome(function, *args):
+    """The value of ``function(*args)``, or the class of the package error it raises."""
+    try:
+        return function(*args)
+    except ClusterLabError as error:
+        return type(error)
+
+
+def _random_exponents(rng, n, low=-2, high=2):
+    return tuple(rng.randint(low, high) for _ in range(n))
+
+
+def _random_image(rng, m):
+    """A unit monomial +-x^v, a constant +-1, a non-unit monomial such as
+    2*x1, or a polynomial of two or three terms, in m variables."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return LaurentPoly(m, {_random_exponents(rng, m): rng.choice((1, -1))})
+    if kind == 1:
+        return LaurentPoly.constant(rng.choice((1, -1)), m)
+    if kind == 2:
+        return LaurentPoly(m, {_random_exponents(rng, m): rng.choice((2, -2, 3))})
+    terms = {_random_exponents(rng, m): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(2, 3))}
+    return LaurentPoly(m, terms)
+
+
+def _sympy_substitute(a, images):
+    value = to_sympy(a).xreplace(dict(zip(SYMBOLS, map(to_sympy, images))))
+    return laurent_or_none(value, images[0].arity)
+
+
+class TestPackedKernels:
+    """substitute and _reduce on packed keys, pinned to the term-by-term
+    substitution and the unpacking reduction they replaced, and to sympy,
+    on seeded inputs."""
+
+    def test_substitute_matches_the_term_by_term_oracle(self):
+        rng = random.Random(101)
+        seen = collections.Counter()
+        for case in range(400):
+            n, m = rng.randint(1, 3), rng.randint(0, 3)
+            terms = {_random_exponents(rng, n): rng.randint(-4, 4) for _ in range(rng.randint(0, 4))}
+            a, images = LaurentPoly(n, terms), [_random_image(rng, m) for _ in range(n)]
+            got = substitute(a, images)
+            assert got == _substitute_by_terms(a, images)
+            if m and case % 4 == 0:
+                assert got == _sympy_substitute(a, images)
+            seen["not Laurent" if got is None else "Laurent"] += 1
+            seen["zero dividend"] += a.is_zero()
+            seen["arity 0 images"] += m == 0
+            for exps in a.terms:
+                for e, image in zip(exps, images):
+                    unit = image.is_monomial() and set(image.terms.values()) <= {1, -1}
+                    seen["odd power of a unit"] += unit and e % 2 == 1
+                    seen["negative power of a non-monomial"] += e < 0 and len(image.terms) > 1
+        assert min(seen.values()) > 10, seen
+
+    @pytest.mark.parametrize("a, images", [
+        # odd and even powers of -x^v, a zero exponent
+        ({(3, -1): 1, (2, 0): 2, (0, 1): -1}, [{(1, -1): -1}, {(0, 2): -1}]),
+        # the constants -1 and 1 next to a polynomial image
+        ({(3, 1): 1, (1, 0): 1, (0, 0): -1}, [{(0, 0): -1}, {(1, 0): 1, (0, 1): 1}]),
+        ({(2, -1): 5}, [{(0, 0): 1}, {(0, 0): -1}]),
+        # a non-unit monomial image takes the general path
+        ({(2, 1): 3, (-1, 1): 4}, [{(1, 0): 2}, {(0, 1): 1}]),
+        ({(-1, 0): 1}, [{(1, 0): 2}, {(0, 1): 1}]),
+        # negative exponents on a polynomial image divide out
+        ({(-2, 2): 1, (-2, 1): 2, (-2, 0): 1, (1, 1): 1}, [{(0, 1): 1, (0, 0): 1}, {(0, 1): 1}]),
+        ({(-1, 2): 1, (-1, 0): 1}, [{(-1, 2): 1, (-1, 0): 1}, {(0, 1): 1}]),
+        # not Laurent: 1 / (y1 + 1) and (y2^2 + 1) / (y1 + y2)
+        ({(-1, 0): 1}, [{(1, 0): 1, (0, 0): 1}, {(0, 1): 1}]),
+        ({(-1, 2): 1, (-1, 0): 1}, [{(1, 0): 1, (0, 1): 1}, {(0, 1): 1}]),
+        # a zero dividend
+        ({}, [{(1, 0): 1, (0, 1): 1}, {(0, 1): -1}]),
+    ])
+    def test_named_cases(self, a, images):
+        a, images = LaurentPoly(2, a), [LaurentPoly(2, image) for image in images]
+        got = substitute(a, images)
+        assert got == _substitute_by_terms(a, images) == _sympy_substitute(a, images)
+
+    def test_images_of_arity_zero(self):
+        a = LaurentPoly(2, {(2, 0): 1, (-1, 1): -3, (0, 0): 2})
+        constants = [LaurentPoly.constant(c, 0) for c in (-1, 1)]
+        assert substitute(a, constants) == _substitute_by_terms(a, constants) == LaurentPoly.constant(6, 0)
+        halves = [LaurentPoly.constant(c, 0) for c in (2, 1)]
+        assert substitute(a, halves) is _substitute_by_terms(a, halves) is None  # 4 - 3/2 + 2
+
+    @pytest.mark.parametrize("p,q,depth", [(3, 1, 4), (2, 1, 2)])
+    def test_the_unistructurality_substitutions(self, monkeypatch, p, q, depth):
+        seen = []
+
+        def recording(variable, images):
+            seen.append((variable, list(images)))
+            return substitute(variable, images)
+
+        monkeypatch.setattr(verify, "substitute", recording)
+        assert report_unistructurality(p, q, depth).passed
+        assert seen
+        for variable, images in seen:
+            assert substitute(variable, images) == _substitute_by_terms(variable, images)
+
+    def test_reduce_matches_the_unpacking_oracle(self):
+        rng = random.Random(103)
+        seen = collections.Counter()
+        for _ in range(300):
+            n = rng.randint(0, 4)
+            b = LaurentPoly(n, {_random_exponents(rng, n, -3, 3): rng.choice((-3, -1, 1, 2)) for _ in range(3)})
+            q = LaurentPoly(n, {_random_exponents(rng, n, -3, 3): rng.randint(-6, 6) for _ in range(4)})
+            noise = LaurentPoly(n, {_random_exponents(rng, n, -3, 3): rng.randint(-6, 6) for _ in range(5)})
+            for a in (q * b, noise, q * b + noise, LaurentPoly.zero(n)):
+                want = _reduce_by_unpacking(a, b)
+                assert laurent._reduce(a, b) == want
+                assert try_div_exact(a, b) == want
+                seen["divided" if want is not None else "refused"] += 1
+        assert seen["divided"] > 300 and seen["refused"] > 200, seen
+
+    def test_reduce_at_field_edges_as_the_oracle(self):
+        # divisors whose reduction takes few steps: a monomial, or two terms
+        # with a quotient or a leading coefficient that does not divide.
+        # The packed reduction checks the whole quotient box before its
+        # first step, so where no quotient exists it may raise
+        # ExponentOverflow where the unpacking one returned None
+        rng = random.Random(107)
+        edges = [MIN_EXPONENT, MIN_EXPONENT + 1, -1, 0, 1, MAX_EXPONENT - 1, MAX_EXPONENT]
+        seen = collections.Counter()
+        for _ in range(300):
+            n = rng.randint(1, 2)
+            q = LaurentPoly(n, {tuple(rng.choice(edges) for _ in range(n)): rng.choice((-2, 1, 3)) for _ in range(2)})
+            monomial = LaurentPoly(n, {tuple(rng.choice(edges) for _ in range(n)): rng.choice((-1, 2))})
+            binomial = LaurentPoly(n, {_random_exponents(rng, n, -1, 1): rng.choice((-2, 2, 3)) for _ in range(2)})
+            cases = [(q + LaurentPoly.one(n), monomial)]
+            product = _outcome(q.__mul__, binomial)
+            if isinstance(product, LaurentPoly):
+                lead = max(product.terms)
+                cases += [(product, binomial), (product + LaurentPoly(n, {lead: 1}), binomial)]
+            for a, b in cases:
+                want, got = _outcome(_reduce_by_unpacking, a, b), _outcome(laurent._reduce, a, b)
+                if want is None:
+                    assert got in (None, ExponentOverflow)
+                else:
+                    assert got == want
+                seen["divided" if isinstance(want, LaurentPoly) else want] += 1
+        assert min(seen.values()) > 10, seen
 
 
 class TestExponentOverflow:
@@ -545,6 +757,22 @@ class TestExponentOverflow:
         top = LaurentPoly(1, {(MAX_EXPONENT,): 1})
         assert top * top**-1 == LaurentPoly.one(1)
         assert (top * top**-1) * top == top
+
+    @pytest.mark.parametrize("edge", [MAX_EXPONENT, MIN_EXPONENT])
+    def test_substitution_raises_instead_of_wrapping(self, edge):
+        (x1,) = coordinates(1)
+        for evaluate in (substitute, _substitute_by_terms):
+            with pytest.raises(ExponentOverflow):
+                evaluate(x1**2, [x1**edge])
+
+    def test_substitution_at_the_field_edge_is_exact(self):
+        # the bound of the shifts leaves the field, the shifted exponents do not
+        x1, x2 = coordinates(2)
+        (y,) = coordinates(1)
+        a = x1**MAX_EXPONENT * x2**-1
+        want = LaurentPoly(1, {(MAX_EXPONENT - 1,): 1})
+        assert substitute(a, [y, y]) == _substitute_by_terms(a, [y, y]) == want
+        assert substitute(a, [y, -y]) == -want
 
     def test_quotient_outside_field_raises(self):
         top = LaurentPoly(1, {(MAX_EXPONENT,): 1})
