@@ -524,9 +524,9 @@ def flip_state(state: TriSeed, idx: int) -> tuple[TriSeed, FlipResult]:
     return TriSeed(result.triangulation, seed, state.memo), result
 
 
-def _descend(annulus: MarkedAnnulus, want: frozenset[Arc]) -> TriSeed:
+def _descend(annulus: MarkedAnnulus, want: frozenset[Arc]) -> tuple[TriSeed, int]:
     """Lockstep state reached by greedy flips from the fan until the
-    triangulation holds every arc of want.
+    triangulation holds every arc of want, with the number of flips made.
 
     Each step flips the arc outside want with the largest total crossing
     against want; ties go to the smallest arc.  While an arc of want is
@@ -557,13 +557,13 @@ def _descend(annulus: MarkedAnnulus, want: frozenset[Arc]) -> TriSeed:
             )
         pick = min((i for i, t in totals.items() if t == top), key=lambda i: state.tri.arcs[i])
         state, _ = flip_state(state, pick)
-    return state
+    return state, steps
 
 
 def variable_of_arc(annulus: MarkedAnnulus, arc: Arc) -> LaurentPoly:
     """Cluster variable of an arc, rooted at the fan triangulation and
     reached by greedy flips (_descend)."""
-    return _descend(annulus, frozenset((arc,))).variable(arc)
+    return _descend(annulus, frozenset((arc,)))[0].variable(arc)
 
 
 @dataclass
@@ -572,53 +572,36 @@ class FlipNode:
     depth: int
 
 
-def flip_levels(annulus: MarkedAnnulus, depth: int) -> Iterator[list[FlipNode]]:
-    """The flip ball around the fan, one level at a time.
-
-    Yields, for each flip distance 0..depth in turn, the triangulations
-    first reached at that distance with their clusters, in the order the
-    breadth-first search reaches them.  A level is built only when the
-    consumer asks for it, so a search that stops early never flips the
-    nodes of the last level it read.  Every flip made checks that the
-    arc-to-variable correspondence stays single valued, and the ball may
-    hold at most FLIP_NODE_LIMIT triangulations (LimitExceeded).
+def flip_bfs(annulus: MarkedAnnulus, depth: int) -> dict[frozenset[Arc], FlipNode]:
+    """All triangulations within the given flip distance of the fan, with
+    their clusters, keyed by arc set in the order the breadth-first search
+    reaches them.  Every flip made checks that the arc-to-variable
+    correspondence stays single valued, and the ball may hold at most
+    FLIP_NODE_LIMIT triangulations (LimitExceeded).
     """
     if depth < 0:
         raise InvalidParameter(f"depth {depth} must be nonnegative")
-    root = initial_state(annulus)
-    seen = {root.tri.arc_set}
-    variables: dict[Arc, LaurentPoly] = root.assignment
-    level = [FlipNode(root, 0)]
-    for distance in range(1, depth + 1):
-        yield level
-        next_level = []
-        for node in level:
-            for idx in range(len(node.state.tri.arcs)):
-                new_state, result = flip_state(node.state, idx)
-                new_var = new_state.seed.cluster[idx]
-                if variables.setdefault(result.new_arc, new_var) != new_var:
-                    raise MalformedTriangulation(
-                        f"arc {result.new_arc} received two distinct variables"
-                    )
-                new_key = new_state.tri.arc_set
-                if new_key not in seen:
-                    if len(seen) >= FLIP_NODE_LIMIT:
-                        raise LimitExceeded(f"flip graph exceeded {FLIP_NODE_LIMIT} nodes")
-                    seen.add(new_key)
-                    next_level.append(FlipNode(new_state, distance))
-        level = next_level
-    yield level
-
-
-def flip_bfs(annulus: MarkedAnnulus, depth: int) -> dict[frozenset[Arc], FlipNode]:
-    """All triangulations within the given flip distance of the fan, with
-    their clusters, keyed by arc set in the order flip_levels reaches
-    them: the whole ball, for callers that need every node."""
-    return {
-        node.state.tri.arc_set: node
-        for level in flip_levels(annulus, depth)
-        for node in level
-    }
+    root = FlipNode(initial_state(annulus), 0)
+    nodes = {root.state.tri.arc_set: root}
+    variables: dict[Arc, LaurentPoly] = root.state.assignment
+    queue = [root]
+    for node in queue:  # the queue grows as it is read
+        if node.depth == depth:
+            continue
+        for idx in range(len(node.state.tri.arcs)):
+            new_state, result = flip_state(node.state, idx)
+            new_var = new_state.seed.cluster[idx]
+            if variables.setdefault(result.new_arc, new_var) != new_var:
+                raise MalformedTriangulation(
+                    f"arc {result.new_arc} received two distinct variables"
+                )
+            new_key = new_state.tri.arc_set
+            if new_key not in nodes:
+                if len(nodes) >= FLIP_NODE_LIMIT:
+                    raise LimitExceeded(f"flip graph exceeded {FLIP_NODE_LIMIT} nodes")
+                nodes[new_key] = FlipNode(new_state, node.depth + 1)
+                queue.append(nodes[new_key])
+    return nodes
 
 
 def candidate_arcs(annulus: MarkedAnnulus, winding: int = 2) -> list[Arc]:

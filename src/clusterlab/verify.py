@@ -5,12 +5,12 @@ Two layers cooperate, driven by the same relation tables.  The formal
 layer evaluates each table over free Laurent indeterminates and verifies
 the displayed identity chains exactly: every claimed equality must leave
 a literally zero difference polynomial.  The geometric layer works on a
-concrete annulus, finds configurations by bounded search, runs flips and
+concrete annulus, builds configurations in closed form, runs flips and
 seed mutations in lockstep, and checks relation shapes, crossing counts,
-and residual positivity in the cluster algebra.  Its search matches the
+and residual positivity in the cluster algebra.  It matches the
 relation tables on the flips' quadrilateral sides, deriving each
 labeling from the rows as it goes; the exchange relations themselves
-come from the lockstep flips, so the search does no algebra of its own.
+come from the lockstep flips, so the matcher does no algebra of its own.
 
 Reports are plain data so the command line can serialize them; any
 outcome that would falsify a theorem is raised as a hard error rather
@@ -40,9 +40,9 @@ from .annulus import (
     crossing_number,
     flip,
     flip_bfs,
-    flip_levels,
     flip_state,
     initial_triangulation,
+    make_arc,
     quadrilateral_sides,
     verify_cover_flip,
 )
@@ -180,7 +180,7 @@ def _gens(n: int, ones: Iterable[int] = ()) -> list[LaurentPoly]:
 # standing for the product of the named values and side tokens;
 # ("z4",), ("S8",) is z4 * S8 and (), ("S8", "S10") is S8 * S10.  zi is
 # the variable the labeling puts at slot i - 1.  The formal chains read
-# each side token Si as the free indeterminate zi; the geometric searches
+# each side token Si as the free indeterminate zi; the geometric reports
 # bind the side tokens to quadrilateral sides on a concrete annulus, a
 # boundary segment (value 1) or an arc (its variable).
 
@@ -386,7 +386,7 @@ def report_crossing_quadrilateral(p: int, q: int) -> IdentityReport:
     ann = MarkedAnnulus(p, q)
     gamma_i, gamma_j, sides = find_crossing_quadrilateral(ann)
     # a triangulation holding the diagonal and every interior side holds the quadrilateral
-    state = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
+    state, _ = _descend(ann, frozenset({gamma_i} | {s for s in sides if s is not None}))
     slot = state.tri.index_of(gamma_i)
     new_state, result = flip_state(state, slot)
     if result.new_arc != gamma_j:
@@ -469,48 +469,40 @@ def _run_rows(state: TriSeed, start_tri: Triangulation, rows, keys, tokens, flip
                 yield from _run_rows(next_state, start_tri, rest, k2, t2, new)
 
 
-def _labeled_matches(ann: MarkedAnnulus, depth: int, kind: str, patterns):
-    """Every labeled triangulation within the given flip distance of the
-    fan whose flip sequence realizes the patterns, as (start state,
-    labeling, end state, values, bindings, flip distance).
+def _witness(ann: MarkedAnnulus, arcs: Sequence[Arc], patterns):
+    """The chain the patterns make from the triangulation of the given
+    arcs, z1 the first: (start state, labeling, end state, values,
+    bindings, flip distance).
 
-    Triangulations come nearest first, ties broken by sorted arc set; the
-    flip ball grows one level at a time (flip_levels) as the caller
-    consumes matches, so depth is an upper bound.  A labeling is a tuple
-    of 1 + (largest row slot) distinct slots whose first holds an arc of
-    the given kind; zi is the variable at labeling[i - 1], and a row of
-    slot s flips labeling[s].  Rows match on the flips' sides, a key
-    naming an arc and a token a side, None for a boundary segment
-    (``_match_side``).  A fresh zi names the arc at a start slot, so the
-    labeling is read off the rows, not enumerated: in both tables every
-    slot a row flips is named by an earlier row.  Per start node and first
-    arc, matches come in depth-first order.  No relation is re-checked in
-    Laurent algebra: a matched row's old * new == (product of side one) +
-    (product of side two) holds by construction, as ``flip_state`` divides
-    its exchange relation exactly and ``_out_pair`` ties each term to its
-    pair of sides.  Arcs become variables at the end, a boundary side 1.
-    All states share the fan's memo, so each distinct exchange is divided
-    once.
+    The start is reached by greedy flips from the fan (``_descend``).  A
+    flip changes one arc, so the arcs the fan lacks bound the flip
+    distance from below, and a longer descent raises ConstructionFailed.
+    zi is the variable at labeling[i - 1], and a row of slot s flips
+    labeling[s].  The rows are matched on the flips' sides, which name
+    each fresh zi (``_run_rows``); the first match is taken, and none
+    raises ConstructionFailed.  No relation is re-checked in Laurent
+    algebra: ``flip_state`` divides each exchange exactly and
+    ``_out_pair`` ties each term to its pair of sides.  Arcs become
+    variables at the end, a boundary side 1.
     """
+    start, flips = _descend(ann, frozenset(arcs))
+    distance = len(set(arcs) - initial_triangulation(ann).arc_set)
+    if flips != distance:
+        raise ConstructionFailed(f"the descent took {flips} flips, not the {distance} the fan lacks")
     width = 1 + max(slot for _, slot, *_ in patterns)
     names = [f"z{i + 1}" for i in range(width)] + [token for token, *_ in patterns]
     one = LaurentPoly.one(ann.p + ann.q)
-    for level in flip_levels(ann, depth):
-        for node in sorted(level, key=lambda node: tuple(sorted(node.state.tri.arcs))):
-            start = node.state
-            for arc in start.tri.arcs:
-                if classify_arc(arc)[0] != kind:
-                    continue
-                for end, keys, tokens, flipped in _run_rows(start, start.tri, patterns, {"z1": arc}, {}):
-                    labeling = tuple(start.tri.index_of(keys[f"z{i + 1}"]) for i in range(width))
-                    variable = start.assignment | dict(flipped)
-                    values = {name: variable[keys[name]] for name in names}
-                    bindings = {t: one if side is None else variable[side] for t, side in tokens.items()}
-                    yield start, labeling, end, values, bindings, node.depth
+    for end, keys, tokens, flipped in _run_rows(start, start.tri, patterns, {"z1": arcs[0]}, {}):
+        labeling = tuple(start.tri.index_of(keys[f"z{i + 1}"]) for i in range(width))
+        variable = start.assignment | dict(flipped)
+        values = {name: variable[keys[name]] for name in names}
+        bindings = {t: one if side is None else variable[side] for t, side in tokens.items()}
+        return start, labeling, end, values, bindings, distance
+    raise ConstructionFailed(f"the rows match no flips from the setup on C({ann.p},{ann.q})")
 
 
 def _format_bindings(bindings: dict[str, LaurentPoly]) -> str:
-    """The side-token bindings of a geometric search, sorted, as text."""
+    """The side-token bindings of a geometric chain, sorted, as text."""
     return ", ".join(f"{k}={format_poly(v)}" for k, v in sorted(bindings.items()))
 
 
@@ -520,11 +512,33 @@ def max_peripheral_crossing(ann: MarkedAnnulus) -> int:
     return max((crossing_number(a, b, ann) for a, b in itertools.combinations(peripherals, 2)), default=0)
 
 
+def _peripheral_setup(ann: MarkedAnnulus) -> tuple[Arc, ...]:
+    """The start arcs of the five-flip chain, z1 first: the inner form,
+    z1 = (1,1)-(1,q), needs four marked points on the inner boundary, and
+    the outer form, z1 = (0,0)-(0,p-1), four on the outer one.  Where both
+    apply, both lie p + q - 3 flips from the fan, and the inner form has
+    the smaller sorted arcs."""
+    p, q = ann.p, ann.q
+    if q >= 4:
+        chords = [((1, 1), (1, q)), ((0, 0), (1, 0)), ((0, 0), (1, -q)), ((0, 0), (1, 1 - q)),
+                  ((1, 1), (1, q - 1))]
+        chords += [((0, 0), (0, j)) for j in range(2, p + 1)]
+        chords += [((1, 1), (1, j)) for j in range(3, q - 1)]
+    else:
+        chords = [((0, 0), (0, p - 1)), ((0, 0), (1, 0)), ((0, 0), (1, -q)), ((0, p - 1), (1, 0)),
+                  ((0, p - 3), (0, p - 1))]
+        chords += [((0, 0), (0, j)) for j in range(2, p - 2)]
+        chords += [((1, 0), (1, j)) for j in range(2, q + 1)]
+    return tuple(make_arc(ann, *chord) for chord in chords)
+
+
 def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityReport:
-    """Find, on a concrete annulus, a peripheral arc admitting the
+    """Build, on a concrete annulus, a peripheral arc admitting the
     five-flip sequence whose exchange relations realize the formal chain,
     ending at a peripheral arc crossing it exactly twice.
 
+    The start triangulation is built (``_peripheral_setup``), and depth
+    bounds its flip distance from the fan (SearchExhausted beyond it).
     Side tokens bind to quadrilateral sides: boundary segments (1) or
     arcs (their variables).  The found values are substituted back into
     the formal chain as an agreement check between the layers.
@@ -539,42 +553,37 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
         raise CounterexampleFound(
             f"peripheral arcs crossing {ceiling} times exist on C({p},{q})"
         )
-
-    matches = _labeled_matches(ann, depth, "peripheral", _PERIPHERAL_PATTERNS)
-    for st, labeling, end_state, values, bindings, d in matches:
-        gamma_i = st.tri.arcs[labeling[0]]
-        gamma_j = end_state.tri.arcs[labeling[4]]
-        if classify_arc(gamma_j)[0] != "peripheral":
-            continue
-        if crossing_number(gamma_i, gamma_j, ann) != 2:
-            continue
-        images = [values[f"z{i}"] for i in range(1, 6)]
-        images += [
-            bindings.get(f"S{i}", LaurentPoly.one(images[0].arity))
-            for i in (6, 7, 8, 9, 10)
-        ]
-        formal = _evaluate_chain(_gens(10), _PERIPHERAL_PATTERNS)
-        for name, *_ in _PERIPHERAL_PATTERNS:
-            if substitute(formal[name], images) != values[name]:
-                raise IdentityFailed(f"formal and geometric values of {name} disagree")
-        return IdentityReport(
-            name="case2-geometric",
-            witness={
-                "peripheral_start": str(gamma_i),
-                "peripheral_end": str(gamma_j),
-                "crossing": str(crossing_number(gamma_i, gamma_j, ann)),
-                "side_bindings": _format_bindings(bindings),
-            },
-            context={
-                "p": p,
-                "q": q,
-                "depth": depth,
-                "found_at_flip_distance": d,
-                "max_peripheral_crossing": ceiling,
-            },
-        )
-    raise SearchExhausted(
-        f"no five-flip chain found on C({p},{q}) within flip distance {depth}"
+    if depth < 0:
+        raise InvalidParameter(f"depth {depth} must be nonnegative")
+    arcs = _peripheral_setup(ann)
+    _, labeling, end_state, values, bindings, distance = _witness(ann, arcs, _PERIPHERAL_PATTERNS)
+    if distance > depth:
+        raise SearchExhausted(f"no five-flip chain found on C({p},{q}) within flip distance {depth}")
+    gamma_i, gamma_j = arcs[0], end_state.tri.arcs[labeling[4]]
+    crossing = crossing_number(gamma_i, gamma_j, ann)
+    if classify_arc(gamma_j)[0] != "peripheral" or crossing != 2:
+        raise ConstructionFailed(f"the chain ends at {gamma_j}, not a peripheral arc crossing {gamma_i} twice")
+    # a full match binds every side token of the table
+    images = [values[f"z{i}"] for i in range(1, 6)] + [bindings[f"S{i}"] for i in range(6, 11)]
+    formal = _evaluate_chain(_gens(10), _PERIPHERAL_PATTERNS)
+    for name, *_ in _PERIPHERAL_PATTERNS:
+        if substitute(formal[name], images) != values[name]:
+            raise IdentityFailed(f"formal and geometric values of {name} disagree")
+    return IdentityReport(
+        name="case2-geometric",
+        witness={
+            "peripheral_start": str(gamma_i),
+            "peripheral_end": str(gamma_j),
+            "crossing": str(crossing),
+            "side_bindings": _format_bindings(bindings),
+        },
+        context={
+            "p": p,
+            "q": q,
+            "depth": depth,
+            "found_at_flip_distance": distance,
+            "max_peripheral_crossing": ceiling,
+        },
     )
 
 
@@ -583,12 +592,18 @@ def report_peripheral_chain_geometric(p: int, q: int, depth: int) -> IdentityRep
 # ---------------------------------------------------------------------------
 
 
-def _find_bridging_setup(ann: MarkedAnnulus):
-    """The first labeled triangulation within flip distance 5 of the fan
-    whose setup flips realize the bridging patterns."""
-    for match in _labeled_matches(ann, 5, "bridging", _BRIDGING_PATTERNS):
-        return match
-    raise SearchExhausted(f"no winding-induction setup found on C({ann.p},{ann.q})")
+def _bridging_setup(ann: MarkedAnnulus) -> tuple[Arc, ...]:
+    """The start arcs of the winding induction, z1 = (0,0)-(1,0) first.
+    They need two marked points on each boundary.  On C(p,1) and C(1,q) no
+    setup is known (none lies within flip distance 8 of the fan on C(3,1)
+    and C(1,3), nor 9 on C(1,1) and C(2,1)): SearchExhausted, unflipped."""
+    p, q = ann.p, ann.q
+    if min(p, q) < 2:
+        raise SearchExhausted(f"no winding-induction setup found on C({p},{q})")
+    chords = [((0, 0), (1, 0)), ((0, 0), (1, -q)), ((0, 0), (1, 1 - q)), ((0, 0), (0, p))]
+    chords += [((0, 0), (0, j)) for j in range(2, p)]
+    chords += [((1, 1), (1, j)) for j in range(3, q + 1)]
+    return tuple(make_arc(ann, *chord) for chord in chords)
 
 
 def _opposite_pair(pairs: tuple[tuple[Side, Side], ...], arc: Arc) -> tuple[Side, Side]:
@@ -670,16 +685,15 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     """Run the alternating flip recurrence for a bridging arc against
     increasingly winding partners.
 
-    The setup is the nearest labeled triangulation whose flips realize
-    the bridging table (``_find_bridging_setup``): its rows are matched on
-    the flips' quadrilateral sides, and the labeling is read off them
-    (``_labeled_matches``).  Past the setup the flips alternate between
-    the first and the fourth slot, and their variables x_0 = z4_1,
-    x_1 = z1_2, x_2 = z4_2, ... satisfy x_{n+1} * x_{n-1} == x_n**2 + c
-    for the fixed cross term c.  Two consecutive relations show that
-    L = (x_{n+1} + x_{n-1}) / x_n, the band around the core, does not
-    depend on n, so x_{n+1} = L * x_n - x_{n-1}.  ``_band`` takes L from the first winding
-    relation; past it, no flip divides (``_winding_flip``).
+    The setup triangulation is built (``_bridging_setup``), and the
+    bridging rows are matched on its flips' sides (``_witness``).  Past
+    the setup the flips alternate between the first and the fourth slot,
+    and their variables x_0 = z4_1, x_1 = z1_2, x_2 = z4_2, ... satisfy
+    x_{n+1} * x_{n-1} == x_n**2 + c for the fixed cross term c.  Two
+    consecutive relations show that L = (x_{n+1} + x_{n-1}) / x_n, the
+    band around the core, does not depend on n, so x_{n+1} = L * x_n -
+    x_{n-1}.  ``_band`` takes L from the first winding relation; past it,
+    no flip divides (``_winding_flip``).
 
     Checks, on a concrete annulus: (i) every exchange relation past the
     setup matches the two-term recurrence with the fixed cross term: each
@@ -694,8 +708,9 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
     if K < 3:
         raise InvalidParameter("K must be at least 3")
     ann = MarkedAnnulus(p, q)
-    setup, labeling, state, values, bindings, found_at = _find_bridging_setup(ann)
-    gamma_i = setup.tri.arcs[labeling[0]]
+    arcs = _bridging_setup(ann)
+    _, labeling, state, values, bindings, distance = _witness(ann, arcs, _BRIDGING_PATTERNS)
+    gamma_i = arcs[0]
     cross_term = values["z2'"] * values["z3''"]
     slot1, slot4 = labeling[0], labeling[3]
     band = _band(state.seed.cluster[slot4], state.seed.cluster[slot1], cross_term)
@@ -717,7 +732,7 @@ def report_winding_induction(p: int, q: int, K: int) -> IdentityReport:
             "residual_term_counts": str(_residual_term_counts(values, z1_vals, z4_vals)),
             "side_bindings": _format_bindings(bindings),
         },
-        context={"p": p, "q": q, "K": K, "setup_flip_distance": found_at},
+        context={"p": p, "q": q, "K": K, "setup_flip_distance": distance},
     )
 
 
@@ -866,7 +881,7 @@ def report_unistructurality(p: int, q: int, depth: int) -> IdentityReport:
     arc has exactly two completions, so a breadth-first walk from the ball
     certifies each clique outside it by one flip from a certified
     neighbour, which must land on it and give its new arc the pool's
-    variable (flip_levels has checked the ball's).  A clique the walk
+    variable (flip_bfs has checked the ball's).  A clique the walk
     misses raises SearchExhausted.
     """
     ann = MarkedAnnulus(p, q)

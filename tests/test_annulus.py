@@ -24,7 +24,6 @@ from clusterlab.annulus import (
     deck_endpoint,
     flip,
     flip_bfs,
-    flip_levels,
     flip_state,
     initial_state,
     initial_triangulation,
@@ -50,7 +49,7 @@ from clusterlab.errors import (
 )
 from clusterlab.laurent import LaurentPoly, coordinates, poly_prod
 from clusterlab.quiver import Quiver, canonical_form, classify_tilde_A, tilde_A_canonical
-from clusterlab.verify import _find_bridging_setup
+from clusterlab.verify import _BRIDGING_PATTERNS, _bridging_setup, _witness
 
 
 @pytest.fixture
@@ -331,7 +330,7 @@ class TestQuiverExtraction:
 
     def test_commutation_on_the_wound_induction_triangulation(self):
         ann = MarkedAnnulus(2, 2)
-        _, labeling, state, _, _, _ = _find_bridging_setup(ann)
+        _, labeling, state, *_ = _witness(ann, _bridging_setup(ann), _BRIDGING_PATTERNS)
         tri = state.tri
         for k in range(2, 7):
             for slot in (labeling[3], labeling[0]) if k < 6 else (labeling[3],):
@@ -507,7 +506,7 @@ class TestLocalFlipAgainstStrip:
         # the slots the winding induction alternates on C(2,2), up to K=6,
         # where the fourth-slot arc crosses the bridging arc 12 times
         ann = MarkedAnnulus(2, 2)
-        setup, labeling, state, _, _, _ = _find_bridging_setup(ann)
+        setup, labeling, state, *_ = _witness(ann, _bridging_setup(ann), _BRIDGING_PATTERNS)
         slot1, slot4 = labeling[0], labeling[3]
         tri = state.tri
         for k in range(2, 7):
@@ -601,7 +600,7 @@ class TestVariableOfArc:
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::3]
         for key in sample:
             tri = nodes[key].state.tri
-            reached = _descend(ann, tri.arc_set)
+            reached, _ = _descend(ann, tri.arc_set)
             for arc in tri.arcs:
                 assert variable_of_arc(ann, arc) == reached.variable(arc)
 
@@ -617,9 +616,9 @@ class TestVariableOfArc:
             return flip_state(state, idx)
 
         monkeypatch.setattr(annulus_mod, "flip_state", recording)
-        reached = _descend(ann, frozenset({want}))
+        reached, flips = _descend(ann, frozenset({want}))
         totals.append(sum(crossing_number(a, want, ann) for a in reached.tri.arcs))
-        assert totals == [3, 3, 2, 1, 0]
+        assert totals == [3, 3, 2, 1, 0] and flips == 4
 
     def test_a_descent_that_never_arrives_hits_its_cap(self, monkeypatch, ann21):
         # a flip that changes nothing leaves the arc missing forever
@@ -645,7 +644,7 @@ class TestLockstep:
         pairs = {(arc, var) for node in nodes.values() for arc, var in node.state.assignment.items()}
         assert len({arc for arc, _ in pairs}) == len({var for _, var in pairs}) == len(pairs)
 
-    def test_flip_levels_rejects_a_second_variable_for_a_known_arc(self, monkeypatch):
+    def test_flip_bfs_rejects_a_second_variable_for_a_known_arc(self, monkeypatch):
         # a flip past the fan that hands an arc already in the ball another
         # variable; at depth 2 the states it makes are never flipped again
         fan = initial_triangulation(MarkedAnnulus(2, 1))
@@ -772,39 +771,25 @@ class TestLockstep:
         sample = sorted(nodes, key=lambda key: tuple(sorted(key)))[::5]
         for key in sample:
             node = nodes[key]
-            reached = _descend(ann21, key)
+            reached, _ = _descend(ann21, key)
             assert reached.tri.arc_set == key
             assert set(reached.seed.cluster) == set(node.state.seed.cluster)
 
 
-class TestFlipLevels:
+class TestFlipBall:
     def test_full_ball_is_unchanged(self):
         # the one full-ball caller (unistructurality) reads flip_bfs: the
-        # ball of C(4,1) to depth 6 keeps its size and depth histogram
+        # ball of C(4,1) to depth 6 keeps its size and depth histogram, its
+        # nodes keyed in breadth-first order
         nodes = flip_bfs(MarkedAnnulus(4, 1), 6)
         histogram = [0] * 7
         for node in nodes.values():
             histogram[node.depth] += 1
         assert len(nodes) == 252
         assert histogram == [1, 5, 15, 33, 58, 70, 70]
-        levels = list(flip_levels(MarkedAnnulus(4, 1), 6))
-        assert [len(level) for level in levels] == histogram
-        assert all(node.depth == d for d, level in enumerate(levels) for node in level)
-        assert [node.state.tri.arc_set for level in levels for node in level] == list(nodes)
-
-    def test_levels_are_built_on_demand(self, monkeypatch):
-        # reading levels 0 and 1 flips the fan's arcs and nothing else
-        calls = []
-
-        def recording(state, target):
-            calls.append(target)
-            return flip_state(state, target)
-
-        monkeypatch.setattr(annulus_mod, "flip_state", recording)
-        levels = flip_levels(MarkedAnnulus(4, 1), 6)
-        assert len(next(levels)) == 1 and not calls
-        assert len(next(levels)) == 5
-        assert calls == [0, 1, 2, 3, 4]
+        depths = [node.depth for node in nodes.values()]
+        assert depths == sorted(depths)
+        assert all(key == node.state.tri.arc_set for key, node in nodes.items())
 
     def test_node_limit(self, monkeypatch):
         monkeypatch.setattr(annulus_mod, "FLIP_NODE_LIMIT", 100)
@@ -817,8 +802,6 @@ class TestFlipLevels:
     def test_invalid_bounds_raise(self, depth):
         # rejected as the engine's exchange_graph rejects them, instead of
         # a negative depth giving the one-node ball
-        with pytest.raises(InvalidParameter):
-            next(flip_levels(MarkedAnnulus(2, 1), depth))
         with pytest.raises(InvalidParameter):
             flip_bfs(MarkedAnnulus(2, 1), depth)
 

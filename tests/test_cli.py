@@ -286,6 +286,44 @@ def test_verify_induction_on_three_three_exceeds_the_support_box(runner):
     assert "3.32e+08 slots" in envelope["detail"]
 
 
+def test_verify_induction_without_a_bridging_setup_exits_1_unflipped(runner, monkeypatch):
+    # no setup is known on an annulus with one marked point on a boundary,
+    # so the report raises before it flips anything
+    def no_flip(*args):
+        pytest.fail("the report flipped")
+
+    monkeypatch.setattr(annulus, "flip_state", no_flip)
+    monkeypatch.setattr(verify, "flip_state", no_flip)
+    result = runner.invoke(main, ["verify", "--report", "induction", "--p", "2", "--q", "1"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "SearchExhausted"
+    assert "no winding-induction setup found on C(2,1)" in envelope["detail"]
+
+
+def test_verify_induction_at_rank_nine_passes_the_setup_and_exceeds_the_support_box(runner):
+    # the constructed setup of C(7,2) lies at flip distance 6, past the
+    # depth 5 the setup search stopped at; the report now stops at the
+    # support box (ROADMAP item 2)
+    result = runner.invoke(main, ["verify", "--report", "induction", "--p", "7", "--q", "2", "--K", "3"])
+    assert result.exit_code == 1
+    envelope = json.loads(result.output)
+    assert envelope["passed"] is False
+    assert envelope["error"] == "LimitExceeded"
+    assert "8.81e+10 slots" in envelope["detail"]
+
+
+def test_verify_case2_geometric_on_one_twelve_passes(runner):
+    # the inner-boundary chain of C(1,12) lies at flip distance 10
+    result = runner.invoke(main, ["verify", "--report", "case2-geometric", "--p", "1", "--q", "12", "--depth", "10"])
+    assert result.exit_code == 0
+    (report,) = json.loads(result.output)
+    assert report["passed"] is True
+    assert report["context"]["found_at_flip_distance"] == 10
+    assert report["witness"]["crossing"] == "2"
+
+
 def test_verify_unistructurality_with_an_unreached_clique_exits_1(runner, monkeypatch):
     # a clique yielded twice is one the walk over the flip graph cannot
     # certify a second time; the report raises SearchExhausted, with no
